@@ -11,9 +11,10 @@ A learned SiLU(linear) embedding takes every tier to the hidden width.
 
 import numpy as np
 
-from qcnet import (AtomFeatureTable, CrystalStructure, EmbedWeights,
-                   build_complex, edge_features, featurize_complex,
+from qcnet import (AtomFeatureTable, CrystalStructure, ModelConfig,
+                   SimplexTransformer, build_complex, edge_features,
                    neighbor_list, raw_features, vertex_features)
+from qcnet.autodiff import constant
 
 # A two-atom cell along z with the near pair at exactly 0.75 angstroms.
 s = CrystalStructure(lattice=np.diag([4.0, 4.0, 3.0]),
@@ -47,12 +48,12 @@ print(f"  source block matches fingerprint: "
 print(f"  dest block matches fingerprint:   "
       f"{bool(np.array_equal(dst_block, vf[e.dst]))}")
 
-# Embeddings map every tier to one hidden width so the attention layers
-# can mix them.
-embed = EmbedWeights.random(hidden=64, seed=0)
-fs = featurize_complex(c, s.species, table, embed)
+# The model's embeddings map every tier to one hidden width so the
+# attention layers can mix them.
+model = SimplexTransformer.init(ModelConfig(hidden_dim=64), seed=0)
 print("\nembedded shapes:",
-      fs.h0.shape, fs.h1.shape, fs.h2.shape)
+      *(emb.apply(constant(x)).data.shape for emb, x in
+        zip(model.embeds, (fs.h0_raw, fs.h1_raw, fs.h2_raw))))
 
 # The whole pipeline is geometric: rotating the crystal changes nothing,
 # because only distances enter the features.

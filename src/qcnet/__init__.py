@@ -12,9 +12,8 @@ from .complexes import (MessagingPairs, QuotientComplex, Triangle,
                         build_complex, complex_json, edge_pairs,
                         triangle_image_points, vertex_pairs)
 from .features import (EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, AtomFeatureTable,
-                       EmbedWeights, FeatureSet, MissingSpeciesError,
-                       NonPositiveDistanceError, edge_features,
-                       featurize_complex, raw_features,
+                       FeatureSet, MissingSpeciesError,
+                       NonPositiveDistanceError, edge_features, raw_features,
                        save_feature_arrays, triangle_features,
                        vertex_features)
 from .homology import (QuotientHomologyReport, SimplicialComplex,
@@ -22,9 +21,9 @@ from .homology import (QuotientHomologyReport, SimplicialComplex,
                        inclusion_induced_rank, matrix_rank, pairwise_gluing,
                        star_gluing, verify_quotient_homology)
 from .model import (CheckpointMismatchError, EmptyComplexError, ModelConfig,
-                    SimplexTransformer, batch_loss, forward, load_checkpoint,
-                    loss_and_gradients, merge_batch, predict,
-                    save_checkpoint)
+                    NonFiniteActivationError, SimplexTransformer, batch_loss,
+                    forward, load_checkpoint, loss_and_gradients, merge_batch,
+                    predict, save_checkpoint)
 from .periodic import (PeriodicEdge, PeriodicGraph, RadiusTooSmallError,
                        brute_force_neighbors, min_image_distance,
                        neighbor_list, plane_spacing_min)
@@ -43,9 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW", "AtomFeatureTable", "CheckpointMismatchError",
     "CrystalStructure", "DatasetLoadResult", "DatasetRecord",
-    "DegenerateLatticeError", "EDGE_DIM", "EmbedWeights",
-    "EmptyComplexError", "FeatureSet", "MessagingPairs", "MetricsReport",
-    "MissingSpeciesError", "ModelConfig", "NonFiniteLossError",
+    "DegenerateLatticeError", "EDGE_DIM", "EmptyComplexError",
+    "FeatureSet", "MessagingPairs", "MetricsReport", "MissingSpeciesError",
+    "ModelConfig", "NonFiniteActivationError", "NonFiniteLossError",
     "NonPositiveDistanceError", "ParseError", "PeriodicEdge",
     "PeriodicGraph", "QuotientComplex", "QuotientHomologyReport",
     "RadiusTooSmallError", "SimplexTransformer", "SimplicialComplex",
@@ -53,7 +52,7 @@ __all__ = [
     "TrainResult", "Triangle", "UnknownSpeciesError", "VERTEX_DIM",
     "batch_loss", "betti_numbers", "boundary_matrix", "brute_force_neighbors",
     "build_complex", "complex_json", "edge_features", "edge_pairs",
-    "evaluate", "featurize_complex", "finetune", "forward",
+    "evaluate", "finetune", "forward",
     "inclusion_induced_rank", "kfold_split", "load_checkpoint",
     "load_dataset", "loss_and_gradients", "matrix_rank", "merge_batch",
     "metrics_report", "min_image_distance", "neighbor_list", "one_cycle_lr",

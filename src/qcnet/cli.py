@@ -476,7 +476,8 @@ def main(argv=None) -> int:
 def _classify(exc: Exception) -> int | None:
     from .features import MissingSpeciesError, NonPositiveDistanceError
     from .homology import SubcomplexError
-    from .model import CheckpointMismatchError, EmptyComplexError
+    from .model import CheckpointMismatchError, EmptyComplexError, \
+        NonFiniteActivationError
     from .periodic import RadiusTooSmallError
     from .structures import DegenerateLatticeError, ParseError, \
         UnknownSpeciesError
@@ -490,7 +491,7 @@ def _classify(exc: Exception) -> int | None:
         return EXIT_CONFIG
     if isinstance(exc, (MissingSpeciesError, TooFewSamplesError)):
         return EXIT_DATA
-    if isinstance(exc, NonFiniteLossError):
+    if isinstance(exc, (NonFiniteLossError, NonFiniteActivationError)):
         return EXIT_NUMERIC
     if isinstance(exc, ValueError):
         return EXIT_CONFIG

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import silu_np
 from .complexes import QuotientComplex
 from .periodic import PeriodicGraph
 
@@ -162,57 +161,20 @@ def triangle_features(c: QuotientComplex) -> np.ndarray:
 
 
 @dataclass
-class EmbedWeights:
-    """Per-tier linear maps into the shared hidden width."""
-
-    w0: np.ndarray
-    b0: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def random(cls, hidden: int, seed: int = 0) -> "EmbedWeights":
-        rng = np.random.default_rng(seed)
-        parts = {}
-        for name, din in (("0", VERTEX_DIM), ("1", EDGE_DIM),
-                          ("2", TRIANGLE_DIM)):
-            lim = 1.0 / np.sqrt(din)
-            parts["w" + name] = rng.uniform(-lim, lim, (din, hidden))
-            parts["b" + name] = np.zeros(hidden)
-        return cls(**parts)
-
-
-@dataclass
 class FeatureSet:
-    """Raw simplex features and, once embedded, their hidden-width versions."""
+    """Raw simplex features of the three tiers (vertex, edge, triangle)."""
 
     h0_raw: np.ndarray
     h1_raw: np.ndarray
     h2_raw: np.ndarray
-    h0: np.ndarray | None = None
-    h1: np.ndarray | None = None
-    h2: np.ndarray | None = None
 
 
 def raw_features(c: QuotientComplex, species: np.ndarray,
                  table: AtomFeatureTable) -> FeatureSet:
-    """Feature set with only the raw tiers filled."""
+    """Raw features of every tier of the complex."""
     vf = vertex_features(species, table)
     return FeatureSet(h0_raw=vf, h1_raw=edge_features(c.graph, vf),
                       h2_raw=triangle_features(c))
-
-
-def featurize_complex(c: QuotientComplex, species: np.ndarray,
-                      table: AtomFeatureTable,
-                      embed: EmbedWeights) -> FeatureSet:
-    """Raw features plus SiLU(linear) embeddings of every tier."""
-    fs = raw_features(c, species, table)
-    fs.h0 = silu_np(fs.h0_raw @ embed.w0 + embed.b0)
-    fs.h1 = silu_np(fs.h1_raw @ embed.w1 + embed.b1)
-    fs.h2 = silu_np(fs.h2_raw @ embed.w2 + embed.b2)
-    return fs
 
 
 def save_feature_arrays(arrays: dict[str, np.ndarray], prefix: str) -> None:

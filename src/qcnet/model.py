@@ -40,8 +40,7 @@ from .autodiff import Tensor, concat, constant, gather_rows, parameter, \
     segment_mean, segment_sum
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
-from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, EmbedWeights, \
-    FeatureSet
+from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
 
 N_NODE_LAYERS = 5
 N_EDGE_NODE_LAYERS = 2
@@ -59,6 +58,10 @@ class CheckpointMismatchError(RuntimeError):
 
 class EmptyComplexError(ValueError):
     """Forward pass needs at least one vertex."""
+
+
+class NonFiniteActivationError(ArithmeticError):
+    """A layer produced NaN or infinite activations; names the layer."""
 
 
 @dataclass
@@ -312,11 +315,6 @@ class SimplexTransformer:
         for _, t in self.parameters():
             t.zero_grad()
 
-    def embed_weights(self) -> EmbedWeights:
-        e0, e1, e2 = self.embeds
-        return EmbedWeights(e0.w.data, e0.b.data, e1.w.data, e1.b.data,
-                            e2.w.data, e2.b.data)
-
     def copy_state_from(self, other: "SimplexTransformer") -> None:
         for (_, mine), (_, theirs) in zip(self.parameters(),
                                           other.parameters()):
@@ -462,6 +460,12 @@ def merge_batch(items: list[tuple[QuotientComplex, FeatureSet]]) -> MergedBatch:
         n_graphs=len(items))
 
 
+def _check_finite(h: Tensor, layer: str) -> None:
+    if not np.all(np.isfinite(h.data)):
+        raise NonFiniteActivationError(
+            f"layer {layer} produced non-finite activations")
+
+
 def _predict_tensor(model: SimplexTransformer, batch: MergedBatch) -> Tensor:
     """Predictions for a merged batch as a (B, 1) tape tensor."""
     h = model.config.hidden_dim
@@ -469,13 +473,14 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch) -> Tensor:
     h0 = model.embeds[0].apply(constant(batch.h0_raw))
     h1 = model.embeds[1].apply(constant(batch.h1_raw))
     h2 = model.embeds[2].apply(constant(batch.h2_raw))
-    for layer in model.node_layers:
+    for i, layer in enumerate(model.node_layers):
         h0 = _attention_update(h0, h1, batch.vp, layer, mode, h)
-        assert np.all(np.isfinite(h0.data))
-    for block in model.edge_node_blocks:
+        _check_finite(h0, f"node.{i}")
+    for i, block in enumerate(model.edge_node_blocks):
         h1 = _attention_update(h1, h2, batch.ep, block.edge, mode, h)
         h0 = _attention_update(h0, h1, batch.vp, block.node, mode, h)
-        assert np.all(np.isfinite(h0.data)) and np.all(np.isfinite(h1.data))
+        _check_finite(h1, f"edge_node.{i}.edge")
+        _check_finite(h0, f"edge_node.{i}.node")
     pooled = concat([segment_mean(h0, batch.v_gid, batch.n_graphs),
                      segment_mean(h1, batch.e_gid, batch.n_graphs)], axis=1)
     return model.head.apply(pooled)

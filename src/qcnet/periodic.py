@@ -8,18 +8,23 @@ the graph a quotient of the infinite crystal graph rather than a plain
 nearest-neighbor list: self-loops (src == dst with nonzero offset) and
 parallel edges with different offsets are meaningful and kept.
 
+One search loop serves both modes: tabulate the distance from every image in
+the offset box |k_i| <= R to every target, mark zero-distance images (and any
+beyond a cutoff radius) unavailable, and pick each target's k candidates in
+(distance tie group, src, offset) order.  A cutoff sizes R once; without one
+R grows from 1 until every target's k-th pick clears the bound below.
+
 Correctness of the search depends on a lower bound for images outside an
 offset box.  With L the lattice row matrix and c_i the columns of L^-1, any
 separation vector y.L satisfies |y_i| <= |y.L| * |c_i|, so an image whose
 offset leaves the box |k_i| <= R is farther than R * h_min where
 h_min = 1 / max_i |c_i| (the smallest spacing between adjacent lattice
-planes).  Shells are expanded until the k-th distance clears that bound.
+planes).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,48 +113,15 @@ def _tie_groups(sorted_dists: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _candidate_table(frac: np.ndarray, lattice: np.ndarray,
-                     offsets: np.ndarray):
-    """Distances from every (source atom, offset) image to every target atom.
-
-    Returns flat per-target candidate arrays: for target v the candidate c is
-    source ``src[c]`` displaced by ``offsets[off_idx[c]]``.  The zero-offset
-    self-image and exactly coincident images are masked out by the caller.
-    """
-    n = frac.shape[0]
+                     offsets: np.ndarray) -> np.ndarray:
+    """Row v, column ``u * len(offsets) + o``: distance from atom u displaced
+    by ``offsets[o]`` to atom v, so columns run in (src, offset) order."""
     # sep[v, u, o, :] = frac[u] + offsets[o] - frac[v], in lattice coords
     sep = (frac[None, :, None, :] + offsets[None, None, :, :]
            - frac[:, None, None, :])
     cart = sep @ lattice
     dist = np.sqrt(np.einsum("vuoc,vuoc->vuo", cart, cart))
-    return dist
-
-
-def _select_edges_for_target(v: int, dist_row: np.ndarray, n: int,
-                             offsets: np.ndarray, k: int,
-                             tie_tol: float) -> tuple[list[PeriodicEdge], float]:
-    """Pick k candidates for target v by (distance group, src, offset)."""
-    flat = dist_row.reshape(-1)
-    n_off = offsets.shape[0]
-    src_ids = np.repeat(np.arange(n, dtype=np.int64), n_off)
-    off_ids = np.tile(np.arange(n_off, dtype=np.int64), n)
-    keep = flat > 0.0
-    zero_off = int(np.flatnonzero((offsets == 0).all(axis=1))[0])
-    keep[v * n_off + zero_off] = False
-    flat = flat[keep]
-    src_ids = src_ids[keep]
-    off_ids = off_ids[keep]
-    order = np.argsort(flat, kind="stable")
-    flat, src_ids, off_ids = flat[order], src_ids[order], off_ids[order]
-    groups = _tie_groups(flat, tie_tol)
-    offs = offsets[off_ids]
-    final = np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0], src_ids, groups))
-    picked = final[:k]
-    edges = [PeriodicEdge(int(src_ids[i]), v,
-                          (int(offs[i, 0]), int(offs[i, 1]), int(offs[i, 2])),
-                          float(flat[i]))
-             for i in picked]
-    kth = float(flat[final[k - 1]])
-    return edges, kth
+    return dist.reshape(frac.shape[0], -1)
 
 
 def neighbor_list(s: CrystalStructure, k: int = 12,
@@ -172,48 +144,53 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
     frac, lattice = s.frac, s.lattice
     n = s.n_atoms
     h_min = plane_spacing_min(lattice)
-
-    if radius is not None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        box = max(1, int(np.ceil((radius + tie_tol) / h_min)))
-        offsets = _box_offsets(box)
+    if radius is None:
+        shells = range(1, _MAX_SHELL + 1)
+    elif radius <= 0:
+        raise ValueError("radius must be positive")
+    else:
+        shells = [max(1, int(np.ceil((radius + tie_tol) / h_min)))]
+    for shell in shells:
+        offsets = _box_offsets(shell)
+        n_off = offsets.shape[0]
         dist = _candidate_table(frac, lattice, offsets)
+        # The zero-offset self image (frac[v] + 0 - frac[v] is exactly 0)
+        # and images coincident with the target are never candidates.
+        dist[dist == 0.0] = np.inf
+        if radius is not None:
+            dist[dist > radius + tie_tol] = np.inf
+        found = np.count_nonzero(np.isfinite(dist), axis=1)
+        if found.min() < k:
+            if radius is None:
+                continue  # not enough candidates in this box yet
+            v = int(np.argmax(found < k))
+            raise RadiusTooSmallError(
+                f"vertex {v}: {int(found[v])} images within radius "
+                f"{radius}, need k={k}")
+        # Only the prefix d - d_k <= tie_tol of a sorted row (d_k its k-th
+        # smallest) can decide the picks.  This is exact: d_k lies in a tie
+        # group G starting at or below d_k, so every member of the groups up
+        # to G (>= k candidates) is in the prefix, and start-anchored grouping
+        # scans left to right, so the prefix keeps the row's group numbers
+        # and the same first k in (group, src, offset) order.
+        kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        near = dist - kth_smallest <= tie_tol
+        bound = shell * h_min
         edges: list[PeriodicEdge] = []
         for v in range(n):
-            row = dist[v].copy()
-            row[(row > 0.0) & (row > radius + tie_tol)] = 0.0  # drop far images
-            if np.count_nonzero(row) < k:
-                found = int(np.count_nonzero(row))
-                raise RadiusTooSmallError(
-                    f"vertex {v}: {found} images within radius {radius}, "
-                    f"need k={k}")
-            picked, _ = _select_edges_for_target(v, row, n, offsets, k,
-                                                 tie_tol)
-            edges.extend(picked)
-        return PeriodicGraph(n, k, edges)
-
-    shell = 1
-    while shell <= _MAX_SHELL:
-        offsets = _box_offsets(shell)
-        dist = _candidate_table(frac, lattice, offsets)
-        bound = shell * h_min
-        edges = []
-        certified = True
-        for v in range(n):
-            row = dist[v]
-            if np.count_nonzero(row.reshape(-1) > 0.0) < k:
-                certified = False  # not enough candidates in this box yet
-                break
-            picked, kth = _select_edges_for_target(v, row, n, offsets, k,
-                                                   tie_tol)
-            if kth + tie_tol >= bound:
-                certified = False
-                break
-            edges.extend(picked)
-        if certified:
+            cols = np.flatnonzero(near[v])
+            cols = cols[np.argsort(dist[v, cols])]
+            d = dist[v, cols]
+            # cols increase in (src, offset) order: the tie-break key.
+            picked = np.lexsort((cols, _tie_groups(d, tie_tol)))[:k]
+            if radius is None and d[picked[-1]] + tie_tol >= bound:
+                break  # an unseen image could still be among the k nearest
+            edges.extend(
+                PeriodicEdge(int(c // n_off), v,
+                             tuple(offsets[c % n_off].tolist()), float(x))
+                for c, x in zip(cols[picked], d[picked]))
+        else:
             return PeriodicGraph(n, k, edges)
-        shell += 1
     raise RuntimeError("offset shell expansion exceeded the safety cap; "
                        "lattice is pathologically skewed")
 
@@ -297,11 +274,3 @@ def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:
         shell += 1
     raise RuntimeError("offset shell expansion exceeded the safety cap")
 
-
-def graph_jsonl(g: PeriodicGraph) -> str:
-    """Edge list as JSONL, one canonical-order edge per line."""
-    lines = [json.dumps({"src": e.src, "dst": e.dst,
-                         "offset": list(e.offset), "dist": e.dist},
-                        sort_keys=True, separators=(",", ":"))
-             for e in g.edges]
-    return "\n".join(lines) + "\n" if lines else ""

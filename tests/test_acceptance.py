@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
-from qcnet.features import (AtomFeatureTable, EmbedWeights, edge_bank,
-                            featurize_complex, raw_features, triangle_bank)
+from qcnet.autodiff import constant
+from qcnet.features import (AtomFeatureTable, edge_bank, raw_features,
+                            triangle_bank)
 from qcnet.homology import SimplicialComplex, random_flag_complex, \
     random_partition, verify_quotient_homology
 from qcnet.model import (AttentionLayer, ModelConfig, SimplexTransformer,
@@ -106,10 +107,12 @@ def test_feature_dimensions_and_banks():
     s = catio3_cell()
     c = build_complex(neighbor_list(s, k=12))
     table = AtomFeatureTable.random(0)
-    fs = featurize_complex(c, s.species, table, EmbedWeights.random(64, 0))
-    dims_ok = (fs.h0_raw.shape[1] == 92 and fs.h1_raw.shape[1] == 376
-               and fs.h2_raw.shape[1] == 216 and fs.h0.shape[1] == 64
-               and fs.h1.shape[1] == 64 and fs.h2.shape[1] == 64)
+    fs = raw_features(c, s.species, table)
+    raws = (fs.h0_raw, fs.h1_raw, fs.h2_raw)
+    embeds = SimplexTransformer.init(ModelConfig(hidden_dim=64), seed=0).embeds
+    dims_ok = ([x.shape[1] for x in raws] == [92, 376, 216]
+               and all(emb.apply(constant(x)).data.shape[1] == 64
+                       for emb, x in zip(embeds, raws)))
     peaks_ok = True
     for bank in (edge_bank(), triangle_bank()):
         out = bank.expand(bank.centers)

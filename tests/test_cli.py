@@ -1,12 +1,18 @@
 """Command line surface: exit codes, outputs, and seed precedence."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_OK,
-                       build_parser, main)
+import qcnet
+from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
+                       EXIT_OK, build_parser, main)
+from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
 from qcnet.structures import save_dataset
 from qcnet.training import synthetic_overfit_dataset
 
@@ -269,14 +275,38 @@ class TestEvalPredict:
 
     def test_finetune_mismatched_checkpoint(self, run_config, tmp_path,
                                             capsys):
-        from qcnet.model import ModelConfig, SimplexTransformer, \
-            save_checkpoint
         wide = SimplexTransformer.init(ModelConfig(8, 8), seed=0)
         save_checkpoint(wide, tmp_path / "wide.ckpt")
         cfg, _ = run_config()
         assert main(["finetune", str(cfg), "--checkpoint",
                      str(tmp_path / "wide.ckpt")]) == EXIT_CONFIG
         assert "hidden_dim" in capsys.readouterr().err
+
+
+class TestNonFiniteActivations:
+    @pytest.fixture
+    def nan_checkpoint(self, tmp_path):
+        model = SimplexTransformer.init(ModelConfig(4, 4), seed=0)
+        dict(model.parameters())["node.0.upd_b"].data[0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(model, path,
+                        extra={"k_neighbors": 4, "atom_table": "random:0"})
+        return path
+
+    # -O strips assert statements, so the guard must not be one.
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_predict_exits_numeric(self, nan_checkpoint, flags):
+        src_dir = str(pathlib.Path(qcnet.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qcnet.cli", "predict",
+             "--checkpoint", str(nan_checkpoint), POSCAR],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "node.0" in err[0] and "Traceback" not in proc.stderr
 
 
 class TestHomologyCommand:

@@ -5,14 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from qcnet.autodiff import silu_np
+from qcnet.autodiff import constant, silu_np
 from qcnet.complexes import build_complex
 from qcnet.features import (EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM,
-                            AtomFeatureTable, EmbedWeights,
-                            MissingSpeciesError, NonPositiveDistanceError,
-                            edge_bank, edge_features, featurize_complex,
-                            raw_features, save_feature_arrays, triangle_bank,
-                            triangle_features, vertex_features)
+                            AtomFeatureTable, MissingSpeciesError,
+                            NonPositiveDistanceError, edge_bank,
+                            edge_features, raw_features, save_feature_arrays,
+                            triangle_bank, triangle_features, vertex_features)
+from qcnet.model import ModelConfig, SimplexTransformer
 from qcnet.periodic import PeriodicEdge, PeriodicGraph, neighbor_list
 from qcnet.structures import CrystalStructure
 
@@ -184,29 +184,32 @@ class TestAtomTable:
 
 
 class TestEmbedding:
+    """The model's tier embeddings SiLU(x @ w + b) into the hidden width."""
+
     def test_hidden_dims(self, catio3, table):
         c = complex_for(catio3, k=12)
-        ew = EmbedWeights.random(64, seed=1)
-        fs = featurize_complex(c, catio3.species, table, ew)
-        assert fs.h0.shape == (5, 64)
-        assert fs.h1.shape == (60, 64)
-        assert fs.h2.shape == (c.n_triangles, 64)
+        fs = raw_features(c, catio3.species, table)
+        model = SimplexTransformer.init(ModelConfig(hidden_dim=64), seed=1)
+        shapes = [emb.apply(constant(x)).data.shape for emb, x in
+                  zip(model.embeds, (fs.h0_raw, fs.h1_raw, fs.h2_raw))]
+        assert shapes == [(5, 64), (60, 64), (c.n_triangles, 64)]
 
     def test_embedding_formula(self, catio3, table):
         c = complex_for(catio3, k=12)
-        ew = EmbedWeights.random(16, seed=2)
-        fs = featurize_complex(c, catio3.species, table, ew)
-        manual = silu_np(fs.h0_raw @ ew.w0 + ew.b0)
-        np.testing.assert_allclose(fs.h0, manual, atol=1e-15)
+        fs = raw_features(c, catio3.species, table)
+        model = SimplexTransformer.init(ModelConfig(hidden_dim=16), seed=2)
+        emb = model.embeds[0]
+        manual = silu_np(fs.h0_raw @ emb.w.data + emb.b.data)
+        np.testing.assert_allclose(emb.apply(constant(fs.h0_raw)).data,
+                                   manual, atol=1e-15)
 
     def test_random_bounds_and_zero_bias(self):
-        ew = EmbedWeights.random(32, seed=0)
-        assert ew.w0.shape == (VERTEX_DIM, 32)
-        assert ew.w1.shape == (EDGE_DIM, 32)
-        assert ew.w2.shape == (TRIANGLE_DIM, 32)
-        assert np.all(np.abs(ew.w1) <= 1.0 / np.sqrt(EDGE_DIM))
-        for b in (ew.b0, ew.b1, ew.b2):
-            np.testing.assert_array_equal(b, 0.0)
+        model = SimplexTransformer.init(ModelConfig(hidden_dim=32), seed=0)
+        for emb, din in zip(model.embeds,
+                            (VERTEX_DIM, EDGE_DIM, TRIANGLE_DIM)):
+            assert emb.w.data.shape == (din, 32)
+            assert np.all(np.abs(emb.w.data) <= 1.0 / np.sqrt(din))
+            np.testing.assert_array_equal(emb.b.data, 0.0)
 
 
 class TestFeatureIO:

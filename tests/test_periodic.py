@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcnet.periodic import (RadiusTooSmallError, brute_force_neighbors,
-                            graph_jsonl, min_image_distance, neighbor_list,
+                            min_image_distance, neighbor_list,
                             plane_spacing_min)
 from qcnet.structures import CrystalStructure
 
@@ -127,6 +129,49 @@ class TestOracleEquivalence:
         assert edge_tuples(g1) == edge_tuples(g2)
 
 
+# Skewed 1-3 atom cells on a coarse grid (exact ties) with optional
+# sub-TIE_TOL jitter (near ties).
+GRID = st.integers(0, 3).map(lambda i: i / 4.0)
+JITTER = st.sampled_from([0.0, 1e-9, 4e-9])
+
+
+@st.composite
+def tied_cells(draw):
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5]),
+                         min_size=3, max_size=3))
+    shear = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                          min_size=3, max_size=3))
+    lattice = np.diag(diag)
+    lattice[1, 0], lattice[2, 0], lattice[2, 1] = shear
+    lattice[0, 0] += draw(st.sampled_from([0.0, 0.6e-8, 1.2e-8]))
+    assume(plane_spacing_min(lattice) > 0.4)
+    frac = np.array([[draw(GRID) + draw(JITTER) for _ in range(3)]
+                     for _ in range(n)])
+    return CrystalStructure(lattice=lattice, species=np.full(n, 6),
+                            frac=frac)
+
+
+class TestTiedCellProperties:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(s=tied_cells(), k=st.integers(1, 12))
+    def test_matches_brute_force(self, s, k):
+        fast = edge_tuples(neighbor_list(s, k=k))
+        reach = max(t[3] for t in fast) / plane_spacing_min(s.lattice)
+        slow = edge_tuples(brute_force_neighbors(
+            s, k=k, supercell_radius=int(np.ceil(reach)) + 1))
+        assert [t[:3] for t in fast] == [t[:3] for t in slow]
+        np.testing.assert_allclose([t[3] for t in fast],
+                                   [t[3] for t in slow], rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(s=tied_cells(), k=st.integers(1, 12))
+    def test_generous_radius_matches_auto(self, s, k):
+        auto = edge_tuples(neighbor_list(s, k=k))
+        radius = max(t[3] for t in auto) + 0.5
+        assert edge_tuples(neighbor_list(s, k=k, radius=radius)) == auto
+
+
 class TestInvariance:
     def test_rotation_preserves_graph(self):
         rng = np.random.default_rng(5)
@@ -223,6 +268,22 @@ class TestTieTolerance:
         first_two = [g.edges[i] for i in g.in_edges(0)]
         assert [e.src for e in first_two] == [1, 2]
 
+    def test_chained_near_ties_group_by_start(self):
+        # Axis lengths 1, 1 + 0.6e-8, 1 + 1.2e-8: each consecutive gap is
+        # within TIE_TOL, but z is 1.2e-8 from the group start, so +-z open
+        # a second group.  Grouping by consecutive gaps would merge all six
+        # and pick (0, 0, -1) third.
+        s = CrystalStructure(lattice=np.diag([1.0, 1.0 + 0.6e-8,
+                                              1.0 + 1.2e-8]),
+                             species=np.array([6]), frac=np.zeros((1, 3)))
+        picks = {3: [(-1, 0, 0), (0, -1, 0), (0, 1, 0)],
+                 5: [(-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
+                     (0, 0, -1)]}
+        for k, offsets in picks.items():
+            g = neighbor_list(s, k=k)
+            assert [e.offset for e in g.edges] == offsets
+            assert edge_tuples(g) == edge_tuples(brute_force_neighbors(s, k=k))
+
     def test_clear_separation_orders_by_distance(self):
         s = CrystalStructure(
             lattice=np.diag([10.0, 10.0, 10.0]),
@@ -252,10 +313,3 @@ class TestMinImage:
             for j in range(4):
                 assert min_image_distance(s, i, j) == pytest.approx(
                     min_image_distance(s, j, i), abs=1e-12)
-
-
-class TestSerialization:
-    def test_graph_jsonl_deterministic(self, catio3):
-        g = neighbor_list(catio3, k=12)
-        assert graph_jsonl(g) == graph_jsonl(g)
-        assert len(graph_jsonl(g).strip().splitlines()) == 60
