@@ -6,61 +6,64 @@ into ordered triangles, featurizes every simplex, and runs an attention
 model over the simplices to predict scalar properties.  A separate module
 verifies homology statements about vertex identification with exact
 rational arithmetic.
+
+The names below load on first access (PEP 562), so importing the package,
+or ``qcnet.cli``, does not import numpy: ``qcnet --threads`` must set the
+BLAS thread variables before numpy loads.
 """
 
-from .complexes import (MessagingPairs, QuotientComplex, Triangle,
-                        build_complex, complex_json, edge_pairs,
-                        triangle_image_points, vertex_pairs)
-from .features import (EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, AtomFeatureTable,
-                       FeatureSet, MissingSpeciesError,
-                       NonPositiveDistanceError, edge_features, raw_features,
-                       save_feature_arrays, triangle_features,
-                       vertex_features)
-from .homology import (QuotientHomologyReport, SimplicialComplex,
-                       SubcomplexError, betti_numbers, boundary_matrix,
-                       inclusion_induced_rank, matrix_rank, pairwise_gluing,
-                       star_gluing, verify_quotient_homology)
-from .model import (CheckpointMismatchError, EmptyComplexError, ModelConfig,
-                    NonFiniteActivationError, SimplexTransformer, batch_loss,
-                    forward, load_checkpoint, loss_and_gradients, merge_batch,
-                    predict, save_checkpoint)
-from .periodic import (PeriodicEdge, PeriodicGraph, RadiusTooSmallError,
-                       brute_force_neighbors, min_image_distance,
-                       neighbor_list, plane_spacing_min)
-from .structures import (CrystalStructure, DatasetRecord, DatasetLoadResult,
-                         DegenerateLatticeError, ParseError,
-                         UnknownSpeciesError, load_dataset, parse_poscar,
-                         parse_structure, save_dataset, structure_from_dict,
-                         structure_to_dict, write_structure)
-from .training import (AdamW, MetricsReport, NonFiniteLossError, TrainConfig,
-                       TrainResult, TooFewSamplesError, evaluate, finetune,
-                       kfold_split, metrics_report, one_cycle_lr,
-                       synthetic_overfit_dataset, train)
+import importlib
+
+_MODULE_NAMES = {
+    "complexes": (
+        "MessagingPairs", "QuotientComplex", "Triangle", "build_complex",
+        "complex_json", "edge_pairs", "triangle_image_points",
+        "vertex_pairs"),
+    "features": (
+        "EDGE_DIM", "TRIANGLE_DIM", "VERTEX_DIM", "AtomFeatureTable",
+        "FeatureSet", "MissingSpeciesError", "NonPositiveDistanceError",
+        "edge_features", "raw_features", "save_feature_arrays",
+        "triangle_features", "vertex_features"),
+    "homology": (
+        "QuotientHomologyReport", "SimplicialComplex", "SubcomplexError",
+        "betti_numbers", "boundary_matrix", "inclusion_induced_rank",
+        "matrix_rank", "pairwise_gluing", "star_gluing",
+        "verify_quotient_homology"),
+    "model": (
+        "CheckpointMismatchError", "EmptyComplexError", "ModelConfig",
+        "NonFiniteActivationError", "SimplexTransformer", "batch_loss",
+        "forward", "load_checkpoint", "loss_and_gradients", "merge_batch",
+        "predict", "save_checkpoint"),
+    "periodic": (
+        "LatticeTooSkewedError", "PeriodicEdge", "PeriodicGraph",
+        "RadiusTooSmallError", "brute_force_neighbors", "min_image_distance",
+        "neighbor_list", "plane_spacing_min"),
+    "structures": (
+        "CrystalStructure", "DatasetRecord", "DatasetLoadResult",
+        "DegenerateLatticeError", "ParseError", "UnknownSpeciesError",
+        "load_dataset", "parse_poscar", "parse_structure", "save_dataset",
+        "structure_from_dict", "structure_to_dict", "write_structure"),
+    "training": (
+        "AdamW", "MetricsReport", "NonFiniteLossError", "TrainConfig",
+        "TrainResult", "TooFewSamplesError", "evaluate", "finetune",
+        "kfold_split", "metrics_report", "one_cycle_lr",
+        "synthetic_overfit_dataset", "train"),
+}
+_MODULE_OF = {name: module for module, names in _MODULE_NAMES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamW", "AtomFeatureTable", "CheckpointMismatchError",
-    "CrystalStructure", "DatasetLoadResult", "DatasetRecord",
-    "DegenerateLatticeError", "EDGE_DIM", "EmptyComplexError",
-    "FeatureSet", "MessagingPairs", "MetricsReport", "MissingSpeciesError",
-    "ModelConfig", "NonFiniteActivationError", "NonFiniteLossError",
-    "NonPositiveDistanceError", "ParseError", "PeriodicEdge",
-    "PeriodicGraph", "QuotientComplex", "QuotientHomologyReport",
-    "RadiusTooSmallError", "SimplexTransformer", "SimplicialComplex",
-    "SubcomplexError", "TRIANGLE_DIM", "TooFewSamplesError", "TrainConfig",
-    "TrainResult", "Triangle", "UnknownSpeciesError", "VERTEX_DIM",
-    "batch_loss", "betti_numbers", "boundary_matrix", "brute_force_neighbors",
-    "build_complex", "complex_json", "edge_features", "edge_pairs",
-    "evaluate", "finetune", "forward",
-    "inclusion_induced_rank", "kfold_split", "load_checkpoint",
-    "load_dataset", "loss_and_gradients", "matrix_rank", "merge_batch",
-    "metrics_report", "min_image_distance", "neighbor_list", "one_cycle_lr",
-    "pairwise_gluing", "parse_poscar", "parse_structure",
-    "plane_spacing_min", "predict", "raw_features", "save_checkpoint",
-    "save_dataset", "save_feature_arrays", "star_gluing",
-    "structure_from_dict", "structure_to_dict", "synthetic_overfit_dataset",
-    "train", "triangle_features", "triangle_image_points",
-    "verify_quotient_homology", "vertex_features", "vertex_pairs",
-    "write_structure",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_NAMES or name == "autodiff":
+        # ``import qcnet`` used to load every submodule; keep them reachable.
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

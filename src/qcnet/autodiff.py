@@ -11,11 +11,37 @@ bit-for-bit reproducible.
 
 Normalization layers are built from these primitives elsewhere, which makes
 gradients flow through the batch statistics without any special casing.
+
+An op output joins the tape only when a gradient can reach it: some operand
+requires one and recording is on.  Anything else keeps neither its parents
+nor its pullback, whose closure would hold the operands and through them every
+intermediate array.  Inside ``no_grad()`` nothing records, so a forward-only
+pass frees each intermediate as soon as the next op has consumed it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
+
+# Per thread and per asyncio task, so a forward-only pass in one thread cannot
+# switch off recording for a training step running in another.
+_RECORDING = contextvars.ContextVar("qcnet_autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record no tape; leaves keep their flags.
+
+    Nestable; the previous state comes back however the block exits.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -97,28 +123,20 @@ class Tensor:
 
     def __add__(self, other):
         other = _ensure(other)
-        out = Tensor(self.data + other.data,
-                     self.requires_grad or other.requires_grad,
-                     (self, other))
 
         def pullback(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.data.shape))
-        out._pullback = pullback
-        return out
+        return _record(self.data + other.data, (self, other), pullback)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, self.requires_grad, (self,))
-
         def pullback(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-        out._pullback = pullback
-        return out
+            self._accumulate(-g)
+        return _record(-self.data, (self,), pullback)
 
     def __sub__(self, other):
         return self + (-_ensure(other))
@@ -128,9 +146,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = _ensure(other)
-        out = Tensor(self.data * other.data,
-                     self.requires_grad or other.requires_grad,
-                     (self, other))
 
         def pullback(g):
             if self.requires_grad:
@@ -138,16 +153,12 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data,
                                                other.data.shape))
-        out._pullback = pullback
-        return out
+        return _record(self.data * other.data, (self, other), pullback)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _ensure(other)
-        out = Tensor(self.data / other.data,
-                     self.requires_grad or other.requires_grad,
-                     (self, other))
 
         def pullback(g):
             if self.requires_grad:
@@ -156,25 +167,20 @@ class Tensor:
                 other._accumulate(_unbroadcast(
                     -g * self.data / (other.data * other.data),
                     other.data.shape))
-        out._pullback = pullback
-        return out
+        return _record(self.data / other.data, (self, other), pullback)
 
     def __rtruediv__(self, other):
         return _ensure(other) / self
 
     def __matmul__(self, other):
         other = _ensure(other)
-        out = Tensor(self.data @ other.data,
-                     self.requires_grad or other.requires_grad,
-                     (self, other))
 
         def pullback(g):
             if self.requires_grad:
                 self._accumulate(g @ other.data.T)
             if other.requires_grad:
                 other._accumulate(self.data.T @ g)
-        out._pullback = pullback
-        return out
+        return _record(self.data @ other.data, (self, other), pullback)
 
     # -- elementwise functions ---------------------------------------------
 
@@ -183,64 +189,57 @@ class Tensor:
 
     def sqrt(self):
         value = np.sqrt(self.data)
-        out = Tensor(value, self.requires_grad, (self,))
 
         def pullback(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / value)
-        out._pullback = pullback
-        return out
+            self._accumulate(g * 0.5 / value)
+        return _record(value, (self,), pullback)
 
     def abs(self):
-        out = Tensor(np.abs(self.data), self.requires_grad, (self,))
-
         def pullback(g):
-            if self.requires_grad:
-                self._accumulate(g * np.sign(self.data))
-        out._pullback = pullback
-        return out
+            self._accumulate(g * np.sign(self.data))
+        return _record(np.abs(self.data), (self,), pullback)
 
     def sigmoid(self):
         value = sigmoid_np(self.data)
-        out = Tensor(value, self.requires_grad, (self,))
 
         def pullback(g):
-            if self.requires_grad:
-                self._accumulate(g * value * (1.0 - value))
-        out._pullback = pullback
-        return out
+            self._accumulate(g * value * (1.0 - value))
+        return _record(value, (self,), pullback)
 
     def silu(self):
         sig = sigmoid_np(self.data)
-        out = Tensor(self.data * sig, self.requires_grad, (self,))
 
         def pullback(g):
-            if self.requires_grad:
-                self._accumulate(g * sig * (1.0 + self.data * (1.0 - sig)))
-        out._pullback = pullback
-        return out
+            self._accumulate(g * sig * (1.0 + self.data * (1.0 - sig)))
+        return _record(self.data * sig, (self,), pullback)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     self.requires_grad, (self,))
-
         def pullback(g):
-            if not self.requires_grad:
-                return
             if axis is None:
                 self._accumulate(np.broadcast_to(g, self.data.shape).copy())
             else:
                 expand = g if keepdims else np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(expand,
                                                  self.data.shape).copy())
-        out._pullback = pullback
-        return out
+        return _record(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                       pullback)
 
     def mean(self, axis: int | None = None, keepdims: bool = False):
         count = (self.data.size if axis is None else self.data.shape[axis])
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def _record(value, parents: tuple, pullback) -> Tensor:
+    """An op's output, on the tape only if a gradient can reach it.
+
+    A recorded output requires a gradient, so a single-operand pullback can
+    accumulate into its operand unconditionally.
+    """
+    if _RECORDING.get() and any(p.requires_grad for p in parents):
+        return Tensor(value, True, parents, pullback)
+    return Tensor(value)
 
 
 def _ensure(value) -> Tensor:
@@ -261,8 +260,6 @@ def parameter(value) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     tensors = [_ensure(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 any(t.requires_grad for t in tensors), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -270,22 +267,19 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accumulate(piece)
-    out._pullback = pullback
-    return out
+    return _record(np.concatenate([t.data for t in tensors], axis=axis),
+                   tuple(tensors), pullback)
 
 
 def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     """Select rows; the pullback scatter-adds back into the source rows."""
     index = np.asarray(index, dtype=np.int64)
-    out = Tensor(t.data[index], t.requires_grad, (t,))
 
     def pullback(g):
-        if t.requires_grad:
-            acc = np.zeros_like(t.data)
-            np.add.at(acc, index, g)
-            t._accumulate(acc)
-    out._pullback = pullback
-    return out
+        acc = np.zeros_like(t.data)
+        np.add.at(acc, index, g)
+        t._accumulate(acc)
+    return _record(t.data[index], (t,), pullback)
 
 
 def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
@@ -293,13 +287,10 @@ def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
     segment = np.asarray(segment, dtype=np.int64)
     value = np.zeros((n_segments,) + t.data.shape[1:], dtype=np.float64)
     np.add.at(value, segment, t.data)
-    out = Tensor(value, t.requires_grad, (t,))
 
     def pullback(g):
-        if t.requires_grad:
-            t._accumulate(g[segment])
-    out._pullback = pullback
-    return out
+        t._accumulate(g[segment])
+    return _record(value, (t,), pullback)
 
 
 def segment_mean(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:

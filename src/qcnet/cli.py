@@ -478,14 +478,14 @@ def _classify(exc: Exception) -> int | None:
     from .homology import SubcomplexError
     from .model import CheckpointMismatchError, EmptyComplexError, \
         NonFiniteActivationError
-    from .periodic import RadiusTooSmallError
+    from .periodic import LatticeTooSkewedError, RadiusTooSmallError
     from .structures import DegenerateLatticeError, ParseError, \
         UnknownSpeciesError
     from .training import NonFiniteLossError, TooFewSamplesError
     if isinstance(exc, (ParseError, DegenerateLatticeError,
                         UnknownSpeciesError, RadiusTooSmallError,
-                        NonPositiveDistanceError, EmptyComplexError,
-                        SubcomplexError)):
+                        LatticeTooSkewedError, NonPositiveDistanceError,
+                        EmptyComplexError, SubcomplexError)):
         return EXIT_INPUT
     if isinstance(exc, CheckpointMismatchError):
         return EXIT_CONFIG

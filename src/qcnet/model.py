@@ -22,14 +22,18 @@ BatchNorm normalizes over the message population of one layer application
 (batch statistics in train mode with running-stat updates, frozen running
 stats in eval mode), so eval predictions are independent of batching.
 Everything runs in float64 on the autodiff tape; a layer whose update path
-is zero-initialized is an exact identity.
+is zero-initialized is an exact identity.  Only ``loss_and_gradients``
+records the tape: ``predict``, ``batch_loss`` and ``layer_update`` run the
+same ops under ``autodiff.no_grad()`` and keep no intermediates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -401,8 +405,9 @@ def attention_message(h_sigma: np.ndarray, h_tau: np.ndarray,
 def layer_update(h: np.ndarray, h_cof: np.ndarray, pairs: MessagingPairs,
                  layer: AttentionLayer, mode: str = "eval") -> np.ndarray:
     """Numpy convenience wrapper around one attention layer update."""
-    out = _attention_update(constant(h), constant(h_cof), pairs, layer,
-                            mode, h.shape[-1])
+    with ad.no_grad():
+        out = _attention_update(constant(h), constant(h_cof), pairs, layer,
+                                mode, h.shape[-1])
     return out.data
 
 
@@ -488,8 +493,10 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch) -> Tensor:
 
 def predict(model: SimplexTransformer,
             items: list[tuple[QuotientComplex, FeatureSet]]) -> np.ndarray:
-    """Per-structure predictions (B,) without keeping the tape."""
-    return _predict_tensor(model, merge_batch(items)).data[:, 0].copy()
+    """Per-structure predictions (B,); the forward records no tape."""
+    with ad.no_grad():
+        pred = _predict_tensor(model, merge_batch(items))
+    return pred.data[:, 0].copy()
 
 
 def forward(model: SimplexTransformer, c: QuotientComplex,
@@ -501,9 +508,10 @@ def forward(model: SimplexTransformer, c: QuotientComplex,
 def batch_loss(model: SimplexTransformer,
                items: list[tuple[QuotientComplex, FeatureSet]],
                targets: np.ndarray, loss: str = "mae") -> float:
-    """Forward-only loss over a batch (mae or mse)."""
-    pred = _predict_tensor(model, merge_batch(items))
-    return float(_loss_tensor(pred, targets, loss).item())
+    """Forward-only loss over a batch (mae or mse); records no tape."""
+    with ad.no_grad():
+        pred = _predict_tensor(model, merge_batch(items))
+        return float(_loss_tensor(pred, targets, loss).item())
 
 
 def _loss_tensor(pred: Tensor, targets: np.ndarray, loss: str) -> Tensor:
@@ -532,20 +540,61 @@ def loss_and_gradients(model: SimplexTransformer,
 
 # -- checkpoints ------------------------------------------------------------
 
+_HEADER = struct.Struct("<8sIIIIIQ")
+
+
+def _checkpoint_layout(hidden: int, head_hidden: int) -> tuple[int, int]:
+    """(tensor count, file size in bytes) of a checkpoint at these widths.
+
+    Closed form of the declared order of ``parameters()`` then
+    ``buffers()``, so a reader can check a header before allocating.
+    """
+    h, hh = hidden, head_hidden
+    n_layers = N_NODE_LAYERS + 2 * N_EDGE_NODE_LAYERS
+    embeds = (VERTEX_DIM + EDGE_DIM + TRIANGLE_DIM + 3) * h
+    # Five HxH maps, key/val 2Hx2H + 2H, msg 2HxH + H, upd HxH + H, the
+    # gamma/beta of a 2H batch norm, an H layer norm and an H batch norm.
+    layer = 16 * h * h + 14 * h
+    running_stats = 6 * h  # run_mean and run_var of the two batch norms
+    head = 2 * h * hh + hh * hh + 3 * hh + 1
+    n_floats = embeds + n_layers * (layer + running_stats) + head
+    n_arrays = 6 + n_layers * (19 + 4) + 6
+    return n_arrays, _HEADER.size + 8 * n_floats
+
+
+def _replace_files(files: list[tuple[str, list[bytes]]]) -> None:
+    """Write each (path, chunks) to a temporary file beside its path, then
+    rename them all into place.  A failed write leaves every path as it was;
+    a reader never sees a partly written file."""
+    temps = []
+    try:
+        for path, chunks in files:
+            temps.append(f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+            with open(temps[-1], "xb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
 def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
                     extra: dict | None = None) -> None:
-    """Binary header + float64 tensors in declared order + JSON sidecar."""
+    """Binary header + float64 tensors in declared order + JSON sidecar.
+
+    Both files are replaced atomically: an interrupted save leaves the
+    previous checkpoint and sidecar intact.
+    """
     path = os.fspath(path)
     arrays = [t.data for _, t in model.parameters()]
     arrays += [buf for _, buf in model.buffers()]
-    header = struct.pack(
-        "<8sIIIIIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    header = _HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         model.config.hidden_dim, model.config.head_hidden,
         N_NODE_LAYERS, N_EDGE_NODE_LAYERS, len(arrays))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes("C"))
     sidecar = {
         "format": "qcnet-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -557,9 +606,13 @@ def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
     }
     if extra:
         sidecar["extra"] = extra
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _replace_files([
+        (path, [header] + [np.ascontiguousarray(arr, dtype="<f8").tobytes("C")
+                           for arr in arrays]),
+        (path + ".json",
+         [(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+          .encode("utf-8")]),
+    ])
 
 
 def read_sidecar(path: str | os.PathLike) -> dict:
@@ -572,17 +625,16 @@ def load_checkpoint(path: str | os.PathLike,
     """Rebuild a model (eval mode) from a checkpoint file.
 
     With ``config`` given, any architecture disagreement raises
-    CheckpointMismatchError naming the offending field.
+    CheckpointMismatchError naming the offending field.  The header is
+    checked against the file size before anything is allocated.
     """
     path = os.fspath(path)
-    head_fmt = "<8sIIIIIQ"
-    head_size = struct.calcsize(head_fmt)
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < head_size:
+    if len(blob) < _HEADER.size:
         raise CheckpointMismatchError("file too short for a checkpoint header")
     magic, version, hidden, head_hidden, n_node, n_edge_node, n_arrays = \
-        struct.unpack_from(head_fmt, blob)
+        _HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatchError("magic: not a qcnet checkpoint")
     if version != CHECKPOINT_VERSION:
@@ -593,6 +645,9 @@ def load_checkpoint(path: str | os.PathLike,
         raise CheckpointMismatchError(
             f"layer counts: checkpoint has {n_node}+{n_edge_node}, "
             f"architecture is {N_NODE_LAYERS}+{N_EDGE_NODE_LAYERS}")
+    if hidden < 1 or head_hidden < 1:
+        raise CheckpointMismatchError(
+            f"hidden sizes: checkpoint has {hidden} and {head_hidden}")
     if config is not None:
         if config.hidden_dim != hidden:
             raise CheckpointMismatchError(
@@ -602,34 +657,30 @@ def load_checkpoint(path: str | os.PathLike,
             raise CheckpointMismatchError(
                 f"head_hidden: checkpoint has {head_hidden}, "
                 f"expected {config.head_hidden}")
-    model = SimplexTransformer.init(
-        ModelConfig(hidden_dim=hidden, head_hidden=head_hidden), seed=0)
-    targets = [t.data for _, t in model.parameters()]
-    buffer_slots = []
-    for name, bn in model.batch_norms():
-        buffer_slots += [(bn, "run_mean"), (bn, "run_var")]
-    if n_arrays != len(targets) + len(buffer_slots):
+    expected_arrays, expected_size = _checkpoint_layout(hidden, head_hidden)
+    if n_arrays != expected_arrays:
         raise CheckpointMismatchError(
             f"tensor count: checkpoint has {n_arrays}, "
-            f"expected {len(targets) + len(buffer_slots)}")
-    offset = head_size
-    for arr in targets:
-        nbytes = arr.size * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointMismatchError("file truncated mid-tensor")
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
-                                 offset=offset).reshape(arr.shape)
-        offset += nbytes
-    for obj, attr in buffer_slots:
-        size = getattr(obj, attr).size
-        nbytes = size * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointMismatchError("file truncated mid-buffer")
-        setattr(obj, attr, np.frombuffer(blob, dtype="<f8", count=size,
-                                         offset=offset).copy())
-        offset += nbytes
-    if offset != len(blob):
+            f"expected {expected_arrays}")
+    if len(blob) < expected_size:
         raise CheckpointMismatchError(
-            f"trailing bytes: {len(blob) - offset} unread")
+            f"file truncated: {len(blob)} bytes, header implies "
+            f"{expected_size}")
+    if len(blob) > expected_size:
+        raise CheckpointMismatchError(
+            f"trailing bytes: {len(blob) - expected_size} unread")
+    model = SimplexTransformer.init(
+        ModelConfig(hidden_dim=hidden, head_hidden=head_hidden), seed=0)
+    offset = _HEADER.size
+    for _, t in model.parameters():
+        t.data[...] = np.frombuffer(blob, dtype="<f8", count=t.data.size,
+                                    offset=offset).reshape(t.data.shape)
+        offset += t.data.nbytes
+    for _, bn in model.batch_norms():
+        for attr in ("run_mean", "run_var"):
+            size = getattr(bn, attr).size
+            setattr(bn, attr, np.frombuffer(blob, dtype="<f8", count=size,
+                                            offset=offset).copy())
+            offset += size * 8
     model.mode = "eval"
     return model

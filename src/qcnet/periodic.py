@@ -42,6 +42,18 @@ class RadiusTooSmallError(ValueError):
     """Cutoff or supercell radius cannot certify k neighbors."""
 
 
+class LatticeTooSkewedError(ValueError):
+    """The offset search reached its shell cap: lattice planes lie too close
+    together for the lengths of the lattice vectors."""
+
+
+def _shell_cap_error(h_min: float) -> LatticeTooSkewedError:
+    return LatticeTooSkewedError(
+        f"lattice too skewed: smallest lattice plane spacing {h_min:.4g} "
+        f"angstrom; {_MAX_SHELL} offset shells did not reach the nearest "
+        "images (reduce the lattice basis, e.g. to Niggli form)")
+
+
 @dataclass(frozen=True)
 class PeriodicEdge:
     """Directed edge from a periodic image of ``src`` into ``dst``.
@@ -191,8 +203,7 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
                 for c, x in zip(cols[picked], d[picked]))
         else:
             return PeriodicGraph(n, k, edges)
-    raise RuntimeError("offset shell expansion exceeded the safety cap; "
-                       "lattice is pathologically skewed")
+    raise _shell_cap_error(h_min)
 
 
 def brute_force_neighbors(s: CrystalStructure, k: int = 12,
@@ -272,5 +283,5 @@ def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:
         if best <= shell * h_min:
             return best
         shell += 1
-    raise RuntimeError("offset shell expansion exceeded the safety cap")
+    raise _shell_cap_error(h_min)
 

@@ -51,3 +51,14 @@ def cubic1() -> CrystalStructure:
     """One carbon atom in a unit cube."""
     return CrystalStructure(lattice=np.eye(3), species=np.array([6]),
                             frac=np.zeros((1, 3)), id="cube")
+
+
+@pytest.fixture
+def skewed1() -> CrystalStructure:
+    """One carbon atom in a cell that passes the degenerate-lattice check
+    but whose closest lattice planes are ~0.0086 A apart."""
+    lattice = np.array([[3.81, -3.01, -2.40],
+                        [-2.23, 2.88, -1.79],
+                        [2.28, -3.46, 3.25]])
+    return CrystalStructure(lattice=lattice, species=np.array([6]),
+                            frac=np.zeros((1, 3)), id="skewed")

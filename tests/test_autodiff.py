@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qcnet.autodiff import (Tensor, concat, constant, gather_rows, parameter,
-                            segment_mean, segment_sum, sigmoid_np, silu_np)
+from qcnet.autodiff import (Tensor, concat, constant, gather_rows, no_grad,
+                            parameter, segment_mean, segment_sum, sigmoid_np,
+                            silu_np)
 
 ATOL = 1e-8
 RTOL = 1e-4
@@ -223,3 +224,40 @@ class TestGraphMechanics:
             out.backward()
             return x.grad.tobytes(), y.grad.tobytes()
         assert run() == run()
+
+
+class TestTapeRule:
+    @staticmethod
+    def graph(x, y):
+        return concat([(x @ y).silu(), gather_rows(x, np.array([1, 0]))]
+                      ).sum(axis=0).mean()
+
+    def test_constant_ops_keep_no_tape(self):
+        out = (constant(np.ones((2, 2))) * 3.0).sigmoid()
+        assert not out.requires_grad
+        assert out._parents == () and out._pullback is None
+
+    def test_no_grad_records_nothing_and_leaves_keep_flags(self):
+        rng = np.random.default_rng(4)
+        x = parameter(rng.standard_normal((2, 2)))
+        y = parameter(rng.standard_normal((2, 2)))
+        with no_grad():
+            out = self.graph(x, y)
+        assert not out.requires_grad
+        assert out._parents == () and out._pullback is None
+        assert x.requires_grad and y.requires_grad
+        recorded = self.graph(x, y)
+        assert recorded.requires_grad and recorded._parents
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_nesting_and_exceptions_restore_recording(self):
+        x = parameter(np.ones((1, 1)))
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+        with pytest.raises(ZeroDivisionError):
+            with no_grad():
+                raise ZeroDivisionError
+        assert (x * x).requires_grad

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import qcnet
+import qcnet.periodic
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
 from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
-from qcnet.structures import save_dataset
+from qcnet.structures import save_dataset, write_structure
 from qcnet.training import synthetic_overfit_dataset
 
 from conftest import DATA_DIR
@@ -76,6 +77,31 @@ class TestParser:
         assert main(["--threads", "0", "build", POSCAR, "-o", "x"]) \
             == EXIT_CONFIG
 
+    def test_threads_set_before_numpy_loads(self, tmp_path):
+        # os.environ assignments raise the os.putenv audit event; record
+        # whether numpy was loaded at each thread-variable assignment.
+        script = f"""
+import os, sys
+from qcnet.cli import _THREAD_VARS, main
+loaded = []
+def hook(event, args):
+    if event == "os.putenv" and args[0].decode() in _THREAD_VARS:
+        loaded.append("numpy" in sys.modules)
+sys.addaudithook(hook)
+code = main(["--threads", "2", "build", {POSCAR!r}, "-o",
+             {str(tmp_path / "c.json")!r}])
+print(code, loaded, "numpy" in sys.modules)
+"""
+        src_dir = str(pathlib.Path(qcnet.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src_dir))
+        assert proc.stdout.splitlines()[-1] == \
+            "0 [False, False, False, False] True"
+
+    def test_package_exports_resolve(self):
+        assert all(hasattr(qcnet, name) for name in qcnet.__all__)
+
     FLAGS = {
         "build": ["--out", "--format", "--k", "--radius"],
         "featurize": ["--out-prefix", "--format", "--k", "--atom-table"],
@@ -125,6 +151,16 @@ class TestBuild:
         main(["build", POSCAR, "-o", str(a)])
         main(["build", POSCAR, "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_skewed_lattice_exits_input(self, tmp_path, monkeypatch, capsys,
+                                        skewed1):
+        monkeypatch.setattr(qcnet.periodic, "_MAX_SHELL", 3)
+        structure = tmp_path / "skewed.json"
+        write_structure(skewed1, structure)
+        assert main(["build", str(structure), "-o",
+                     str(tmp_path / "x.json")]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "plane spacing" in err[0]
 
 
 class TestFeaturize:

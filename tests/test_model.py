@@ -1,20 +1,28 @@
 """Attention model: hand traces, invariances, gradients, checkpoints."""
 
+import errno
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcnet.autodiff as ad
+import qcnet.model
 from qcnet.autodiff import constant, parameter
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.features import AtomFeatureTable, raw_features
 from qcnet.model import (BatchNorm, CheckpointMismatchError, EmptyComplexError,
                          LayerNorm, AttentionLayer, ModelConfig,
-                         SimplexTransformer, attention_alpha,
+                         NonFiniteActivationError, SimplexTransformer,
+                         _checkpoint_layout, _predict_tensor, attention_alpha,
                          attention_message, batch_loss, forward,
                          layer_update, load_checkpoint, loss_and_gradients,
                          merge_batch, predict, read_sidecar, save_checkpoint)
 from qcnet.periodic import neighbor_list
 from qcnet.structures import CrystalStructure
+from qcnet.training import evaluate, synthetic_overfit_dataset
 
 from conftest import random_rotation, random_structure
 
@@ -320,6 +328,68 @@ class TestGradients:
                                    (fp - fm) / (2 * eps), rtol=1e-4)
 
 
+class TestTapeFreeEval:
+    """predict, batch_loss and evaluate run without recording a tape."""
+
+    def test_eval_leaves_no_gradients_or_parents(self, catio3):
+        items = [featurized(catio3, k=4)]
+        m = tiny_model(seed=5)
+        predict(m, items)
+        batch_loss(m, items, np.array([0.2]))
+        evaluate(m, synthetic_overfit_dataset(n_samples=3, seed=7), TABLE, 4)
+        assert all(t.grad is None for _, t in m.parameters())
+        with ad.no_grad():
+            out = _predict_tensor(m, merge_batch(items))
+        assert out._parents == () and out._pullback is None
+
+    def test_nonfinite_activation_restores_recording(self, catio3):
+        items = [featurized(catio3, k=4)]
+        m = tiny_model(seed=5)
+        dict(m.parameters())["node.0.upd_b"].data[0] = np.nan
+        with pytest.raises(NonFiniteActivationError):
+            predict(m, items)
+        with pytest.raises(NonFiniteActivationError):
+            batch_loss(m, items, np.array([0.2]))
+        out = _predict_tensor(tiny_model(seed=5), merge_batch(items))
+        assert out.requires_grad and out._parents
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gradients_unchanged_by_prior_eval(self, catio3, mode):
+        items = [featurized(catio3, k=4)]
+        targets = np.array([0.4])
+
+        def gradients(eval_first):
+            m = tiny_model(seed=6)
+            m.set_mode(mode)
+            if eval_first:
+                predict(m, items)
+                batch_loss(m, items, targets)
+            _, grads = loss_and_gradients(m, items, targets)
+            return [g.tobytes() for g in grads]
+        assert gradients(True) == gradients(False)
+
+    def test_predict_peak_memory_under_half_of_tape(self):
+        rng = np.random.default_rng(31)
+        lattice = np.diag([7.0, 7.5, 8.0]) + rng.uniform(-0.5, 0.5, (3, 3))
+        s = CrystalStructure(lattice=lattice,
+                             species=rng.choice([8, 20, 22], size=32),
+                             frac=rng.uniform(0.0, 1.0, (32, 3)))
+        items = [featurized(s)]
+        batch = merge_batch(items)
+        m = tiny_model(hidden=8, seed=2)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        with_tape = peak(lambda: _predict_tensor(m, batch))
+        tape_free = peak(lambda: predict(m, items))
+        assert tape_free < 0.5 * with_tape
+
+
 class TestParameterBookkeeping:
     def test_parameter_count(self):
         m = tiny_model(hidden=8, seed=0)
@@ -428,3 +498,87 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(CheckpointMismatchError, match="magic|format"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden,head_hidden", [(1, 1), (3, 5), (8, 2)])
+    def test_layout_closed_form_matches_file(self, tmp_path, hidden,
+                                             head_hidden):
+        m = SimplexTransformer.init(ModelConfig(hidden, head_hidden))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        assert _checkpoint_layout(hidden, head_hidden) == (
+            len(m.parameters()) + len(m.buffers()), path.stat().st_size)
+
+    @staticmethod
+    def _blob(tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "reference.ckpt"
+        if not path.exists():
+            save_checkpoint(tiny_model(hidden=4, seed=12), path)
+        return path.read_bytes()
+
+    # 36 header bytes: magic, version, hidden_dim (bytes 12-15),
+    # head_hidden, the two layer counts, the tensor count.
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(bit=st.integers(0, 36 * 8 - 1))
+    @example(bit=15 * 8 + 7)   # hidden_dim 4 -> 2**31 + 4
+    @example(bit=12 * 8 + 10)  # hidden_dim 4 -> 1028, gigabytes of weights
+    def test_header_bit_flip_rejected(self, tmp_path_factory, bit):
+        blob = bytearray(self._blob(tmp_path_factory))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path_factory.getbasetemp() / "flipped.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(cut=st.integers(0, _checkpoint_layout(4, 4)[1] - 1))
+    @example(cut=0)
+    @example(cut=36)
+    @example(cut=_checkpoint_layout(4, 4)[1] - 1)
+    def test_truncation_rejected(self, tmp_path_factory, cut):
+        path = tmp_path_factory.getbasetemp() / "cut.ckpt"
+        path.write_bytes(self._blob(tmp_path_factory)[:cut])
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("failing_file", [0, 1],
+                             ids=["binary", "sidecar"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch, failing_file):
+        path = tmp_path / "m.ckpt"
+        old = tiny_model(seed=1)
+        save_checkpoint(old, path, extra={"k_neighbors": 4})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = open
+        opened = []
+
+        class DiskFull:
+            """Writes half of the first chunk, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flaky_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            opened.append(file)
+            return DiskFull(fh) if len(opened) - 1 == failing_file else fh
+        monkeypatch.setattr(qcnet.model, "open", flaky_open, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(tiny_model(seed=2), path,
+                            extra={"k_neighbors": 8})
+        monkeypatch.undo()
+        assert len(opened) == failing_file + 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        loaded = load_checkpoint(path)
+        for (_, a), (_, b) in zip(old.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        assert read_sidecar(path)["extra"] == {"k_neighbors": 4}

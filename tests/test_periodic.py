@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcnet.periodic import (RadiusTooSmallError, brute_force_neighbors,
-                            min_image_distance, neighbor_list,
-                            plane_spacing_min)
+import qcnet.periodic
+from qcnet.periodic import (LatticeTooSkewedError, RadiusTooSmallError,
+                            brute_force_neighbors, min_image_distance,
+                            neighbor_list, plane_spacing_min)
 from qcnet.structures import CrystalStructure
 
 from conftest import random_rotation, random_structure
@@ -313,3 +314,18 @@ class TestMinImage:
             for j in range(4):
                 assert min_image_distance(s, i, j) == pytest.approx(
                     min_image_distance(s, j, i), abs=1e-12)
+
+
+
+class TestShellCap:
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(qcnet.periodic, "_MAX_SHELL", 3)
+
+    def test_neighbor_list_names_plane_spacing(self, skewed1):
+        with pytest.raises(LatticeTooSkewedError, match="plane spacing 0.008"):
+            neighbor_list(skewed1, k=12)
+
+    def test_min_image_distance_names_plane_spacing(self, skewed1):
+        with pytest.raises(LatticeTooSkewedError, match="plane spacing 0.008"):
+            min_image_distance(skewed1, 0, 0)
