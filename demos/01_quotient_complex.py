@@ -31,11 +31,10 @@ print(f"{catio3.id}: {c.n_vertices} vertices, {c.n_edges} edges, "
       f"{len(c.triangles)} triangles")
 
 # Every vertex receives exactly k incoming edges; the multigraph absorbs
-# the infinite periodic tiling into lattice offsets.
-in_deg = np.zeros(c.n_vertices, dtype=int)
-for e in c.graph.edges:
-    in_deg[e.dst] += 1
-print("in-degrees:", in_deg.tolist())
+# the infinite periodic tiling into lattice offsets.  The graph is stored
+# as edge columns (src, dst, offset, dist), so counting is one numpy call;
+# `c.graph.edges` lists the same edges as records.
+print("in-degrees:", np.bincount(c.graph.dst).tolist())
 
 # The twelve nearest neighbors of the Ti site (vertex 1): the six oxygens
 # of its octahedron at 1.92 A, then part of the tied Ca shell at 3.33 A.
@@ -55,15 +54,16 @@ print(f"\n{cube.id}: {cc.n_edges} edges, {len(cc.triangles)} triangles")
 for e in cc.graph.edges:
     print(f"  {e.src} -> {e.dst} offset {tuple(e.offset)}  d = {e.dist:.1f}")
 
-# Triangles close on offsets exactly, and their three vertices can be
-# placed as concrete points in space whose pairwise distances reproduce
-# the three edge lengths.
-t = c.triangles[0]
-e1, e2, e3 = (c.graph.edges[i] for i in (t.e1, t.e2, t.e3))
+# Triangles are rows (e1, e2, e3) of edge indices in the array c.tri.  They
+# close on offsets exactly, and their three vertices can be placed as
+# concrete points in space whose pairwise distances reproduce the three
+# edge lengths.
+edges = c.graph.edges
+e1, e2, e3 = (edges[i] for i in c.tri[0])
 print(f"\nfirst CaTiO3 triangle: vertices ({e1.src}, {e2.src}, {e2.dst})")
 print(f"  offsets {tuple(e1.offset)} + {tuple(e2.offset)}"
       f" = {tuple(e3.offset)}")
-pa, pb, pc = triangle_image_points(c, t, catio3.frac, catio3.lattice)
+pa, pb, pc = triangle_image_points(c, 0, catio3.frac, catio3.lattice)
 print(f"  edge dists {e1.dist:.4f} {e2.dist:.4f} {e3.dist:.4f}")
 print(f"  point dists {np.linalg.norm(pb - pa):.4f} "
       f"{np.linalg.norm(pc - pb):.4f} {np.linalg.norm(pc - pa):.4f}")

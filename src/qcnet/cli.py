@@ -313,12 +313,12 @@ def _run_training(args, finetune_from: str | None) -> int:
 
 def cmd_build(args) -> int:
     from .complexes import build_complex, complex_json
+    from .features import replace_files
     from .periodic import neighbor_list
     s = _read_structure(args.structure, args.format)
     g = neighbor_list(s, k=args.k, radius=args.radius)
     c = build_complex(g)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(complex_json(c))
+    replace_files([(args.out, [complex_json(c).encode("utf-8")])])
     print(f"vertices={c.n_vertices} edges={c.n_edges} "
           f"triangles={c.n_triangles}")
     return EXIT_OK

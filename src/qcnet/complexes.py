@@ -13,6 +13,9 @@ every pair of them spans an edge of positive length.
 Positional order within a triangle is e1 < e2 < e3, i.e.
 (a,b) < (b,c) < (a,c).  Attention messages between edges flow from
 lower-positioned to higher-positioned edges of a shared triangle.
+
+Triangles are stored as the rows (e1, e2, e3) of one int64[t, 3] array of
+edge indices; ``QuotientComplex.triangles`` builds ``Triangle`` records.
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ class MessagingPairs:
 
 @dataclass
 class QuotientComplex:
-    """Vertices and multi-edges of the k-NN graph plus all closed triangles."""
+    """The k-NN multigraph plus all closed triangles: row i of ``tri``
+    (int64[t, 3]) holds triangle i's edge indices (e1, e2, e3)."""
 
     graph: PeriodicGraph
-    triangles: list[Triangle]
+    tri: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -69,7 +73,12 @@ class QuotientComplex:
 
     @property
     def n_triangles(self) -> int:
-        return len(self.triangles)
+        return int(self.tri.shape[0])
+
+    @property
+    def triangles(self) -> list[Triangle]:
+        """The rows of ``tri`` as records, rebuilt on every access."""
+        return [Triangle(*row) for row in self.tri.tolist()]
 
 
 def build_complex(g: PeriodicGraph) -> QuotientComplex:
@@ -80,48 +89,54 @@ def build_complex(g: PeriodicGraph) -> QuotientComplex:
     exists.  The same edge may serve as both e1 and e2 (self-loop chains).
     Triangles come out sorted by (e1, e2, e3).
     """
-    index: dict[tuple[int, int, tuple[int, int, int]], int] = {}
-    by_src: dict[int, list[int]] = {}
-    for i, e in enumerate(g.edges):
-        index[(e.src, e.dst, e.offset)] = i
-        by_src.setdefault(e.src, []).append(i)
-    triangles: list[Triangle] = []
-    for i1, e1 in enumerate(g.edges):
-        for i2 in by_src.get(e1.dst, ()):
-            e2 = g.edges[i2]
-            o3 = (e1.offset[0] + e2.offset[0],
-                  e1.offset[1] + e2.offset[1],
-                  e1.offset[2] + e2.offset[2])
-            i3 = index.get((e1.src, e2.dst, o3))
-            if i3 is not None:
-                triangles.append(Triangle(i1, i2, i3))
-    triangles.sort(key=lambda t: (t.e1, t.e2, t.e3))
-    return QuotientComplex(g, triangles)
+    # Paths (e1, e2) in sorted order: e1 ascending, then the edges leaving
+    # e1's dst in index order (a stable sort by src keeps index order).
+    by_src = np.argsort(g.src, kind="stable")
+    start = np.searchsorted(g.src[by_src], np.arange(g.n_vertices + 1))
+    # Path p of e1 takes edge p - (e1's first path) of those leaving dst(e1).
+    n_out = np.diff(start)[g.dst]
+    e1 = np.repeat(np.arange(g.n_edges), n_out)
+    shift = np.repeat(start[g.dst] - (np.cumsum(n_out) - n_out), n_out)
+    e2 = by_src[np.arange(e1.size) + shift]
+    # Look up each closing edge (a -> c, o1 + o2) by its (src, dst, offset)
+    # key packed into one int64.  |o1 + o2| <= span; offsets below 64
+    # shells keep keys of cells up to ~700,000 atoms under 2^63.
+    span = 2 * int(np.abs(g.offset).max(initial=0))
+    radix = (2 * span + 1) ** np.arange(4)
+
+    def pack(src, dst, offset):
+        pair = src * g.n_vertices + dst
+        return pair * radix[3] + (offset + span) @ radix[:3]
+
+    keys = pack(g.src, g.dst, g.offset)
+    order = np.argsort(keys)
+    wanted = pack(g.src[e1], g.dst[e2], g.offset[e1] + g.offset[e2])
+    e3 = order[np.minimum(np.searchsorted(keys, wanted, sorter=order),
+                          g.n_edges - 1)]
+    found = keys[e3] == wanted
+    return QuotientComplex(g, np.stack([e1, e2, e3], axis=1)[found])
 
 
-def triangle_image_points(c: QuotientComplex, t: Triangle,
-                          frac: np.ndarray,
+def triangle_image_points(c: QuotientComplex, t: int, frac: np.ndarray,
                           lattice: np.ndarray) -> np.ndarray:
-    """Cartesian coordinates of the three images realizing triangle t.
+    """Cartesian coordinates of the three images realizing triangle ``t``.
 
     Rows are a at offset o1+o2, b at o2, c at offset 0; their pairwise
     distances equal the three edge distances.
     """
-    e1, e2, e3 = (c.graph.edges[t.e1], c.graph.edges[t.e2],
-                  c.graph.edges[t.e3])
-    o1 = np.array(e1.offset, dtype=np.float64)
-    o2 = np.array(e2.offset, dtype=np.float64)
-    pts = np.stack([frac[e1.src] + o1 + o2,
-                    frac[e2.src] + o2,
-                    frac[e2.dst]])
+    g = c.graph
+    e1, e2, _ = c.tri[t]
+    o2 = g.offset[e2]
+    pts = np.stack([frac[g.src[e1]] + g.offset[e1] + o2,
+                    frac[g.src[e2]] + o2,
+                    frac[g.dst[e2]]])
     return pts @ lattice
 
 
 def vertex_pairs(c: QuotientComplex) -> MessagingPairs:
     """One messaging pair per edge: receiver dst, sender src, coface the edge."""
-    src, dst, _, _ = c.graph.arrays()
     coface = np.arange(c.n_edges, dtype=np.int64)
-    return MessagingPairs(sigma=dst, tau=src, coface=coface)
+    return MessagingPairs(sigma=c.graph.dst, tau=c.graph.src, coface=coface)
 
 
 def edge_pairs(c: QuotientComplex) -> MessagingPairs:
@@ -129,23 +144,18 @@ def edge_pairs(c: QuotientComplex) -> MessagingPairs:
 
     For a triangle (e1, e2, e3): e2 hears from e1, e3 hears from e1 and e2.
     """
-    sigma, tau, coface = [], [], []
-    for ti, t in enumerate(c.triangles):
-        sigma += [t.e2, t.e3, t.e3]
-        tau += [t.e1, t.e1, t.e2]
-        coface += [ti, ti, ti]
-    return MessagingPairs(sigma=np.array(sigma, dtype=np.int64),
-                          tau=np.array(tau, dtype=np.int64),
-                          coface=np.array(coface, dtype=np.int64))
+    return MessagingPairs(
+        sigma=c.tri[:, [1, 2, 2]].ravel(), tau=c.tri[:, [0, 0, 1]].ravel(),
+        coface=np.repeat(np.arange(c.n_triangles, dtype=np.int64), 3))
 
 
 def complex_json(c: QuotientComplex) -> str:
     """Serialize edges and triangles (with their offsets) deterministically."""
-    edges = [{"src": e.src, "dst": e.dst, "offset": list(e.offset),
-              "dist": e.dist} for e in c.graph.edges]
-    triangles = []
-    for t in c.triangles:
-        offs = [list(c.graph.edges[i].offset) for i in (t.e1, t.e2, t.e3)]
-        triangles.append({"e": [t.e1, t.e2, t.e3], "offsets": offs})
+    g = c.graph
+    offsets = g.offset.tolist()
+    edges = [{"src": s, "dst": d, "offset": o, "dist": x} for s, d, o, x in
+             zip(g.src.tolist(), g.dst.tolist(), offsets, g.dist.tolist())]
+    triangles = [{"e": row, "offsets": [offsets[i] for i in row]}
+                 for row in c.tri.tolist()]
     return json.dumps({"edges": edges, "triangles": triangles},
                       sort_keys=True, separators=(",", ":")) + "\n"

@@ -13,8 +13,10 @@ squared distance directly, so the three widths act like variances.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +130,11 @@ def vertex_features(species: np.ndarray, table: AtomFeatureTable) -> np.ndarray:
 
 def edge_features(g: PeriodicGraph, vfeats: np.ndarray) -> np.ndarray:
     """(m, 376) rows: [rbf(-0.75/d) | src vector | dst vector]."""
-    dists = np.array([e.dist for e in g.edges], dtype=np.float64)
-    if dists.size == 0:
-        return np.zeros((0, EDGE_DIM))
-    if dists.min() <= 0.0:
+    if g.n_edges and g.dist.min() <= 0.0:
         raise NonPositiveDistanceError(
-            f"edge distance {dists.min()!r} is not positive")
-    dprime = -0.75 / dists
-    rbf = edge_bank().expand(dprime)
-    src = np.array([e.src for e in g.edges], dtype=np.int64)
-    dst = np.array([e.dst for e in g.edges], dtype=np.int64)
-    return np.concatenate([rbf, vfeats[src], vfeats[dst]], axis=1)
+            f"edge distance {g.dist.min()!r} is not positive")
+    rbf = edge_bank().expand(-0.75 / g.dist)
+    return np.concatenate([rbf, vfeats[g.src], vfeats[g.dst]], axis=1)
 
 
 def triangle_features(c: QuotientComplex) -> np.ndarray:
@@ -149,12 +145,7 @@ def triangle_features(c: QuotientComplex) -> np.ndarray:
     the next scalar).
     """
     bank = triangle_bank()
-    if not c.triangles:
-        return np.zeros((0, TRIANGLE_DIM))
-    dists = np.array([e.dist for e in c.graph.edges], dtype=np.float64)
-    d1 = dists[[t.e1 for t in c.triangles]]
-    d2 = dists[[t.e2 for t in c.triangles]]
-    d3 = dists[[t.e3 for t in c.triangles]]
+    d1, d2, d3 = c.graph.dist[c.tri.T]
     scalars = [d1, d2, d3, d1 * d2, d1 * d3, d2 * d3,
                d1 * d1, d2 * d2, d3 * d3]
     return np.concatenate([bank.expand(v) for v in scalars], axis=1)
@@ -177,15 +168,34 @@ def raw_features(c: QuotientComplex, species: np.ndarray,
                       h2_raw=triangle_features(c))
 
 
+def replace_files(files: list[tuple[str, list[bytes]]]) -> None:
+    """Write each (path, chunks) to a temporary file beside its path, then
+    rename them all into place.  A failed write leaves every path as it was;
+    a reader never sees a partly written file."""
+    temps = []
+    try:
+        for path, chunks in files:
+            temps.append(f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+            with open(temps[-1], "xb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
 def save_feature_arrays(arrays: dict[str, np.ndarray], prefix: str) -> None:
-    """Write row-major float64 ``.bin`` files plus a JSON shape header."""
+    """Write row-major float64 ``.bin`` files plus a JSON shape header,
+    replacing old files only once all are written (the header last)."""
     header = {"dtype": "<f8", "order": "C",
               "arrays": {name: list(arr.shape)
                          for name, arr in sorted(arrays.items())}}
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True)
-        fh.write("\n")
-    for name, arr in sorted(arrays.items()):
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        with open(f"{prefix}.{name}.bin", "wb") as fh:
-            fh.write(data.tobytes(order="C"))
+    replace_files(
+        [(f"{prefix}.{name}.bin",
+          [np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")])
+         for name, arr in sorted(arrays.items())]
+        + [(prefix + ".json",
+            [(json.dumps(header, sort_keys=True) + "\n").encode("utf-8")])])

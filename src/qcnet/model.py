@@ -29,11 +29,9 @@ same ops under ``autodiff.no_grad()`` and keep no intermediates.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 
@@ -44,7 +42,8 @@ from .autodiff import Tensor, concat, constant, gather_rows, parameter, \
     segment_mean, segment_sum
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
-from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
+from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet, \
+    replace_files
 
 N_NODE_LAYERS = 5
 N_EDGE_NODE_LAYERS = 2
@@ -562,25 +561,6 @@ def _checkpoint_layout(hidden: int, head_hidden: int) -> tuple[int, int]:
     return n_arrays, _HEADER.size + 8 * n_floats
 
 
-def _replace_files(files: list[tuple[str, list[bytes]]]) -> None:
-    """Write each (path, chunks) to a temporary file beside its path, then
-    rename them all into place.  A failed write leaves every path as it was;
-    a reader never sees a partly written file."""
-    temps = []
-    try:
-        for path, chunks in files:
-            temps.append(f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-            with open(temps[-1], "xb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        for tmp, (path, _) in zip(temps, files):
-            os.replace(tmp, path)
-    finally:
-        for tmp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-
-
 def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
                     extra: dict | None = None) -> None:
     """Binary header + float64 tensors in declared order + JSON sidecar.
@@ -606,7 +586,7 @@ def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
     }
     if extra:
         sidecar["extra"] = extra
-    _replace_files([
+    replace_files([
         (path, [header] + [np.ascontiguousarray(arr, dtype="<f8").tobytes("C")
                            for arr in arrays]),
         (path + ".json",

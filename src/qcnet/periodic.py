@@ -8,6 +8,9 @@ the graph a quotient of the infinite crystal graph rather than a plain
 nearest-neighbor list: self-loops (src == dst with nonzero offset) and
 parallel edges with different offsets are meaningful and kept.
 
+The graph is stored as edge columns (``src``, ``dst``, ``offset``, ``dist``);
+``PeriodicGraph.edges`` builds ``PeriodicEdge`` records from them.
+
 One search loop serves both modes: tabulate the distance from every image in
 the offset box |k_i| <= R to every target, mark zero-distance images (and any
 beyond a cutoff radius) unavailable, and pick each target's k candidates in
@@ -70,33 +73,35 @@ class PeriodicEdge:
 
 @dataclass
 class PeriodicGraph:
-    """k-NN multigraph in canonical edge order.
+    """k-NN multigraph as edge columns in canonical edge order.
 
-    Edges are sorted by (dst, distance tie-group, src, offset lexicographic),
-    so edges of one target vertex are contiguous and the whole list is a
-    deterministic function of the structure.
+    Row i of ``src``, ``dst`` (int64[m]), ``offset`` (int64[m, 3]) and
+    ``dist`` (float64[m]) is edge i.  Edges are sorted by (dst, distance
+    tie-group, src, offset lexicographic), so edges of one target vertex are
+    contiguous and the columns are a deterministic function of the structure.
     """
 
     n_vertices: int
     k: int
-    edges: list[PeriodicEdge]
+    src: np.ndarray
+    dst: np.ndarray
+    offset: np.ndarray
+    dist: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.src.size)
+
+    @property
+    def edges(self) -> list[PeriodicEdge]:
+        """The columns as records, rebuilt on every access."""
+        return [PeriodicEdge(s, d, tuple(o), x) for s, d, o, x in
+                zip(self.src.tolist(), self.dst.tolist(),
+                    self.offset.tolist(), self.dist.tolist())]
 
     def in_edges(self, v: int) -> range:
         """Indices of edges whose dst is v (a contiguous range)."""
         return range(v * self.k, (v + 1) * self.k)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, offset, dist) columns as numpy arrays."""
-        src = np.array([e.src for e in self.edges], dtype=np.int64)
-        dst = np.array([e.dst for e in self.edges], dtype=np.int64)
-        off = np.array([e.offset for e in self.edges],
-                       dtype=np.int64).reshape(-1, 3)
-        dist = np.array([e.dist for e in self.edges], dtype=np.float64)
-        return src, dst, off, dist
 
 
 def plane_spacing_min(lattice: np.ndarray) -> float:
@@ -188,7 +193,7 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
         kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
         near = dist - kth_smallest <= tie_tol
         bound = shell * h_min
-        edges: list[PeriodicEdge] = []
+        picks = []
         for v in range(n):
             cols = np.flatnonzero(near[v])
             cols = cols[np.argsort(dist[v, cols])]
@@ -197,12 +202,12 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
             picked = np.lexsort((cols, _tie_groups(d, tie_tol)))[:k]
             if radius is None and d[picked[-1]] + tie_tol >= bound:
                 break  # an unseen image could still be among the k nearest
-            edges.extend(
-                PeriodicEdge(int(c // n_off), v,
-                             tuple(offsets[c % n_off].tolist()), float(x))
-                for c, x in zip(cols[picked], d[picked]))
+            picks.append((cols[picked], d[picked]))
         else:
-            return PeriodicGraph(n, k, edges)
+            cols, dists = map(np.concatenate, zip(*picks))
+            return PeriodicGraph(n, k, cols // n_off,
+                                 np.repeat(np.arange(n), k),
+                                 offsets[cols % n_off], dists)
     raise _shell_cap_error(h_min)
 
 
@@ -225,7 +230,7 @@ def brute_force_neighbors(s: CrystalStructure, k: int = 12,
     bound = supercell_radius * plane_spacing_min(lattice)
     rng = range(-supercell_radius, supercell_radius + 1)
     all_offsets = list(itertools.product(rng, rng, rng))
-    edges: list[PeriodicEdge] = []
+    rows: list[tuple[int, int, tuple[int, int, int], float]] = []
     for v in range(n):
         cands: list[tuple[float, int, tuple[int, int, int]]] = []
         for u in range(n):
@@ -256,9 +261,8 @@ def brute_force_neighbors(s: CrystalStructure, k: int = 12,
             raise RadiusTooSmallError(
                 f"vertex {v}: k-th distance {kth:.6f} too close to the "
                 f"supercell bound {bound:.6f}")
-        edges.extend(PeriodicEdge(u, v, off, d)
-                     for _, u, off, d in grouped[:k])
-    return PeriodicGraph(n, k, edges)
+        rows.extend((u, v, off, d) for _, u, off, d in grouped[:k])
+    return PeriodicGraph(n, k, *map(np.array, zip(*rows)))
 
 
 def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:

@@ -380,7 +380,6 @@ def synthetic_overfit_dataset(n_samples: int = 32,
             s = CrystalStructure(lat, species, frac, id=f"syn-{i:03d}")
             if n_atoms == 1 or min_image_distance(s, 0, 1) >= 0.9:
                 break
-        g = neighbor_list(s, k=1)
-        target = float(np.mean([e.dist for e in g.edges]))
+        target = float(np.mean(neighbor_list(s, k=1).dist))
         records.append(DatasetRecord(structure=s, target=target))
     return records

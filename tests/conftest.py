@@ -1,5 +1,7 @@
 """Shared helpers: random structure generators and small fixed cells."""
 
+import builtins
+import errno
 import pathlib
 
 import numpy as np
@@ -10,6 +12,35 @@ from qcnet.structures import CrystalStructure
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 SPECIES_POOL = (1, 6, 8, 14, 20, 22, 26)
+
+
+class DiskFull:
+    """File stand-in whose first write stores half the chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def open_failing_at(index: int, opened: list):
+    """An ``open`` that appends each file it opens to ``opened`` and hands
+    back the ``index``-th (from 0) wrapped in DiskFull."""
+    real_open = builtins.open
+
+    def flaky_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        opened.append(file)
+        return DiskFull(fh) if len(opened) - 1 == index else fh
+    return flaky_open
 
 
 def random_structure(rng: np.random.Generator,

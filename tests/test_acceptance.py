@@ -89,9 +89,9 @@ def test_triangle_closure_fuzz():
         s = random_structure(rng)
         k = int(rng.integers(2, 13))
         c = build_complex(neighbor_list(s, k=k))
+        edges = c.graph.edges
         for t in c.triangles:
-            e1, e2, e3 = (c.graph.edges[t.e1], c.graph.edges[t.e2],
-                          c.graph.edges[t.e3])
+            e1, e2, e3 = edges[t.e1], edges[t.e2], edges[t.e3]
             closed = (tuple(a + b for a, b in zip(e1.offset, e2.offset))
                       == e3.offset and e1.dst == e2.src
                       and e3.src == e1.src and e3.dst == e2.dst)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qcnet
+import qcnet.features
 import qcnet.periodic
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
@@ -17,7 +18,7 @@ from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
 from qcnet.structures import save_dataset, write_structure
 from qcnet.training import synthetic_overfit_dataset
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, open_failing_at
 
 POSCAR = str(DATA_DIR / "catio3.poscar")
 
@@ -181,6 +182,28 @@ class TestFeaturize:
     def test_missing_atom_table_file(self, tmp_path):
         assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
                      "--atom-table", str(tmp_path / "no.json")]) == EXIT_DATA
+
+
+class TestInterruptedWrites:
+    @pytest.mark.parametrize("argv, failing_file", [
+        (["build", POSCAR, "-o", "c.json"], 0),
+        (["featurize", POSCAR, "-o", "f"], 0),
+        (["featurize", POSCAR, "-o", "f"], 3),
+    ], ids=["build", "featurize-array", "featurize-header"])
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch,
+                                                 capsys, argv, failing_file):
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        assert main(argv + ["--k", "4"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        opened = []
+        monkeypatch.setattr(qcnet.features, "open",
+                            open_failing_at(failing_file, opened),
+                            raising=False)
+        assert main(argv + ["--k", "6"]) == EXIT_INPUT
+        monkeypatch.undo()
+        assert len(opened) == failing_file + 1
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestTrain:

@@ -9,6 +9,7 @@ from qcnet.complexes import (build_complex, complex_json, edge_pairs,
                              triangle_image_points, vertex_pairs)
 from qcnet.periodic import neighbor_list
 from qcnet.structures import CrystalStructure
+from qcnet.training import synthetic_overfit_dataset
 
 from conftest import random_structure
 
@@ -16,12 +17,13 @@ from conftest import random_structure
 def oracle_triangles(g):
     """Triple loop over edge pairs sharing a middle vertex; set lookup for
     the closing edge.  Independent of the production index structures."""
+    edges = g.edges
     key_to_index = {}
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(edges):
         key_to_index[(e.src, e.dst, e.offset)] = i
     out = []
-    for i1, e1 in enumerate(g.edges):
-        for i2, e2 in enumerate(g.edges):
+    for i1, e1 in enumerate(edges):
+        for i2, e2 in enumerate(edges):
             if e1.dst != e2.src:
                 continue
             o3 = tuple(a + b for a, b in zip(e1.offset, e2.offset))
@@ -35,17 +37,24 @@ class TestTriangleEnumeration:
     def test_matches_oracle_catio3(self, catio3):
         g = neighbor_list(catio3, k=12)
         c = build_complex(g)
-        got = sorted((t.e1, t.e2, t.e3) for t in c.triangles)
+        got = [(t.e1, t.e2, t.e3) for t in c.triangles]
         assert got == oracle_triangles(g)
 
     def test_matches_oracle_random(self):
+        # Random 1-6 atom cells at assorted k, plus the 1-2 atom cells of
+        # the synthetic overfit set, whose graphs are mostly self-loop
+        # chains; rows must match the oracle in order.
         rng = np.random.default_rng(10)
-        for _ in range(25):
-            s = random_structure(rng)
-            k = int(rng.integers(2, 10))
+        cells = [(random_structure(rng), int(rng.integers(2, 10)))
+                 for _ in range(25)]
+        cells += [(random_structure(rng), k) for k in (1, 4, 12)
+                  for _ in range(3)]
+        cells += [(r.structure, k) for r in synthetic_overfit_dataset(8)
+                  for k in (1, 4, 12)]
+        for s, k in cells:
             g = neighbor_list(s, k=k)
             c = build_complex(g)
-            got = sorted((t.e1, t.e2, t.e3) for t in c.triangles)
+            got = [(t.e1, t.e2, t.e3) for t in c.triangles]
             assert got == oracle_triangles(g)
 
     def test_single_atom_cubic_k6_has_no_triangles(self, cubic1):
@@ -58,9 +67,9 @@ class TestTriangleEnumeration:
         for _ in range(10):
             s = random_structure(rng)
             c = build_complex(neighbor_list(s, k=8))
+            edges = c.graph.edges
             for t in c.triangles:
-                e1, e2, e3 = (c.graph.edges[t.e1], c.graph.edges[t.e2],
-                              c.graph.edges[t.e3])
+                e1, e2, e3 = edges[t.e1], edges[t.e2], edges[t.e3]
                 assert e1.dst == e2.src
                 assert e3.src == e1.src
                 assert e3.dst == e2.dst
@@ -70,6 +79,8 @@ class TestTriangleEnumeration:
     def test_sorted_strictly(self, catio3):
         c = build_complex(neighbor_list(catio3, k=12))
         keys = [(t.e1, t.e2, t.e3) for t in c.triangles]
+        # The records are a view of the rows of the triangle array.
+        assert keys == [tuple(row) for row in c.tri]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -82,10 +93,10 @@ class TestImagePoints:
         for _ in range(8):
             s = random_structure(rng).canonicalize()
             c = build_complex(neighbor_list(s, k=8))
-            for t in c.triangles[:50]:
-                pa, pb, pc = triangle_image_points(c, t, s.frac, s.lattice)
-                e1, e2, e3 = (c.graph.edges[t.e1], c.graph.edges[t.e2],
-                              c.graph.edges[t.e3])
+            edges = c.graph.edges
+            for ti, t in enumerate(c.triangles[:50]):
+                pa, pb, pc = triangle_image_points(c, ti, s.frac, s.lattice)
+                e1, e2, e3 = edges[t.e1], edges[t.e2], edges[t.e3]
                 assert np.linalg.norm(pb - pa) == pytest.approx(e1.dist,
                                                                 abs=1e-9)
                 assert np.linalg.norm(pc - pb) == pytest.approx(e2.dist,
@@ -131,10 +142,10 @@ class TestRelabeling:
                                     frac=s.frac[perm])
         def shape_multiset(struct):
             c = build_complex(neighbor_list(struct, k=8))
+            edges = c.graph.edges
             out = []
             for t in c.triangles:
-                d = sorted(round(c.graph.edges[i].dist, 9)
-                           for i in (t.e1, t.e2, t.e3))
+                d = sorted(round(edges[i].dist, 9) for i in (t.e1, t.e2, t.e3))
                 out.append(tuple(d))
             return sorted(out)
         assert shape_multiset(s) == shape_multiset(permuted)

@@ -13,7 +13,7 @@ from qcnet.features import (EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM,
                             edge_features, raw_features, save_feature_arrays,
                             triangle_bank, triangle_features, vertex_features)
 from qcnet.model import ModelConfig, SimplexTransformer
-from qcnet.periodic import PeriodicEdge, PeriodicGraph, neighbor_list
+from qcnet.periodic import PeriodicGraph, neighbor_list
 from qcnet.structures import CrystalStructure
 
 from conftest import random_rotation, random_structure
@@ -101,13 +101,18 @@ class TestEdgeFeatures:
         np.testing.assert_array_equal(ef[0, 284:376], vf[e.dst])
 
     def test_nonpositive_distance_rejected(self, table):
-        g = PeriodicGraph(n_vertices=1, k=1,
-                          edges=[PeriodicEdge(0, 0, (0, 0, 0), 0.0)])
+        g = PeriodicGraph(n_vertices=1, k=1, src=np.zeros(1, np.int64),
+                          dst=np.zeros(1, np.int64),
+                          offset=np.zeros((1, 3), np.int64),
+                          dist=np.zeros(1))
         with pytest.raises(NonPositiveDistanceError):
             edge_features(g, np.zeros((1, VERTEX_DIM)))
 
     def test_empty_graph(self, table):
-        g = PeriodicGraph(n_vertices=1, k=0, edges=[])
+        g = PeriodicGraph(n_vertices=1, k=0, src=np.zeros(0, np.int64),
+                          dst=np.zeros(0, np.int64),
+                          offset=np.zeros((0, 3), np.int64),
+                          dist=np.zeros(0))
         assert edge_features(g, np.zeros((1, VERTEX_DIM))).shape \
             == (0, EDGE_DIM)
 
@@ -118,7 +123,8 @@ class TestTriangleFeatures:
         tf = triangle_features(c)
         assert tf.shape == (c.n_triangles, TRIANGLE_DIM)
         t = c.triangles[0]
-        d = [c.graph.edges[i].dist for i in (t.e1, t.e2, t.e3)]
+        edges = c.graph.edges
+        d = [edges[i].dist for i in (t.e1, t.e2, t.e3)]
         scalars = [d[0], d[1], d[2], d[0] * d[1], d[0] * d[2], d[1] * d[2],
                    d[0] ** 2, d[1] ** 2, d[2] ** 2]
         bank = triangle_bank()

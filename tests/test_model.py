@@ -1,6 +1,5 @@
 """Attention model: hand traces, invariances, gradients, checkpoints."""
 
-import errno
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcnet.autodiff as ad
-import qcnet.model
+import qcnet.features
 from qcnet.autodiff import constant, parameter
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.features import AtomFeatureTable, raw_features
@@ -24,7 +23,7 @@ from qcnet.periodic import neighbor_list
 from qcnet.structures import CrystalStructure
 from qcnet.training import evaluate, synthetic_overfit_dataset
 
-from conftest import random_rotation, random_structure
+from conftest import open_failing_at, random_rotation, random_structure
 
 TABLE = AtomFeatureTable.random(0)
 
@@ -548,30 +547,10 @@ class TestCheckpoint:
         old = tiny_model(seed=1)
         save_checkpoint(old, path, extra={"k_neighbors": 4})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        real_open = open
         opened = []
-
-        class DiskFull:
-            """Writes half of the first chunk, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def flaky_open(file, *args, **kwargs):
-            fh = real_open(file, *args, **kwargs)
-            opened.append(file)
-            return DiskFull(fh) if len(opened) - 1 == failing_file else fh
-        monkeypatch.setattr(qcnet.model, "open", flaky_open, raising=False)
+        monkeypatch.setattr(qcnet.features, "open",
+                            open_failing_at(failing_file, opened),
+                            raising=False)
         with pytest.raises(OSError):
             save_checkpoint(tiny_model(seed=2), path,
                             extra={"k_neighbors": 8})

@@ -66,8 +66,9 @@ class TestKnownCells:
 
     def test_catio3_oxygen_nearest_is_titanium(self, catio3):
         g = neighbor_list(catio3, k=12)
+        edges = g.edges
         for oxygen in (2, 3, 4):
-            first_two = [g.edges[i] for i in g.in_edges(oxygen)][:2]
+            first_two = [edges[i] for i in g.in_edges(oxygen)][:2]
             for e in first_two:
                 assert e.src == 1
                 assert e.dist == pytest.approx(1.92, abs=1e-9)
@@ -79,8 +80,15 @@ class TestEdgeOrdering:
         for _ in range(10):
             s = random_structure(rng)
             g = neighbor_list(s, k=8)
+            edges = g.edges
+            # The records are a view of the columns, with Python scalars.
+            for i, e in enumerate(edges):
+                assert (e.src, e.dst, e.offset, e.dist) == (
+                    g.src[i], g.dst[i], tuple(g.offset[i]), g.dist[i])
+                assert type(e.offset) is tuple and type(e.dist) is float
+                assert all(type(x) is int for x in (e.src, e.dst, *e.offset))
             for v in range(s.n_atoms):
-                block = [g.edges[i] for i in g.in_edges(v)]
+                block = [edges[i] for i in g.in_edges(v)]
                 assert all(e.dst == v for e in block)
                 dists = [e.dist for e in block]
                 # Within a tie group order is by source, so floats may step
@@ -93,9 +101,10 @@ class TestEdgeOrdering:
         s = random_structure(rng, n_atoms=4)
         g = neighbor_list(s, k=5)
         seen = set()
+        edges = g.edges
         for v in range(4):
             for i in g.in_edges(v):
-                assert g.edges[i].dst == v
+                assert edges[i].dst == v
                 seen.add(i)
         assert seen == set(range(g.n_edges))
 
@@ -223,8 +232,9 @@ class TestInvariance:
         base = neighbor_list(cubic1, k=6)
         big = neighbor_list(doubled, k=6)
         base_d = sorted(round(e.dist, 9) for e in base.edges)
+        big_edges = big.edges
         for v in range(2):
-            got = sorted(round(big.edges[i].dist, 9) for i in big.in_edges(v))
+            got = sorted(round(big_edges[i].dist, 9) for i in big.in_edges(v))
             assert got == base_d
 
 

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import qcnet.complexes
+import qcnet.periodic
 from qcnet.autodiff import parameter
 from qcnet.features import AtomFeatureTable
 from qcnet.model import SimplexTransformer, ModelConfig, load_checkpoint, \
-    save_checkpoint
+    predict, save_checkpoint
 from qcnet.structures import DatasetRecord
 from qcnet.training import (AdamW, NonFiniteLossError, TooFewSamplesError,
                             TrainConfig, evaluate, finetune, kfold_split,
-                            metrics_report, one_cycle_lr,
+                            metrics_report, one_cycle_lr, prepare_items,
                             synthetic_overfit_dataset, train)
 
 TABLE = AtomFeatureTable.random(0)
@@ -260,6 +262,22 @@ class TestTrainLoop:
             tiny_config(loss="huber")
         with pytest.raises(ValueError):
             tiny_config(peak_lr=0.0)
+
+
+class TestColumnarPipeline:
+    def test_no_edge_or_triangle_records_built(self, monkeypatch):
+        # The hot path reads the columns; the records are views for callers.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-edge or per-triangle record built")
+        monkeypatch.setattr(qcnet.periodic, "PeriodicEdge", forbidden)
+        monkeypatch.setattr(qcnet.complexes, "Triangle", forbidden)
+        records = synthetic_overfit_dataset(2, seed=7)
+        items = prepare_items(records, TABLE, 12)
+        assert all(c.n_triangles > 0 for c, _ in items)
+        result = train(tiny_config(epochs=1, batch_size=2, k_neighbors=12),
+                       records, table=TABLE)
+        assert len(result.history) == 1
+        assert np.all(np.isfinite(predict(result.model, items)))
 
 
 class TestFinetune:
