@@ -5,12 +5,13 @@ walks the tape in reverse topological order and accumulates gradients into
 every tensor with ``requires_grad``.  The op set is exactly what the
 simplex-attention model needs: broadcasting arithmetic, matmul, concat,
 row gather / segment sum (the scatter pair used for message aggregation),
-reductions, and the activations.  All accumulation happens in a fixed order
-determined by tape construction, so given identical inputs the gradients are
-bit-for-bit reproducible.
+full reductions for the loss, the activations, and ``normalize``.  All
+accumulation happens in a fixed order determined by tape construction, so
+given identical inputs the gradients are bit-for-bit reproducible.
 
-Normalization layers are built from these primitives elsewhere, which makes
-gradients flow through the batch statistics without any special casing.
+``normalize`` is the one formula behind batch and layer normalization: a
+single node whose pullback carries the gradient through the mean and the
+variance along the normalized axis.
 
 An op output joins the tape only when a gradient can reach it: some operand
 requires one and recording is on.  Anything else keeps neither its parents
@@ -45,14 +46,8 @@ def no_grad():
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; the tanh form cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def silu_np(x: np.ndarray) -> np.ndarray:
@@ -157,21 +152,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _ensure(other)
-
-        def pullback(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(
-                    -g * self.data / (other.data * other.data),
-                    other.data.shape))
-        return _record(self.data / other.data, (self, other), pullback)
-
-    def __rtruediv__(self, other):
-        return _ensure(other) / self
-
     def __matmul__(self, other):
         other = _ensure(other)
 
@@ -186,13 +166,6 @@ class Tensor:
 
     def square(self):
         return self * self
-
-    def sqrt(self):
-        value = np.sqrt(self.data)
-
-        def pullback(g):
-            self._accumulate(g * 0.5 / value)
-        return _record(value, (self,), pullback)
 
     def abs(self):
         def pullback(g):
@@ -215,20 +188,13 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis: int | None = None, keepdims: bool = False):
+    def sum(self):
         def pullback(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                expand = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(expand,
-                                                 self.data.shape).copy())
-        return _record(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                       pullback)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+        return _record(self.data.sum(), (self,), pullback)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False):
-        count = (self.data.size if axis is None else self.data.shape[axis])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
 
 def _record(value, parents: tuple, pullback) -> Tensor:
@@ -280,6 +246,29 @@ def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
         np.add.at(acc, index, g)
         t._accumulate(acc)
     return _record(t.data[index], (t,), pullback)
+
+
+def normalize(t: Tensor, axis: int, eps: float
+              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps)`` along ``axis`` as one tape node.
+
+    The variance is the biased one.  Also returns the mean and variance
+    arrays, with ``axis`` reduced away.  With ``s = sqrt(var + eps)`` and
+    ``n`` entries along ``axis``, d xhat_i / d x_j = (delta_ij - 1/n) / s -
+    xhat_i xhat_j / (n s), which the pullback applies without forming it.
+    """
+    mean = t.data.mean(axis=axis, keepdims=True)
+    centered = t.data - mean
+    var = np.square(centered).mean(axis=axis, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+
+    def pullback(g):
+        t._accumulate(inv_std * (
+            g - g.mean(axis=axis, keepdims=True)
+            - xhat * (g * xhat).mean(axis=axis, keepdims=True)))
+    return (_record(xhat, (t,), pullback), np.squeeze(mean, axis),
+            np.squeeze(var, axis))
 
 
 def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:

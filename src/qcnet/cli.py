@@ -238,6 +238,10 @@ def _train_config_from_ini(cp: configparser.ConfigParser, seed: int,
         raise CliError(EXIT_CONFIG, f"bad training config: {exc}")
 
 
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
 def _split_records(records):
     train = [r for r in records if r.split_tag in (None, "train")]
     val = [r for r in records if r.split_tag == "val"]
@@ -277,10 +281,6 @@ def _run_training(args, finetune_from: str | None) -> int:
                     extra={"atom_table": table_desc,
                            "k_neighbors": config.k_neighbors,
                            "seed": seed})
-    with open(os.path.join(out_dir, "history.jsonl"), "w",
-              encoding="utf-8") as fh:
-        for entry in result.history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
     train_metrics = evaluate(result.model, train_records, table,
                              config.k_neighbors)
     val_metrics = (evaluate(result.model, val_records, table,
@@ -297,10 +297,13 @@ def _run_training(args, finetune_from: str | None) -> int:
         "train_metrics": train_metrics.to_dict(),
         "val_metrics": val_metrics.to_dict() if val_metrics else None,
     }
-    with open(os.path.join(out_dir, "metrics.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    from .features import replace_files
+    replace_files([
+        (os.path.join(out_dir, "history.jsonl"),
+         [(json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+          for entry in result.history]),
+        (os.path.join(out_dir, "metrics.json"), [_json_bytes(summary)]),
+    ])
     print(f"seed: {seed}")
     print(f"checkpoint: {checkpoint_path}")
     print(f"train mae: {train_metrics.mae:.6f}")
@@ -370,9 +373,8 @@ def cmd_eval(args) -> int:
     report = evaluate(model, records, table, k)
     payload = report.to_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        from .features import replace_files
+        replace_files([(args.out, [_json_bytes(payload)])])
     for key in ("n", "mae", "mse", "rmse", "mad", "cod", "pcc",
                 "mad_mae_ratio", "status"):
         print(f"{key}: {payload[key]}")
@@ -439,9 +441,8 @@ def cmd_homology(args) -> int:
         out["star_betti_glued"] = star.betti_glued
         out["constructions_agree"] = not disagreement
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        from .features import replace_files
+        replace_files([(args.out, [_json_bytes(out)])])
     # A false verdict always fails; a star/pairwise disagreement only
     # fails under --strict (the report shows it either way).
     if not report.all_verified:

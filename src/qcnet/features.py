@@ -132,7 +132,7 @@ def edge_features(g: PeriodicGraph, vfeats: np.ndarray) -> np.ndarray:
     """(m, 376) rows: [rbf(-0.75/d) | src vector | dst vector]."""
     if g.n_edges and g.dist.min() <= 0.0:
         raise NonPositiveDistanceError(
-            f"edge distance {g.dist.min()!r} is not positive")
+            f"edge distance {float(g.dist.min())} is not positive")
     rbf = edge_bank().expand(-0.75 / g.dist)
     return np.concatenate([rbf, vfeats[g.src], vfeats[g.dst]], axis=1)
 

@@ -21,10 +21,14 @@ a two-hidden-layer MLP head to a scalar.
 BatchNorm normalizes over the message population of one layer application
 (batch statistics in train mode with running-stat updates, frozen running
 stats in eval mode), so eval predictions are independent of batching.
-Everything runs in float64 on the autodiff tape; a layer whose update path
-is zero-initialized is an exact identity.  Only ``loss_and_gradients``
-records the tape: ``predict``, ``batch_loss`` and ``layer_update`` run the
-same ops under ``autodiff.no_grad()`` and keep no intermediates.
+Train-mode BatchNorm is ``autodiff.normalize`` over the rows (axis 0) and
+LayerNorm is the same op over each row's features (axis 1), each followed
+by its affine gamma/beta.  ``_attention_stage`` is the one implementation
+of the formula above.  Everything runs in float64 on the autodiff tape; a
+layer whose update path is zero-initialized is an exact identity.  Only
+``loss_and_gradients`` records the tape: ``predict``, ``batch_loss`` and
+``layer_update`` run the same ops under ``autodiff.no_grad()`` and keep no
+intermediates.
 """
 
 from __future__ import annotations
@@ -93,18 +97,16 @@ class BatchNorm:
 
     def apply(self, x: Tensor, mode: str) -> Tensor:
         if mode == "train":
-            mu = x.mean(axis=0, keepdims=True)
-            var = (x - mu).square().mean(axis=0, keepdims=True)
+            xhat, mean, var = ad.normalize(x, 0, BN_EPS)
             # Buffer updates are side effects outside the tape; biased
             # variance feeds both normalization and the running estimate.
             self.run_mean = ((1.0 - BN_MOMENTUM) * self.run_mean
-                             + BN_MOMENTUM * mu.data[0])
+                             + BN_MOMENTUM * mean)
             self.run_var = ((1.0 - BN_MOMENTUM) * self.run_var
-                            + BN_MOMENTUM * var.data[0])
-            xhat = (x - mu) / (var + BN_EPS).sqrt()
+                            + BN_MOMENTUM * var)
         else:
             xhat = ((x - constant(self.run_mean))
-                    / constant(np.sqrt(self.run_var + BN_EPS)))
+                    * constant(1.0 / np.sqrt(self.run_var + BN_EPS)))
         return xhat * self.gamma + self.beta
 
 
@@ -120,9 +122,7 @@ class LayerNorm:
         return cls(parameter(np.ones(dim)), parameter(np.zeros(dim)))
 
     def apply(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=1, keepdims=True)
-        var = (x - mu).square().mean(axis=1, keepdims=True)
-        xhat = (x - mu) / (var + LN_EPS).sqrt()
+        xhat, _, _ = ad.normalize(x, 1, LN_EPS)
         return xhat * self.gamma + self.beta
 
 
@@ -365,40 +365,6 @@ def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
         agg = segment_sum(msg, pairs.sigma, n)
     upd = layer.upd_bn.apply(agg @ layer.upd_w + layer.upd_b, mode).silu()
     return h + upd
-
-
-def attention_alpha(h_sigma: np.ndarray, h_tau: np.ndarray,
-                    h_coface: np.ndarray,
-                    layer: AttentionLayer) -> np.ndarray:
-    """Pre-normalization attention coefficients of a single pair (2H,)."""
-    hidden = h_sigma.shape[-1]
-    q = np.concatenate([h_sigma @ layer.q.data] * 2)
-    k = np.concatenate([h_tau @ layer.k_face.data,
-                        h_coface @ layer.k_cof.data])
-    k = ad.silu_np(k @ layer.key_w.data + layer.key_b.data)
-    return q * k / np.sqrt(2.0 * hidden)
-
-
-def attention_message(h_sigma: np.ndarray, h_tau: np.ndarray,
-                      h_coface: np.ndarray, layer: AttentionLayer,
-                      mode: str = "eval") -> np.ndarray:
-    """Gated value message of a single pair (2H,).
-
-    In train mode the normalization population is just this one message.
-    """
-    alpha = attention_alpha(h_sigma, h_tau, h_coface, layer)
-    if mode == "train":
-        # Population of one message: x - mean(x) is identically zero.
-        norm = np.zeros_like(alpha)
-    else:
-        norm = ((alpha - layer.attn_bn.run_mean)
-                / np.sqrt(layer.attn_bn.run_var + BN_EPS))
-    gated = ad.sigmoid_np(norm * layer.attn_bn.gamma.data
-                          + layer.attn_bn.beta.data)
-    v = np.concatenate([h_tau @ layer.v_face.data,
-                        h_coface @ layer.v_cof.data])
-    v = ad.silu_np(v @ layer.val_w.data + layer.val_b.data)
-    return gated * v
 
 
 def layer_update(h: np.ndarray, h_cof: np.ndarray, pairs: MessagingPairs,

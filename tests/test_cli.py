@@ -185,25 +185,59 @@ class TestFeaturize:
 
 
 class TestInterruptedWrites:
-    @pytest.mark.parametrize("argv, failing_file", [
-        (["build", POSCAR, "-o", "c.json"], 0),
-        (["featurize", POSCAR, "-o", "f"], 0),
-        (["featurize", POSCAR, "-o", "f"], 3),
-    ], ids=["build", "featurize-array", "featurize-header"])
-    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch,
-                                                 capsys, argv, failing_file):
-        argv = argv[:-1] + [str(tmp_path / argv[-1])]
-        assert main(argv + ["--k", "4"]) == EXIT_OK
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    @pytest.fixture
+    def inputs(self, tmp_path, run_config, dataset):
+        cfg, _ = run_config()
+        checkpoint = tmp_path / "m.ckpt"
+        save_checkpoint(SimplexTransformer.init(ModelConfig(4, 4)),
+                        checkpoint, extra={"k_neighbors": 4})
+        (tmp_path / "k.json").write_text("[[0,1],[1,2]]")
+        (tmp_path / "p.json").write_text("[[0,1,2]]")
+        return {"tmp": tmp_path, "poscar": POSCAR, "cfg": cfg,
+                "data": dataset, "ckpt": checkpoint}
+
+    # Each row runs argv + first, then argv + second with the failing_file-th
+    # open of replace_files failing (counted from the end of the first run's
+    # opens when negative).  A train rerun is identical, so its checkpoint
+    # bytes match and any change is a half-written history or metrics file.
+    @pytest.mark.parametrize("argv, first, second, failing_file", [
+        (["build", "{poscar}", "-o", "{tmp}/c.json"],
+         ["--k", "4"], ["--k", "6"], 0),
+        (["featurize", "{poscar}", "-o", "{tmp}/f"],
+         ["--k", "4"], ["--k", "6"], 0),
+        (["featurize", "{poscar}", "-o", "{tmp}/f"],
+         ["--k", "4"], ["--k", "6"], 3),
+        (["train", "{cfg}"], [], [], -2),
+        (["train", "{cfg}"], [], [], -1),
+        (["eval", "--checkpoint", "{ckpt}", "--dataset", "{data}",
+          "-o", "{tmp}/r.json"], ["--k", "4"], ["--k", "6"], 0),
+        (["homology", "{tmp}/k.json", "{tmp}/p.json", "-o", "{tmp}/h.json"],
+         [], ["--construction", "pairwise"], 0),
+    ], ids=["build", "featurize-array", "featurize-header", "train-history",
+            "train-metrics", "eval", "homology"])
+    def test_failed_write_keeps_previous_outputs(self, inputs, monkeypatch,
+                                                 capsys, argv, first, second,
+                                                 failing_file):
+        argv = [arg.format(**inputs) for arg in argv]
+
+        def outputs():
+            return {p: p.read_bytes() for p in inputs["tmp"].rglob("*")
+                    if p.is_file()}
+        opened = []
+        monkeypatch.setattr(qcnet.features, "open",
+                            open_failing_at(None, opened), raising=False)
+        assert main(argv + first) == EXIT_OK
+        failing_file %= len(opened)
+        before = outputs()
         opened = []
         monkeypatch.setattr(qcnet.features, "open",
                             open_failing_at(failing_file, opened),
                             raising=False)
-        assert main(argv + ["--k", "6"]) == EXIT_INPUT
+        assert main(argv + second) == EXIT_INPUT
         monkeypatch.undo()
         assert len(opened) == failing_file + 1
         assert "No space left" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert outputs() == before
 
 
 class TestTrain:

@@ -105,7 +105,8 @@ class TestEdgeFeatures:
                           dst=np.zeros(1, np.int64),
                           offset=np.zeros((1, 3), np.int64),
                           dist=np.zeros(1))
-        with pytest.raises(NonPositiveDistanceError):
+        with pytest.raises(NonPositiveDistanceError,
+                           match=r"^edge distance 0\.0 is not positive$"):
             edge_features(g, np.zeros((1, VERTEX_DIM)))
 
     def test_empty_graph(self, table):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 import qcnet.autodiff as ad
 import qcnet.features
 from qcnet.autodiff import constant, parameter
-from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
+from qcnet.complexes import MessagingPairs, build_complex, edge_pairs, \
+    vertex_pairs
 from qcnet.features import AtomFeatureTable, raw_features
 from qcnet.model import (BatchNorm, CheckpointMismatchError, EmptyComplexError,
                          LayerNorm, AttentionLayer, ModelConfig,
                          NonFiniteActivationError, SimplexTransformer,
-                         _checkpoint_layout, _predict_tensor, attention_alpha,
-                         attention_message, batch_loss, forward,
-                         layer_update, load_checkpoint, loss_and_gradients,
+                         _attention_stage, _checkpoint_layout,
+                         _predict_tensor, batch_loss, forward, layer_update, load_checkpoint, loss_and_gradients,
                          merge_batch, predict, read_sidecar, save_checkpoint)
 from qcnet.periodic import neighbor_list
 from qcnet.structures import CrystalStructure
@@ -93,6 +93,23 @@ class TestNormalization:
                 num[i, j] = (fp - fm) / (2 * eps)
         np.testing.assert_allclose(x.grad, num, rtol=1e-5, atol=1e-8)
 
+    def test_train_norms_add_three_tape_nodes(self, monkeypatch):
+        x = parameter(np.random.default_rng(0).standard_normal((5, 3)))
+        bn, ln = BatchNorm.init(3), LayerNorm.init(3)
+        created = []
+        init = ad.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        bn.apply(x, "train")
+        n_batch = len(created)
+        ln.apply(x)
+        monkeypatch.undo()
+        assert (n_batch, len(created) - n_batch) == (3, 3)
+        assert all(t.requires_grad for t in created)
+
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
         x = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 10.0, 10.0, 10.0]])
@@ -101,68 +118,98 @@ class TestNormalization:
         np.testing.assert_allclose(out[1], 0.0, atol=1e-9)  # zero variance row
 
 
+def _silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
 class TestAttentionHandTrace:
-    def _fixed_layer(self, hidden, seed):
+    """``_attention_stage`` on one (sigma, tau, coface) pair against the
+    module docstring formula written out in plain numpy."""
+
+    @staticmethod
+    def _layer(hidden, seed):
         rng = np.random.default_rng(seed)
-        return AttentionLayer.init(hidden, rng)
+        layer = AttentionLayer.init(hidden, rng)
+        for norm in (layer.attn_bn, layer.msg_ln):
+            norm.gamma.data[:] = rng.uniform(0.5, 1.5, norm.gamma.shape)
+            norm.beta.data[:] = rng.uniform(-0.5, 0.5, norm.beta.shape)
+        return layer
+
+    @staticmethod
+    def _stage(layer, hidden, mode, seed):
+        """(h_sigma, h_tau, h_coface, stage output row) for one pair."""
+        hs, ht, hc = np.random.default_rng(seed).standard_normal((3, hidden))
+        pairs = MessagingPairs(np.array([0]), np.array([1]), np.array([0]))
+        out = _attention_stage(constant(np.stack([hs, ht])),
+                               constant(hc[None]), pairs, layer, mode,
+                               hidden)
+        return hs, ht, hc, out.data[0]
+
+    @staticmethod
+    def _unscaled_alpha(hs, ht, hc, layer):
+        q = hs @ layer.q.data
+        k = np.concatenate([ht @ layer.k_face.data, hc @ layer.k_cof.data])
+        return (np.concatenate([q, q])
+                * _silu(k @ layer.key_w.data + layer.key_b.data))
+
+    @staticmethod
+    def _message(gate, ht, hc, layer):
+        v = np.concatenate([ht @ layer.v_face.data, hc @ layer.v_cof.data])
+        m = gate * _silu(v @ layer.val_w.data + layer.val_b.data)
+        z = m @ layer.msg_w.data + layer.msg_b.data
+        z = (z - z.mean()) / np.sqrt(z.var() + 1e-5)
+        return _silu(z * layer.msg_ln.gamma.data + layer.msg_ln.beta.data)
+
+    def _eval_reference(self, hs, ht, hc, layer, hidden):
+        bn = layer.attn_bn
+        alpha = (self._unscaled_alpha(hs, ht, hc, layer)
+                 / np.sqrt(2.0 * hidden))
+        norm = (alpha - bn.run_mean) / np.sqrt(bn.run_var + 1e-5)
+        gate = 1.0 / (1.0 + np.exp(-(norm * bn.gamma.data + bn.beta.data)))
+        return self._message(gate, ht, hc, layer)
 
     def test_alpha_formula(self):
         hidden = 3
-        layer = self._fixed_layer(hidden, 40)
-        rng = np.random.default_rng(41)
-        hs, ht, hc = rng.standard_normal((3, hidden))
-        got = attention_alpha(hs, ht, hc, layer)
-        # Straight-line recomputation with plain numpy.
-        q = hs @ layer.q.data
-        qq = np.concatenate([q, q])
-        k = np.concatenate([ht @ layer.k_face.data, hc @ layer.k_cof.data])
-        pre = k @ layer.key_w.data + layer.key_b.data
-        k = pre / (1.0 + np.exp(-pre))
-        expected = qq * k / np.sqrt(2.0 * hidden)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        layer = self._layer(hidden, 40)
+        hs, ht, hc, got = self._stage(layer, hidden, "eval", 41)
+        np.testing.assert_allclose(
+            got, self._eval_reference(hs, ht, hc, layer, hidden), atol=1e-12)
 
     def test_message_eval_uses_running_stats(self):
         hidden = 2
-        layer = self._fixed_layer(hidden, 42)
+        layer = self._layer(hidden, 42)
         layer.attn_bn.run_mean[:] = [0.1, -0.2, 0.3, 0.05]
         layer.attn_bn.run_var[:] = [1.0, 2.0, 0.5, 4.0]
-        rng = np.random.default_rng(43)
-        hs, ht, hc = rng.standard_normal((3, hidden))
-        got = attention_message(hs, ht, hc, layer, mode="eval")
-        alpha = attention_alpha(hs, ht, hc, layer)
-        norm = (alpha - layer.attn_bn.run_mean) / np.sqrt(
-            layer.attn_bn.run_var + 1e-5)
-        gate = 1.0 / (1.0 + np.exp(-(norm * layer.attn_bn.gamma.data
-                                     + layer.attn_bn.beta.data)))
-        v = np.concatenate([ht @ layer.v_face.data, hc @ layer.v_cof.data])
-        pre = v @ layer.val_w.data + layer.val_b.data
-        v = pre / (1.0 + np.exp(-pre))
-        np.testing.assert_allclose(got, gate * v, atol=1e-12)
+        hs, ht, hc, got = self._stage(layer, hidden, "eval", 43)
+        np.testing.assert_allclose(
+            got, self._eval_reference(hs, ht, hc, layer, hidden), atol=1e-12)
+        np.testing.assert_array_equal(layer.attn_bn.run_mean,
+                                      [0.1, -0.2, 0.3, 0.05])
 
     def test_message_train_single_pair_centers_to_zero(self):
         hidden = 2
-        layer = self._fixed_layer(hidden, 44)
-        rng = np.random.default_rng(45)
-        hs, ht, hc = rng.standard_normal((3, hidden))
-        got = attention_message(hs, ht, hc, layer, mode="train")
-        # The gate collapses to sigmoid(beta) = 0.5 with beta = 0.
-        v = np.concatenate([ht @ layer.v_face.data, hc @ layer.v_cof.data])
-        pre = v @ layer.val_w.data + layer.val_b.data
-        v = pre / (1.0 + np.exp(-pre))
-        np.testing.assert_allclose(got, 0.5 * v, atol=1e-12)
+        layer = self._layer(hidden, 44)
+        _, ht, hc, got = self._stage(layer, hidden, "train", 45)
+        # One message: alpha - mean(alpha) is identically zero, so the gate
+        # is sigmoid(beta).
+        gate = 1.0 / (1.0 + np.exp(-layer.attn_bn.beta.data))
+        np.testing.assert_allclose(got, self._message(gate, ht, hc, layer),
+                                   atol=1e-12)
 
     def test_scaling_factor_sqrt_2h(self):
         for hidden in (1, 2, 8):
-            layer = self._fixed_layer(hidden, 46)
-            hs = np.ones(hidden)
-            got = attention_alpha(hs, hs, hs, layer)
-            unscaled_q = np.concatenate([hs @ layer.q.data] * 2)
-            k = np.concatenate([hs @ layer.k_face.data,
-                                hs @ layer.k_cof.data])
-            pre = k @ layer.key_w.data + layer.key_b.data
-            k = ad.silu_np(pre)
-            np.testing.assert_allclose(got * np.sqrt(2.0 * hidden),
-                                       unscaled_q * k, atol=1e-12)
+            layer = self._layer(hidden, 46)
+            hs, ht, hc, got = self._stage(layer, hidden, "eval", 47)
+            np.testing.assert_allclose(
+                got, self._eval_reference(hs, ht, hc, layer, hidden),
+                atol=1e-12)
+            # A train step on one message moves run_mean from 0 to 0.1 alpha,
+            # which exposes alpha itself even where LayerNorm over a single
+            # feature (H = 1) hides it from the message.
+            self._stage(layer, hidden, "train", 47)
+            np.testing.assert_allclose(
+                layer.attn_bn.run_mean / 0.1 * np.sqrt(2.0 * hidden),
+                self._unscaled_alpha(hs, ht, hc, layer), atol=1e-12)
 
 
 class TestResidualIdentity:
