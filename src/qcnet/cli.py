@@ -219,8 +219,7 @@ def _read_run_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _train_config_from_ini(cp: configparser.ConfigParser, seed: int,
-                           checkpoint_path: str):
+def _train_config_from_ini(cp: configparser.ConfigParser, seed: int):
     from .training import TrainConfig
     try:
         return TrainConfig(
@@ -232,8 +231,7 @@ def _train_config_from_ini(cp: configparser.ConfigParser, seed: int,
             k_neighbors=cp.getint("train", "k_neighbors", fallback=12),
             seed=seed,
             hidden_dim=cp.getint("model", "hidden_dim", fallback=64),
-            head_hidden=cp.getint("model", "head_hidden", fallback=64),
-            checkpoint_path=checkpoint_path)
+            head_hidden=cp.getint("model", "head_hidden", fallback=64))
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"bad training config: {exc}")
 
@@ -257,7 +255,7 @@ def _run_training(args, finetune_from: str | None) -> int:
     out_dir = cp.get("output", "dir")
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
-    config = _train_config_from_ini(cp, seed, checkpoint_path)
+    config = _train_config_from_ini(cp, seed)
     records = _load_records(cp.get("data", "train"))
     train_records, val_records = _split_records(records)
     if cp.has_option("data", "val"):
@@ -358,10 +356,21 @@ def _model_and_table(checkpoint: str, table_arg: str | None,
     model = load_checkpoint(checkpoint)
     try:
         extra = read_sidecar(checkpoint).get("extra", {})
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, AttributeError):
+        extra = {}  # missing, unreadable, or not a JSON object
+    if not isinstance(extra, dict):
         extra = {}
-    table_desc = table_arg or extra.get("atom_table", "random:0")
-    k = k_arg if k_arg is not None else int(extra.get("k_neighbors", 12))
+
+    def recorded(key, flag, default):
+        if flag is not None:
+            return flag
+        if key not in extra:
+            print(f"warning: {checkpoint}.json records no {key}; "
+                  f"using {default}", file=sys.stderr)
+        return extra.get(key, default)
+
+    table_desc = recorded("atom_table", table_arg, "random:0")
+    k = int(recorded("k_neighbors", k_arg, 12))
     return model, _load_table(table_desc), k
 
 

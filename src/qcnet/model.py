@@ -259,50 +259,35 @@ class SimplexTransformer:
 
     # -- parameter bookkeeping ---------------------------------------------
 
-    def _layer_items(self):
-        for i, layer in enumerate(self.node_layers):
-            yield f"node.{i}", layer
+    def _fields(self):
+        """(name, value) of every field in declared order: embeds, then the
+        layers, then the head; a norm is yielded whole, not descended."""
+        items = [(f"embed.{i}", emb) for i, emb in enumerate(self.embeds)]
+        items += [(f"node.{i}", layer)
+                  for i, layer in enumerate(self.node_layers)]
         for i, block in enumerate(self.edge_node_blocks):
-            yield f"edge_node.{i}.edge", block.edge
-            yield f"edge_node.{i}.node", block.node
+            items += [(f"edge_node.{i}.edge", block.edge),
+                      (f"edge_node.{i}.node", block.node)]
+        items.append(("head", self.head))
+        for prefix, part in items:
+            for f in dataclasses.fields(part):
+                yield f"{prefix}.{f.name}", getattr(part, f.name)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """(name, tensor) pairs in the declared (checkpoint) order."""
+        """(name, tensor) pairs in the declared (checkpoint) order; a norm
+        field contributes ``<field>.gamma`` then ``<field>.beta``."""
         items: list[tuple[str, Tensor]] = []
-        for i, emb in enumerate(self.embeds):
-            items += [(f"embed.{i}.w", emb.w), (f"embed.{i}.b", emb.b)]
-        for prefix, layer in self._layer_items():
-            items += [
-                (f"{prefix}.q", layer.q),
-                (f"{prefix}.k_face", layer.k_face),
-                (f"{prefix}.k_cof", layer.k_cof),
-                (f"{prefix}.v_face", layer.v_face),
-                (f"{prefix}.v_cof", layer.v_cof),
-                (f"{prefix}.key_w", layer.key_w),
-                (f"{prefix}.key_b", layer.key_b),
-                (f"{prefix}.val_w", layer.val_w),
-                (f"{prefix}.val_b", layer.val_b),
-                (f"{prefix}.attn_bn.gamma", layer.attn_bn.gamma),
-                (f"{prefix}.attn_bn.beta", layer.attn_bn.beta),
-                (f"{prefix}.msg_w", layer.msg_w),
-                (f"{prefix}.msg_b", layer.msg_b),
-                (f"{prefix}.msg_ln.gamma", layer.msg_ln.gamma),
-                (f"{prefix}.msg_ln.beta", layer.msg_ln.beta),
-                (f"{prefix}.upd_w", layer.upd_w),
-                (f"{prefix}.upd_b", layer.upd_b),
-                (f"{prefix}.upd_bn.gamma", layer.upd_bn.gamma),
-                (f"{prefix}.upd_bn.beta", layer.upd_bn.beta),
-            ]
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            items.append((f"head.{name}", getattr(self.head, name)))
+        for name, value in self._fields():
+            if isinstance(value, Tensor):
+                items.append((name, value))
+            else:
+                items += [(f"{name}.gamma", value.gamma),
+                          (f"{name}.beta", value.beta)]
         return items
 
     def batch_norms(self) -> list[tuple[str, BatchNorm]]:
-        out = []
-        for prefix, layer in self._layer_items():
-            out += [(f"{prefix}.attn_bn", layer.attn_bn),
-                    (f"{prefix}.upd_bn", layer.upd_bn)]
-        return out
+        return [(name, value) for name, value in self._fields()
+                if isinstance(value, BatchNorm)]
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -318,14 +303,23 @@ class SimplexTransformer:
         for _, t in self.parameters():
             t.zero_grad()
 
+    def state(self) -> list[np.ndarray]:
+        """Parameter data then buffers, in the declared (checkpoint) order."""
+        return ([t.data for _, t in self.parameters()]
+                + [buf for _, buf in self.buffers()])
+
+    def load_state(self, arrays: list[np.ndarray]) -> None:
+        """Copy arrays in ``state()`` order into this model.  Parameters are
+        written in place, so optimizers holding them stay valid."""
+        it = iter(arrays)
+        for _, t in self.parameters():
+            t.data[...] = next(it)
+        for _, bn in self.batch_norms():
+            bn.run_mean = np.array(next(it))
+            bn.run_var = np.array(next(it))
+
     def copy_state_from(self, other: "SimplexTransformer") -> None:
-        for (_, mine), (_, theirs) in zip(self.parameters(),
-                                          other.parameters()):
-            mine.data[...] = theirs.data
-        for (_, mine_bn), (_, theirs_bn) in zip(self.batch_norms(),
-                                                other.batch_norms()):
-            mine_bn.run_mean = theirs_bn.run_mean.copy()
-            mine_bn.run_var = theirs_bn.run_var.copy()
+        self.load_state(other.state())
 
     def clone(self) -> "SimplexTransformer":
         fresh = SimplexTransformer.init(self.config, seed=0)
@@ -535,8 +529,7 @@ def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
     previous checkpoint and sidecar intact.
     """
     path = os.fspath(path)
-    arrays = [t.data for _, t in model.parameters()]
-    arrays += [buf for _, buf in model.buffers()]
+    arrays = model.state()
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         model.config.hidden_dim, model.config.head_hidden,
@@ -617,16 +610,12 @@ def load_checkpoint(path: str | os.PathLike,
             f"trailing bytes: {len(blob) - expected_size} unread")
     model = SimplexTransformer.init(
         ModelConfig(hidden_dim=hidden, head_hidden=head_hidden), seed=0)
+    arrays = []
     offset = _HEADER.size
-    for _, t in model.parameters():
-        t.data[...] = np.frombuffer(blob, dtype="<f8", count=t.data.size,
-                                    offset=offset).reshape(t.data.shape)
-        offset += t.data.nbytes
-    for _, bn in model.batch_norms():
-        for attr in ("run_mean", "run_var"):
-            size = getattr(bn, attr).size
-            setattr(bn, attr, np.frombuffer(blob, dtype="<f8", count=size,
-                                            offset=offset).copy())
-            offset += size * 8
+    for arr in model.state():
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                    offset=offset).reshape(arr.shape))
+        offset += arr.nbytes
+    model.load_state(arrays)
     model.mode = "eval"
     return model

@@ -256,9 +256,12 @@ def poscar_text(s: CrystalStructure) -> str:
 
     Consecutive runs of equal species become one symbol/count column, so a
     parse round-trip reproduces species and coordinates exactly (floats are
-    written with repr).
+    written with repr).  The id is the comment line, so an id that spans
+    lines raises ValueError.
     """
     validate_finite(s)
+    if s.id and s.id.splitlines() != [s.id]:
+        raise ValueError(f"id {s.id!r} does not fit the one-line comment")
     runs: list[tuple[int, int]] = []
     for z in s.species:
         if runs and runs[-1][0] == int(z):

@@ -113,17 +113,12 @@ class AdamW:
         self.v = [np.zeros_like(t.data) for t in tensors]
         self.t = 0
 
-    def step(self, lr: float, grads: list[np.ndarray] | None = None) -> None:
+    def step(self, lr: float, grads: list[np.ndarray]) -> None:
+        """One update; ``grads`` align with the tensors given at init."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.tensors):
-            if grads is not None:
-                g = grads[i]
-            elif p.grad is not None:
-                g = p.grad
-            else:
-                g = np.zeros_like(p.data)
+        for i, (p, g) in enumerate(zip(self.tensors, grads, strict=True)):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / bc1
@@ -222,22 +217,6 @@ class TrainResult:
     best_epoch: int | None = None
 
 
-def _snapshot(model: SimplexTransformer):
-    params = [t.data.copy() for _, t in model.parameters()]
-    bns = [(bn.run_mean.copy(), bn.run_var.copy())
-           for _, bn in model.batch_norms()]
-    return params, bns
-
-
-def _restore(model: SimplexTransformer, snap) -> None:
-    params, bns = snap
-    for (_, t), data in zip(model.parameters(), params):
-        t.data[...] = data
-    for (_, bn), (mean, var) in zip(model.batch_norms(), bns):
-        bn.run_mean = mean.copy()
-        bn.run_var = var.copy()
-
-
 def train(config: TrainConfig, train_records: list[DatasetRecord],
           val_records: list[DatasetRecord] = (),
           table: AtomFeatureTable | None = None,
@@ -246,11 +225,12 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     """Train, tracking the best model by validation loss.
 
     Without a validation set the training loss selects the best epoch.  The
-    best state is persisted to ``config.checkpoint_path`` (if set) whenever
-    it improves, and the returned model carries it.  ``initial_model`` is
-    cloned, so finetuning from a checkpoint equals training from scratch
-    with identical weights: the shuffle stream does not depend on whether
-    init consumed randomness.
+    best state is kept in memory and the returned model carries it.  With
+    ``config.checkpoint_path`` set, the returned model is written there
+    once, after the last epoch; a run that raises writes nothing.
+    ``initial_model`` is cloned, so finetuning from a checkpoint equals
+    training from scratch with identical weights: the shuffle stream does
+    not depend on whether init consumed randomness.
     """
     if table is None:
         raise ValueError("an atom feature table is required")
@@ -278,7 +258,7 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     history: list[dict] = []
     best_loss = math.inf
     best_epoch: int | None = None
-    best_snap = None
+    best = model.clone()
     global_step = 0
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -315,12 +295,12 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
         if selection < best_loss:
             best_loss = selection
             best_epoch = epoch
-            best_snap = _snapshot(model)
-            if config.checkpoint_path:
-                save_checkpoint(model, config.checkpoint_path)
-    if best_snap is not None:
-        _restore(model, best_snap)
+            best.copy_state_from(model)
+    if best_epoch is not None:
+        model.copy_state_from(best)
     model.set_mode("eval")
+    if config.checkpoint_path:
+        save_checkpoint(model, config.checkpoint_path)
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
 
 

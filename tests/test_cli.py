@@ -289,6 +289,15 @@ class TestTrain:
         cfg, _ = run_config(train={"epochs": "-3"})
         assert main(["train", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_loss_writes_no_checkpoint(self, run_config, capsys):
+        cfg, out_dir = run_config(train={"peak_lr": "1e25", "loss": "mse",
+                                         "epochs": "8", "batch_size": "4"})
+        assert main(["train", str(cfg)]) == EXIT_NUMERIC
+        assert "loss became" in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt").exists()
+        assert not (out_dir / "model.ckpt.json").exists()
+
 
 class TestSeedPrecedence:
     def _seed_of(self, out_dir):
@@ -356,11 +365,33 @@ class TestEvalPredict:
         args = ["predict", "--checkpoint", str(trained / "model.ckpt"),
                 POSCAR]
         assert main(args) == EXIT_OK
-        implicit = capsys.readouterr().out
+        implicit = capsys.readouterr()
+        assert implicit.err == ""
         assert main(args + ["--k", "4", "--atom-table",
                             "random:0"]) == EXIT_OK
         explicit = capsys.readouterr().out
-        assert implicit == explicit
+        assert implicit.out == explicit
+
+    @pytest.mark.parametrize(
+        "sidecar", [None, "missing", "{not json", "[1]", '{"extra": 3}'],
+        ids=["no-extra", "missing", "bad-json", "not-object", "extra-int"])
+    def test_unrecorded_defaults_warn(self, tmp_path, capsys, sidecar):
+        ckpt = tmp_path / "bare.ckpt"
+        save_checkpoint(SimplexTransformer.init(ModelConfig(4, 4), seed=0),
+                        ckpt)
+        side = tmp_path / "bare.ckpt.json"
+        if sidecar == "missing":
+            side.unlink()
+        elif sidecar is not None:
+            side.write_text(sidecar)
+        args = ["predict", "--checkpoint", str(ckpt), POSCAR]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {ckpt}.json records no atom_table; using random:0",
+            f"warning: {ckpt}.json records no k_neighbors; using 12"]
+        assert main(args + ["--k", "12", "--atom-table",
+                            "random:0"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_missing_checkpoint(self, dataset, capsys):
         assert main(["eval", "--checkpoint", "no.ckpt",

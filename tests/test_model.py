@@ -446,6 +446,50 @@ class TestParameterBookkeeping:
         m = tiny_model()
         assert len(m.buffers()) == 9 * 2 * 2  # 9 layers x 2 BN x (mean, var)
 
+    LAYER_PARAMS = ["q", "k_face", "k_cof", "v_face", "v_cof", "key_w",
+                    "key_b", "val_w", "val_b", "attn_bn.gamma",
+                    "attn_bn.beta", "msg_w", "msg_b", "msg_ln.gamma",
+                    "msg_ln.beta", "upd_w", "upd_b", "upd_bn.gamma",
+                    "upd_bn.beta"]
+
+    def test_declared_parameter_order(self):
+        # The checkpoint layout is this order; pinning the names keeps a
+        # field reorder from silently changing the file format.
+        names = [name for name, _ in tiny_model().parameters()]
+        assert names[:6] == ["embed.0.w", "embed.0.b", "embed.1.w",
+                             "embed.1.b", "embed.2.w", "embed.2.b"]
+        prefixes = [f"node.{i}" for i in range(5)] + [
+            "edge_node.0.edge", "edge_node.0.node",
+            "edge_node.1.edge", "edge_node.1.node"]
+        layers = [f"{p}.{n}" for p in prefixes for n in self.LAYER_PARAMS]
+        assert names[6:-6] == layers
+        assert names[-6:] == ["head.w1", "head.b1", "head.w2", "head.b2",
+                              "head.w3", "head.b3"]
+
+    def test_declared_buffer_order(self):
+        m = tiny_model()
+        assert [n for n, _ in m.batch_norms()][:2] == ["node.0.attn_bn",
+                                                      "node.0.upd_bn"]
+        assert [n for n, _ in m.buffers()][:4] == [
+            "node.0.attn_bn.run_mean", "node.0.attn_bn.run_var",
+            "node.0.upd_bn.run_mean", "node.0.upd_bn.run_var"]
+        assert [n for n, _ in m.buffers()][-1] == \
+            "edge_node.1.node.upd_bn.run_var"
+
+    def test_state_round_trip(self, catio3):
+        src = tiny_model(seed=3)
+        src.set_mode("train")
+        predict(src, [featurized(catio3)])  # drift the buffers
+        dst = tiny_model(seed=4)
+        held = [t for _, t in dst.parameters()]
+        dst.load_state(src.state())
+        for a, b in zip(src.state(), dst.state()):
+            np.testing.assert_array_equal(a, b)
+        # Parameters are written in place; buffers are copies.
+        assert all(t is u for t, (_, u) in zip(held, dst.parameters()))
+        assert all(a is not b for (_, a), (_, b) in zip(src.buffers(),
+                                                      dst.buffers()))
+
     def test_layer_structure_fixed(self):
         m = tiny_model()
         assert len(m.node_layers) == 5

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcnet.structures import (CrystalStructure, DatasetRecord,
+from qcnet.structures import (MAX_Z, CrystalStructure, DatasetRecord,
                               DegenerateLatticeError, ParseError,
                               UnknownSpeciesError, load_dataset, parse_poscar,
                               parse_structure, poscar_text, record_from_obj,
@@ -196,6 +198,56 @@ class TestJsonFormat:
                 np.testing.assert_array_equal(back.lattice, s.lattice)
                 np.testing.assert_array_equal(back.frac, s.frac)
                 np.testing.assert_array_equal(back.species, s.species)
+
+
+@st.composite
+def structures(draw):
+    """Diagonally dominant cells (never degenerate) with arbitrary float
+    coordinates, species runs and ids, including multi-line ones."""
+    n = draw(st.integers(1, 6))
+    diag = st.floats(1.0, 10.0)
+    off = st.floats(-0.45, 0.45)
+    lattice = np.array([[draw(diag) if i == j else draw(off)
+                         for j in range(3)] for i in range(3)])
+    coord = st.floats(-2.0, 2.0, allow_subnormal=True)
+    frac = np.array([[draw(coord) for _ in range(3)] for _ in range(n)])
+    species = draw(st.lists(st.integers(1, MAX_Z), min_size=n, max_size=n))
+    sid = draw(st.none() | st.text(max_size=12)
+               | st.sampled_from(["a\nb", "a\r\nb", "x\u2028y", "z\n"]))
+    return CrystalStructure(lattice, species, frac, id=sid)
+
+
+def assert_same_cell(back, s):
+    np.testing.assert_array_equal(back.lattice, s.lattice)
+    np.testing.assert_array_equal(back.species, s.species)
+    np.testing.assert_array_equal(back.frac, s.frac)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(s=structures())
+    def test_json(self, s):
+        back = structure_from_dict(json.loads(structure_json_text(s)))
+        assert_same_cell(back, s)
+        assert back.id == s.id
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(s=structures())
+    def test_poscar(self, s):
+        if s.id and s.id.splitlines() != [s.id]:
+            with pytest.raises(ValueError, match="one-line"):
+                poscar_text(s)
+            return
+        back = parse_poscar(poscar_text(s))
+        assert_same_cell(back, s)
+        if s.id is None or s.id == s.id.strip():
+            assert back.id == (s.id or "qcnet structure")
+
+    def test_multiline_id_rejected(self, catio3):
+        s = CrystalStructure(catio3.lattice, catio3.species, catio3.frac,
+                             id="a\nb")
+        with pytest.raises(ValueError):
+            poscar_text(s)
 
 
 class TestDataset:

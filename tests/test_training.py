@@ -5,6 +5,7 @@ import pytest
 
 import qcnet.complexes
 import qcnet.periodic
+import qcnet.training
 from qcnet.autodiff import parameter
 from qcnet.features import AtomFeatureTable
 from qcnet.model import SimplexTransformer, ModelConfig, load_checkpoint, \
@@ -90,13 +91,6 @@ class TestAdamW:
         # Zero gradient: only the decay term fires.
         assert p.data[0, 0] == pytest.approx(4.0 * (1 - 0.1 * 0.01),
                                              abs=1e-15)
-
-    def test_uses_tensor_grads_by_default(self):
-        p = parameter(np.array([[1.0]]))
-        p.grad = np.array([[2.0]])
-        opt = AdamW([p], weight_decay=0.0)
-        opt.step(lr=0.1)
-        assert p.data[0, 0] < 1.0
 
 
 class TestMetrics:
@@ -241,13 +235,33 @@ class TestTrainLoop:
         assert result.best_epoch in (0, 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_loss_raises(self):
+    def test_nonfinite_loss_raises(self, tmp_path):
         # The absurd learning rate overflows by design; the loop must stop
-        # with a diagnosed error, not march on with NaNs.
+        # with a diagnosed error, not march on with NaNs, and must not
+        # leave the checkpoint of an earlier improving epoch behind.
         recs = self._records()
-        cfg = tiny_config(peak_lr=1e25, epochs=8, loss="mse")
+        cfg = tiny_config(tmp_path, peak_lr=1e25, epochs=8, loss="mse")
         with pytest.raises(NonFiniteLossError):
             train(cfg, recs, (), TABLE)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_written_once_and_holds_returned_model(
+            self, tmp_path, monkeypatch):
+        writes = []
+        real_save = qcnet.training.save_checkpoint
+
+        def counting_save(model, path, extra=None):
+            writes.append(path)
+            real_save(model, path, extra)
+
+        monkeypatch.setattr(qcnet.training, "save_checkpoint", counting_save)
+        recs = self._records(n=8)
+        cfg = tiny_config(tmp_path, epochs=6)
+        result = train(cfg, recs[:6], recs[6:], TABLE)
+        assert writes == [cfg.checkpoint_path]
+        loaded = load_checkpoint(cfg.checkpoint_path)
+        for a, b in zip(result.model.state(), loaded.state()):
+            np.testing.assert_array_equal(a, b)
 
     def test_no_records_rejected(self):
         with pytest.raises(TooFewSamplesError):
