@@ -8,8 +8,9 @@ a fresh apex onto each class ("star" gluing) keeps the homotopy type of
 the quotient, and the inclusion-induced maps satisfy: onto in degree 0,
 injective in degree 1, isomorphisms in degrees 2 and 3.  Gluing pairwise
 instead (one apex per pair inside a class) breaks this for classes of
-three or more.  All ranks are computed over the rationals with Fraction
-entries, so every verdict below is exact, not a float claim.
+three or more.  All ranks are computed exactly over the rationals, by
+fraction-free elimination on integers, so every verdict below is exact,
+not a float claim.
 """
 
 from qcnet import SimplicialComplex, betti_numbers, verify_quotient_homology

@@ -3,8 +3,11 @@
 Complexes are finite abstract simplicial complexes on integer vertices,
 stored closed under taking faces.  Boundary matrices use the alternating
 sign convention on sorted vertex tuples (the boundary of an edge (a, b) is
-(b) - (a)), all arithmetic is fractions.Fraction, and Betti numbers come
-from exact ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
+(b) - (a)).  Ranks are exact over Q, by fraction-free sparse elimination
+on Python ints: rank d_q = rank d_q^T, so each q-simplex contributes one
+row {face index: +-1}.  A row v is reduced at its lowest index against the
+stored pivot row p as a*v - b*p, then divided by the gcd of its entries.
+Betti numbers come from those ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
 
 Identifying groups of vertices is modeled by attaching a cone: for each
 class with at least two members, a fresh apex joined by an edge to every
@@ -13,7 +16,13 @@ the quotient space, so its homology is the quotient's.  The map induced on
 homology by the inclusion of the original complex is onto in degree 0,
 injective in degree 1, and an isomorphism above; ``verify_quotient_homology``
 machine-checks those statements by computing the rank of the induced map
-directly (image of a cycle basis modulo boundaries).
+H_q(K) -> H_q(K') from ranks alone:
+
+    theta_q = n_q(K) - rank d_q(K) - rank d_{q+1}(K')
+              + rank(d_{q+1}(K') restricted to q-simplices not in K).
+
+The image is Z_q(K) / (Z_q(K) & B_q(K')), and B_q(K') lies in Z_q(K'), so
+Z_q(K) & B_q(K') = C_q(K) & B_q(K'): the kernel of the restriction above.
 
 An alternative "pairwise" gluing cones every *pair* inside a class instead.
 For classes of size >= 3 it is not a deformation retract onto the quotient:
@@ -24,6 +33,8 @@ over-counts.  It is kept as a documented counterexample generator.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,13 +45,23 @@ class SubcomplexError(ValueError):
     """Claimed subcomplex has simplices the bigger complex lacks."""
 
 
+def _vertex(label) -> int:
+    """An integral vertex label as an int; bools and non-integers raise."""
+    if not isinstance(label, bool):
+        try:
+            return operator.index(label)
+        except TypeError:
+            pass
+    raise ValueError(f"vertex label {label!r} is not an integer")
+
+
 class SimplicialComplex:
     """Face-closed set of simplices, each a sorted tuple of int vertices."""
 
     def __init__(self, simplices):
         faces: set[tuple[int, ...]] = set()
         for simplex in simplices:
-            vs = tuple(sorted(int(v) for v in simplex))
+            vs = tuple(sorted(_vertex(v) for v in simplex))
             if not vs:
                 raise ValueError("empty simplex")
             if len(set(vs)) != len(vs):
@@ -55,6 +76,7 @@ class SimplicialComplex:
         self.index: dict[int, dict[tuple[int, ...], int]] = {
             q: {s: i for i, s in enumerate(lst)}
             for q, lst in self.by_dim.items()}
+        self._ranks: dict[int, int] = {}
 
     @property
     def dim(self) -> int:
@@ -71,8 +93,36 @@ class SimplicialComplex:
         return len(self.by_dim.get(q, []))
 
     def contains(self, other: "SimplicialComplex") -> bool:
-        return all(set(other.simplices(q)) <= set(self.simplices(q))
-                   for q in other.by_dim)
+        return all(s in self.index.get(q, {})
+                   for q, lst in other.by_dim.items() for s in lst)
+
+    def boundary_rank(self, q: int) -> int:
+        """rank d_q, computed once per complex."""
+        if q not in self._ranks:
+            self._ranks[q] = matrix_rank(_boundary_rows(self, q),
+                                         self.n(q - 1))
+        return self._ranks[q]
+
+
+def _boundary_rows(K: SimplicialComplex, q: int,
+                   faces: dict[tuple[int, ...], int] | None = None
+                   ) -> list[dict[int, int]]:
+    """d_q transposed: one {face position: +-1} row per q-simplex.
+
+    ``faces`` maps (q-1)-simplices to positions (default: all of K's);
+    faces it lacks are dropped, which restricts d_q to those rows.
+    """
+    if faces is None:
+        faces = K.index.get(q - 1, {})
+    rows = []
+    for simplex in K.simplices(q):
+        row = {}
+        for i in range(len(simplex)):
+            pos = faces.get(simplex[:i] + simplex[i + 1:])
+            if pos is not None:
+                row[pos] = -1 if i % 2 else 1
+        rows.append(row)
+    return rows
 
 
 def boundary_matrix(K: SimplicialComplex,
@@ -82,15 +132,11 @@ def boundary_matrix(K: SimplicialComplex,
     d_0 is the zero map (no rows); a q above the dimension gives a matrix
     with zero columns.  Both still have well-defined rank and nullspace.
     """
-    cols = K.simplices(q)
-    if q == 0:
-        return [], len(cols)
-    rows_index = K.index.get(q - 1, {})
-    rows = [[Fraction(0)] * len(cols) for _ in range(len(rows_index))]
-    for j, simplex in enumerate(cols):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            rows[rows_index[face]][j] = Fraction(-1 if i % 2 else 1)
+    cols = _boundary_rows(K, q)
+    rows = [[Fraction(0)] * len(cols) for _ in range(K.n(q - 1))]
+    for j, col in enumerate(cols):
+        for i, sign in col.items():
+            rows[i][j] = Fraction(sign)
     return rows, len(cols)
 
 
@@ -117,9 +163,50 @@ def _rref(rows: list[list[Fraction]],
     return r, m, pivots
 
 
-def matrix_rank(rows: list[list[Fraction]], n_cols: int) -> int:
-    """Exact rank via Gauss-Jordan elimination."""
-    return _rref(rows, n_cols)[0]
+def _integer_row(row) -> dict[int, int]:
+    """Nonzero entries of a dense or {col: value} rational row, scaled by
+    the lcm of their denominators to ints."""
+    entries = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {j: x for j, x in entries if x != 0}
+    if all(type(x) is int for x in out.values()):
+        return out
+    exact = {j: Fraction(x) for j, x in out.items()}
+    scale = math.lcm(*(x.denominator for x in exact.values()))
+    return {j: int(x * scale) for j, x in exact.items()}
+
+
+def matrix_rank(rows, n_cols: int) -> int:
+    """Exact rank over Q of rows that are dense sequences of ``n_cols``
+    rationals or sparse {col: value} dicts.
+
+    Fraction-free elimination: each row, scaled to ints, is reduced at its
+    lowest column against the pivot row stored there as a*v - b*p and
+    divided by the gcd of its entries, until it is zero or starts a new
+    pivot.  The rank is the number of pivots.  Only nonzero entries are
+    visited, so ``n_cols`` states the row width but bounds no work.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        v = _integer_row(row)
+        while v:
+            c = min(v)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = v
+                break
+            g = math.gcd(p[c], v[c])
+            a, b = p[c] // g, v[c] // g
+            v = {j: a * x for j, x in v.items()}
+            for j, y in p.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {j: x // g for j, x in v.items()}
+    return len(pivots)
 
 
 def nullspace_basis(rows: list[list[Fraction]],
@@ -142,13 +229,8 @@ def nullspace_basis(rows: list[list[Fraction]],
 def betti_numbers(K: SimplicialComplex, up_to: int | None = None) -> list[int]:
     """beta_0..beta_up_to (default: the complex dimension)."""
     top = K.dim if up_to is None else up_to
-    out = []
-    for q in range(top + 1):
-        rows_q, ncols_q = boundary_matrix(K, q)
-        rows_q1, ncols_q1 = boundary_matrix(K, q + 1)
-        out.append(K.n(q) - matrix_rank(rows_q, ncols_q)
-                   - matrix_rank(rows_q1, ncols_q1))
-    return out
+    return [K.n(q) - K.boundary_rank(q) - K.boundary_rank(q + 1)
+            for q in range(top + 1)]
 
 
 # -- vertex identification gluings ------------------------------------------
@@ -160,7 +242,7 @@ def normalize_partition(K: SimplicialComplex,
     verts = set(K.vertices)
     out = []
     for cls in classes:
-        cls = sorted(int(v) for v in cls)
+        cls = sorted(_vertex(v) for v in cls)
         if not cls:
             continue
         for v in cls:
@@ -216,33 +298,19 @@ def inclusion_induced_rank(K: SimplicialComplex, K_big: SimplicialComplex,
                            q: int) -> int:
     """Rank of H_q(K) -> H_q(K_big) induced by the inclusion.
 
-    Computed as rank([embedded cycle basis | boundaries of K_big]) minus
-    rank of the boundaries: the dimension the embedded cycles span in the
-    homology of the bigger complex.
+    dim Z_q(K) minus dim(C_q(K) & B_q(K_big)), the latter being rank
+    d_{q+1}(K_big) minus the rank of d_{q+1}(K_big) restricted to the
+    q-simplices of K_big not in K (see the module docstring).
     """
     if not K_big.contains(K):
         raise SubcomplexError("first complex is not contained in the second")
-    rows, n_cols = boundary_matrix(K, q)
-    cycles = nullspace_basis(rows, n_cols)
-    small = K.simplices(q)
-    big_index = K_big.index.get(q, {})
-    n_big = K_big.n(q)
-    embedded = []
-    for vec in cycles:
-        col = [Fraction(0)] * n_big
-        for local, value in enumerate(vec):
-            if value != 0:
-                col[big_index[small[local]]] = value
-        embedded.append(col)
-    b_rows, b_ncols = boundary_matrix(K_big, q + 1)
-    boundary_cols = [[b_rows[r][c] for r in range(n_big)]
-                     for c in range(b_ncols)]
-    all_cols = embedded + boundary_cols
-    # Stack as a matrix whose columns are the vectors: transpose into rows.
-    stacked_rows = [[col[r] for col in all_cols] for r in range(n_big)]
-    rank_all = matrix_rank(stacked_rows, len(all_cols))
-    rank_boundaries = matrix_rank(b_rows, b_ncols)
-    return rank_all - rank_boundaries
+    inside = K.index.get(q, {})
+    outside = {s: i for i, s in enumerate(
+        s for s in K_big.simplices(q) if s not in inside)}
+    restricted = matrix_rank(_boundary_rows(K_big, q + 1, outside),
+                             len(outside))
+    return (K.n(q) - K.boundary_rank(q) - K_big.boundary_rank(q + 1)
+            + restricted)
 
 
 @dataclass

@@ -325,11 +325,14 @@ def finetune(checkpoint_path: str, config: TrainConfig,
     """Continue training from a checkpoint under a fresh schedule.
 
     The checkpoint must match the configured architecture.  With
-    ``epochs = 0`` the loaded model is returned unchanged.
+    ``epochs = 0`` the loaded model is returned unchanged, and written once
+    to ``config.checkpoint_path`` when that is set, as ``train`` does.
     """
     model = load_checkpoint(
         checkpoint_path, ModelConfig(config.hidden_dim, config.head_hidden))
     if config.epochs == 0:
+        if config.checkpoint_path:
+            save_checkpoint(model, config.checkpoint_path)
         return TrainResult(model=model, history=[], best_epoch=None)
     return train(config, train_records, val_records, table,
                  initial_model=model, verbose=verbose)

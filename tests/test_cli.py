@@ -490,6 +490,26 @@ class TestHomologyCommand:
         part.write_text("[[0,9]]")
         assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("cplx_text, part_text", [
+        ("[[0, 1.5], [1, 2]]", "[[0, 1]]"),
+        ("[[0, true], [1, 2]]", "[[0, 1]]"),
+        ('[[0, "1"], [1, 2]]', "[[0, 1]]"),
+        ("[[0, 1], [1, 2]]", "[[0, 2.7]]"),
+        ("[[0, 1], [1, 2]]", "[[0, true]]"),
+        ("[[0, 1], [1, 2]]", '[[0, "2"]]'),
+    ], ids=["complex-float", "complex-bool", "complex-str",
+            "partition-float", "partition-bool", "partition-str"])
+    def test_non_integer_vertex_label(self, tmp_path, capsys, cplx_text,
+                                      part_text):
+        cplx = tmp_path / "c.json"
+        part = tmp_path / "p.json"
+        cplx.write_text(cplx_text)
+        part.write_text(part_text)
+        assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "not an integer" in captured.err
+        assert captured.out == ""
+
     def test_wrong_shapes(self, tmp_path):
         cplx = tmp_path / "c.json"
         part = tmp_path / "p.json"

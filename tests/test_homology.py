@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcnet.homology import (SimplicialComplex, SubcomplexError,
                             betti_numbers, boundary_matrix,
@@ -34,6 +36,16 @@ class TestSimplicialComplex:
     def test_contains_negative(self):
         K = SimplicialComplex([[0, 1]])
         assert not K.contains(SimplicialComplex([[0, 2]]))
+
+    @pytest.mark.parametrize("label", [1.5, 2.0, True, "1", None])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="not an integer"):
+            SimplicialComplex([[0, label], [1, 2]])
+
+    def test_numpy_integer_labels_accepted(self):
+        K = SimplicialComplex([[np.int64(0), np.int32(1)]])
+        assert K.simplices(1) == [(0, 1)]
+        assert all(type(v) is int for v in K.vertices)
 
 
 class TestBoundaryOperators:
@@ -172,6 +184,12 @@ class TestGluings:
         out = normalize_partition(K, [[0, 2]])
         assert out == [[0, 2], [1]]
 
+    @pytest.mark.parametrize("label", [2.7, 2.0, False, "2"])
+    def test_partition_non_integer_label_rejected(self, label):
+        K = SimplicialComplex([[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="not an integer"):
+            normalize_partition(K, [[0, label]])
+
     def test_star_adds_one_apex_per_big_class(self):
         K = SimplicialComplex([[0, 1], [1, 2], [2, 3]])
         glued = star_gluing(K, [[0, 3], [1], [2]])
@@ -257,3 +275,165 @@ class TestTheoremFuzz:
         K = SimplicialComplex([[0, 1]])
         with pytest.raises(ValueError):
             verify_quotient_homology(K, [[0, 1]], "cone")
+
+
+# -- independent oracle: dense Fraction Gauss-Jordan, cycle-basis theta ----
+
+def oracle_rref(rows, n_cols):
+    """Reduced row echelon form over Fraction: (rank, rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return len(pivots), m, pivots
+
+
+def oracle_rank(rows, n_cols):
+    return oracle_rref(rows, n_cols)[0]
+
+
+def oracle_boundary(K, q):
+    """Dense d_q (rows (q-1)-simplices, columns q-simplices), built here."""
+    cols = K.simplices(q)
+    if q == 0:
+        return [], len(cols)
+    where = {f: i for i, f in enumerate(K.simplices(q - 1))}
+    rows = [[Fraction(0)] * len(cols) for _ in where]
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            rows[where[s[:i] + s[i + 1:]]][j] = Fraction((-1) ** i)
+    return rows, len(cols)
+
+
+def oracle_betti(K, up_to):
+    ranks = [oracle_rank(*oracle_boundary(K, q)) for q in range(up_to + 2)]
+    return [K.n(q) - ranks[q] - ranks[q + 1] for q in range(up_to + 1)]
+
+
+def oracle_theta(K, K_big, q):
+    """rank([embedded cycle basis of K | boundaries of K_big]) minus the
+    rank of the boundaries."""
+    rows, n_cols = oracle_boundary(K, q)
+    _, m, pivots = oracle_rref(rows, n_cols)
+    cycles = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][free]
+        cycles.append(vec)
+    big = {s: i for i, s in enumerate(K_big.simplices(q))}
+    embedded = []
+    for vec in cycles:
+        col = [Fraction(0)] * len(big)
+        for local, value in enumerate(vec):
+            col[big[K.simplices(q)[local]]] = value
+        embedded.append(col)
+    b_rows, b_cols = oracle_boundary(K_big, q + 1)
+    stacked = [[col[r] for col in embedded] + b_rows[r]
+               for r in range(len(big))]
+    return (oracle_rank(stacked, len(embedded) + b_cols)
+            - oracle_rank(b_rows, b_cols))
+
+
+def fuzzed_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        K = random_flag_complex(n, float(rng.uniform(0.2, 0.9)), rng)
+        yield K, random_partition(K.vertices, rng)
+
+
+GLUINGS = {"star": star_gluing, "pairwise": pairwise_gluing}
+
+
+class TestAgainstOracle:
+    def test_boundary_ranks(self):
+        for K, _ in fuzzed_instances(80, 25):
+            for q in range(5):
+                rows, n_cols = boundary_matrix(K, q)
+                assert matrix_rank(rows, n_cols) == \
+                    oracle_rank(*oracle_boundary(K, q))
+
+    def test_betti_numbers(self):
+        for K, classes in fuzzed_instances(81, 25):
+            for glue in GLUINGS.values():
+                for L in (K, glue(K, classes)):
+                    assert betti_numbers(L, up_to=3) == oracle_betti(L, 3)
+
+    @pytest.mark.parametrize("construction", sorted(GLUINGS))
+    def test_induced_ranks(self, construction):
+        for K, classes in fuzzed_instances(82, 25):
+            glued = GLUINGS[construction](K, classes)
+            for q in range(4):
+                assert inclusion_induced_rank(K, glued, q) == \
+                    oracle_theta(K, glued, q), (q, classes)
+
+    def test_induced_ranks_identity_inclusion(self):
+        for K, _ in fuzzed_instances(83, 25):
+            for q in range(4):
+                assert inclusion_induced_rank(K, K, q) == \
+                    oracle_theta(K, K, q) == oracle_betti(K, 3)[q]
+
+    @pytest.mark.parametrize("construction", sorted(GLUINGS))
+    def test_reports(self, construction):
+        for K, classes in fuzzed_instances(84, 25):
+            glued = GLUINGS[construction](K, classes)
+            base, top = oracle_betti(K, 3), oracle_betti(glued, 3)
+            theta = [oracle_theta(K, glued, q) for q in range(4)]
+            rep = verify_quotient_homology(K, classes, construction)
+            assert rep.betti_base == base
+            assert rep.betti_glued == top
+            assert rep.theta_rank == theta
+            assert rep.h0_onto == (theta[0] == top[0])
+            assert rep.h1_injective == (theta[1] == base[1])
+            assert rep.h2_isomorphism == (theta[2] == base[2] == top[2])
+            assert rep.h3_isomorphism == (theta[3] == base[3] == top[3])
+
+
+def rational_matrices():
+    """(rows, n_cols): rational combinations of a few rational base rows,
+    so ranks below full occur; entries have non-unit denominators."""
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-4, 4, max_denominator=9))
+
+    @st.composite
+    def build(draw):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        r = draw(st.integers(0, min(m, n)))
+        base = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=r, max_size=r))
+        coef = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                             min_size=m, max_size=m))
+        rows = [[sum((c * b[j] for c, b in zip(cs, base)), Fraction(0))
+                 for j in range(n)] for cs in coef]
+        return rows, n
+    return build()
+
+
+class TestRankProperties:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(mat=rational_matrices(), data=st.data())
+    def test_rank_matches_oracle_and_is_invariant(self, mat, data):
+        rows, n = mat
+        rank = oracle_rank(rows, n)
+        assert matrix_rank(rows, n) == rank
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert matrix_rank(sparse, n) == rank
+        order = data.draw(st.permutations(range(len(rows))))
+        assert matrix_rank([rows[i] for i in order], n) == rank
+        scales = data.draw(st.lists(
+            st.fractions(-5, 5, max_denominator=7).filter(bool),
+            min_size=len(rows), max_size=len(rows)))
+        assert matrix_rank([[s * x for x in row]
+                            for s, row in zip(scales, rows)], n) == rank

@@ -309,6 +309,26 @@ class TestFinetune:
                                   tuned.model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_zero_epochs_writes_checkpoint_once(self, tmp_path, monkeypatch):
+        m = SimplexTransformer.init(ModelConfig(hidden_dim=4, head_hidden=4),
+                                    seed=3)
+        save_checkpoint(m, tmp_path / "src.ckpt")
+        writes = []
+        real_save = qcnet.training.save_checkpoint
+
+        def counting_save(model, path, extra=None):
+            writes.append(path)
+            real_save(model, path, extra)
+
+        monkeypatch.setattr(qcnet.training, "save_checkpoint", counting_save)
+        out = str(tmp_path / "out.ckpt")
+        finetune(str(tmp_path / "src.ckpt"),
+                 tiny_config(epochs=0, checkpoint_path=out),
+                 self._records(), (), TABLE)
+        assert writes == [out]
+        assert (tmp_path / "out.ckpt").read_bytes() == \
+            (tmp_path / "src.ckpt").read_bytes()
+
     def test_scratch_equals_finetune_from_seed_init(self, tmp_path):
         # Training from a checkpoint holding the seed-matched random init
         # must replay the scratch run byte for byte: the shuffle stream is
