@@ -3,15 +3,23 @@
 A Tensor wraps an ndarray and records the op that produced it; ``backward()``
 walks the tape in reverse topological order and accumulates gradients into
 every tensor with ``requires_grad``.  The op set is exactly what the
-simplex-attention model needs: broadcasting arithmetic, matmul, concat,
-row gather / segment sum (the scatter pair used for message aggregation),
-full reductions for the loss, the activations, and ``normalize``.  All
-accumulation happens in a fixed order determined by tape construction, so
-given identical inputs the gradients are bit-for-bit reproducible.
+simplex-attention model needs: elementwise arithmetic, matmul, ``affine``,
+concat, row gather / segment sum (the scatter pair used for message
+aggregation), full reductions for the loss, the activations, and
+``normalize``.  All accumulation happens in a fixed order determined by tape
+construction, so given identical inputs the gradients are bit-for-bit
+reproducible.
 
-``normalize`` is the one formula behind batch and layer normalization: a
-single node whose pullback carries the gradient through the mean and the
-variance along the normalized axis.
+Gradients are never broadcast.  A constant or scalar operand may broadcast
+against a tensor that requires a gradient, but a tensor that requires one
+must have the shape of the op's result: its pullback adds the upstream
+gradient in place, so a broadcast operand raises ValueError in
+``backward()``.  The two ops whose parameters are one row applied to every
+row carry their own row sums: ``affine`` is ``x @ w + b`` as one node, and
+``normalize`` is the one formula behind batch and layer normalization,
+``(x - mean) / sqrt(var + eps) * gamma + beta`` as one node, with the mean
+and variance taken along the normalized axis (its pullback carries the
+gradient through them) or given as constants.
 
 An op output joins the tape only when a gradient can reach it: some operand
 requires one and recording is on.  Anything else keeps neither its parents
@@ -52,16 +60,6 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def silu_np(x: np.ndarray) -> np.ndarray:
     return x * sigmoid_np(x)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum grad over axes that were added or stretched by broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -121,9 +119,9 @@ class Tensor:
 
         def pullback(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
+                self._accumulate(g)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+                other._accumulate(g)
         return _record(self.data + other.data, (self, other), pullback)
 
     __radd__ = __add__
@@ -144,10 +142,9 @@ class Tensor:
 
         def pullback(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+                self._accumulate(g * other.data)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data,
-                                               other.data.shape))
+                other._accumulate(g * self.data)
         return _record(self.data * other.data, (self, other), pullback)
 
     __rmul__ = __mul__
@@ -248,27 +245,53 @@ def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     return _record(t.data[index], (t,), pullback)
 
 
-def normalize(t: Tensor, axis: int, eps: float
-              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``(x - mean) / sqrt(var + eps)`` along ``axis`` as one tape node.
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one tape node; ``b`` is one row, added to every row."""
+    def pullback(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+    return _record(x.data @ w.data + b.data, (x, w, b), pullback)
 
-    The variance is the biased one.  Also returns the mean and variance
-    arrays, with ``axis`` reduced away.  With ``s = sqrt(var + eps)`` and
-    ``n`` entries along ``axis``, d xhat_i / d x_j = (delta_ij - 1/n) / s -
-    xhat_i xhat_j / (n s), which the pullback applies without forming it.
+
+def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
+              stats: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` as one tape node.
+
+    ``gamma`` and ``beta`` are one row each, applied to every row.  Without
+    ``stats`` the mean and biased variance are taken along ``axis``, and the
+    pullback carries the gradient through them: with ``s = sqrt(var + eps)``
+    and ``n`` entries along ``axis``, d xhat_i / d x_j = (delta_ij - 1/n) / s
+    - xhat_i xhat_j / (n s), applied without forming it.  A given
+    ``(mean, var)``, with ``axis`` reduced away, is a constant, so the
+    pullback is ``g * gamma / s``.  Also returns the mean and variance used.
     """
-    mean = t.data.mean(axis=axis, keepdims=True)
-    centered = t.data - mean
-    var = np.square(centered).mean(axis=axis, keepdims=True)
+    if stats is None:
+        mean = t.data.mean(axis=axis, keepdims=True)
+        centered = t.data - mean
+        var = np.square(centered).mean(axis=axis, keepdims=True)
+    else:
+        mean, var = (np.expand_dims(a, axis) for a in stats)
+        centered = t.data - mean
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
 
     def pullback(g):
-        t._accumulate(inv_std * (
-            g - g.mean(axis=axis, keepdims=True)
-            - xhat * (g * xhat).mean(axis=axis, keepdims=True)))
-    return (_record(xhat, (t,), pullback), np.squeeze(mean, axis),
-            np.squeeze(var, axis))
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0))
+        if t.requires_grad:
+            g = g * gamma.data
+            t._accumulate(g * inv_std if stats is not None else inv_std * (
+                g - g.mean(axis=axis, keepdims=True)
+                - xhat * (g * xhat).mean(axis=axis, keepdims=True)))
+    return (_record(xhat * gamma.data + beta.data, (t, gamma, beta), pullback),
+            np.squeeze(mean, axis), np.squeeze(var, axis))
 
 
 def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:

@@ -295,7 +295,7 @@ def _run_training(args, finetune_from: str | None) -> int:
         "train_metrics": train_metrics.to_dict(),
         "val_metrics": val_metrics.to_dict() if val_metrics else None,
     }
-    from .features import replace_files
+    from .structures import replace_files
     replace_files([
         (os.path.join(out_dir, "history.jsonl"),
          [(json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
@@ -314,8 +314,8 @@ def _run_training(args, finetune_from: str | None) -> int:
 
 def cmd_build(args) -> int:
     from .complexes import build_complex, complex_json
-    from .features import replace_files
     from .periodic import neighbor_list
+    from .structures import replace_files
     s = _read_structure(args.structure, args.format)
     g = neighbor_list(s, k=args.k, radius=args.radius)
     c = build_complex(g)
@@ -382,7 +382,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, records, table, k)
     payload = report.to_dict()
     if args.out:
-        from .features import replace_files
+        from .structures import replace_files
         replace_files([(args.out, [_json_bytes(payload)])])
     for key in ("n", "mae", "mse", "rmse", "mad", "cod", "pcc",
                 "mad_mae_ratio", "status"):
@@ -450,7 +450,7 @@ def cmd_homology(args) -> int:
         out["star_betti_glued"] = star.betti_glued
         out["constructions_agree"] = not disagreement
     if args.out:
-        from .features import replace_files
+        from .structures import replace_files
         replace_files([(args.out, [_json_bytes(out)])])
     # A false verdict always fails; a star/pairwise disagreement only
     # fails under --strict (the report shows it either way).

@@ -13,16 +13,15 @@ squared distance directly, so the three widths act like variances.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import QuotientComplex
 from .periodic import PeriodicGraph
+from .structures import replace_files
 
 VERTEX_DIM = 92
 EDGE_DIM = 376
@@ -106,11 +105,12 @@ class AtomFeatureTable:
                     for z in range(1, max_z + 1)})
 
     def save(self, path: str | os.PathLike) -> None:
+        """Write ``{"<Z>": [92 floats], ...}``; the file is replaced
+        atomically."""
         obj = {str(z): [float(x) for x in vec]
                for z, vec in sorted(self.vectors.items())}
-        with open(os.fspath(path), "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
+        replace_files([(os.fspath(path), [
+            (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")])])
 
     def features_for(self, species: np.ndarray) -> np.ndarray:
         rows = []
@@ -166,25 +166,6 @@ def raw_features(c: QuotientComplex, species: np.ndarray,
     vf = vertex_features(species, table)
     return FeatureSet(h0_raw=vf, h1_raw=edge_features(c.graph, vf),
                       h2_raw=triangle_features(c))
-
-
-def replace_files(files: list[tuple[str, list[bytes]]]) -> None:
-    """Write each (path, chunks) to a temporary file beside its path, then
-    rename them all into place.  A failed write leaves every path as it was;
-    a reader never sees a partly written file."""
-    temps = []
-    try:
-        for path, chunks in files:
-            temps.append(f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-            with open(temps[-1], "xb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        for tmp, (path, _) in zip(temps, files):
-            os.replace(tmp, path)
-    finally:
-        for tmp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
 
 
 def save_feature_arrays(arrays: dict[str, np.ndarray], prefix: str) -> None:

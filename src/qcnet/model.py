@@ -21,14 +21,15 @@ a two-hidden-layer MLP head to a scalar.
 BatchNorm normalizes over the message population of one layer application
 (batch statistics in train mode with running-stat updates, frozen running
 stats in eval mode), so eval predictions are independent of batching.
-Train-mode BatchNorm is ``autodiff.normalize`` over the rows (axis 0) and
-LayerNorm is the same op over each row's features (axis 1), each followed
-by its affine gamma/beta.  ``_attention_stage`` is the one implementation
-of the formula above.  Everything runs in float64 on the autodiff tape; a
-layer whose update path is zero-initialized is an exact identity.  Only
-``loss_and_gradients`` records the tape: ``predict``, ``batch_loss`` and
-``layer_update`` run the same ops under ``autodiff.no_grad()`` and keep no
-intermediates.
+Every norm, gamma and beta included, is one ``autodiff.normalize`` node:
+BatchNorm over the rows (axis 0), with the running statistics passed in as
+constants in eval mode, and LayerNorm over each row's features (axis 1).
+Every biased map is one ``autodiff.affine`` node.  ``_attention_stage`` is
+the one implementation of the formula above.  Everything runs in float64 on
+the autodiff tape; a layer whose update path is zero-initialized is an exact
+identity.  Only ``loss_and_gradients`` records the tape: ``predict``,
+``batch_loss`` and ``layer_update`` run the same ops under
+``autodiff.no_grad()`` and keep no intermediates.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, concat, constant, gather_rows, parameter, \
-    segment_mean, segment_sum
+from .autodiff import Tensor, affine, concat, constant, gather_rows, \
+    parameter, segment_mean, segment_sum
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
-from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet, \
-    replace_files
+from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
+from .structures import replace_files
 
 N_NODE_LAYERS = 5
 N_EDGE_NODE_LAYERS = 2
@@ -96,18 +97,17 @@ class BatchNorm:
                    np.zeros(dim), np.ones(dim))
 
     def apply(self, x: Tensor, mode: str) -> Tensor:
-        if mode == "train":
-            xhat, mean, var = ad.normalize(x, 0, BN_EPS)
-            # Buffer updates are side effects outside the tape; biased
-            # variance feeds both normalization and the running estimate.
-            self.run_mean = ((1.0 - BN_MOMENTUM) * self.run_mean
-                             + BN_MOMENTUM * mean)
-            self.run_var = ((1.0 - BN_MOMENTUM) * self.run_var
-                            + BN_MOMENTUM * var)
-        else:
-            xhat = ((x - constant(self.run_mean))
-                    * constant(1.0 / np.sqrt(self.run_var + BN_EPS)))
-        return xhat * self.gamma + self.beta
+        if mode != "train":
+            return ad.normalize(x, self.gamma, self.beta, 0, BN_EPS,
+                                (self.run_mean, self.run_var))[0]
+        out, mean, var = ad.normalize(x, self.gamma, self.beta, 0, BN_EPS)
+        # Buffer updates are side effects outside the tape; biased
+        # variance feeds both normalization and the running estimate.
+        self.run_mean = ((1.0 - BN_MOMENTUM) * self.run_mean
+                         + BN_MOMENTUM * mean)
+        self.run_var = ((1.0 - BN_MOMENTUM) * self.run_var
+                        + BN_MOMENTUM * var)
+        return out
 
 
 @dataclass
@@ -122,8 +122,7 @@ class LayerNorm:
         return cls(parameter(np.ones(dim)), parameter(np.zeros(dim)))
 
     def apply(self, x: Tensor) -> Tensor:
-        xhat, _, _ = ad.normalize(x, 1, LN_EPS)
-        return xhat * self.gamma + self.beta
+        return ad.normalize(x, self.gamma, self.beta, 1, LN_EPS)[0]
 
 
 @dataclass
@@ -187,7 +186,7 @@ class EmbedLayer:
         return cls(_uniform(rng, (din, hidden)), parameter(np.zeros(hidden)))
 
     def apply(self, x: Tensor) -> Tensor:
-        return (x @ self.w + self.b).silu()
+        return affine(x, self.w, self.b).silu()
 
 
 @dataclass
@@ -210,9 +209,9 @@ class Head:
                    parameter(np.zeros(1)))
 
     def apply(self, x: Tensor) -> Tensor:
-        z = (x @ self.w1 + self.b1).silu()
-        z = (z @ self.w2 + self.b2).silu()
-        return z @ self.w3 + self.b3
+        z = affine(x, self.w1, self.b1).silu()
+        z = affine(z, self.w2, self.b2).silu()
+        return affine(z, self.w3, self.b3)
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, int]) -> Tensor:
@@ -339,13 +338,13 @@ def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
     q = hs @ layer.q
     qq = concat([q, q], axis=1)
     k = concat([ht @ layer.k_face, hc @ layer.k_cof], axis=1)
-    k = (k @ layer.key_w + layer.key_b).silu()
+    k = affine(k, layer.key_w, layer.key_b).silu()
     alpha = qq * k * (1.0 / np.sqrt(2.0 * hidden))
     gate = layer.attn_bn.apply(alpha, mode).sigmoid()
     v = concat([ht @ layer.v_face, hc @ layer.v_cof], axis=1)
-    v = (v @ layer.val_w + layer.val_b).silu()
+    v = affine(v, layer.val_w, layer.val_b).silu()
     m = gate * v
-    return layer.msg_ln.apply(m @ layer.msg_w + layer.msg_b).silu()
+    return layer.msg_ln.apply(affine(m, layer.msg_w, layer.msg_b)).silu()
 
 
 def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
@@ -357,7 +356,8 @@ def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
     else:
         msg = _attention_stage(h, h_cof, pairs, layer, mode, hidden)
         agg = segment_sum(msg, pairs.sigma, n)
-    upd = layer.upd_bn.apply(agg @ layer.upd_w + layer.upd_b, mode).silu()
+    upd = layer.upd_bn.apply(affine(agg, layer.upd_w, layer.upd_b),
+                             mode).silu()
     return h + upd
 
 

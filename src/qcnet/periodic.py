@@ -116,13 +116,14 @@ def _box_offsets(radius: int) -> np.ndarray:
     return np.array(list(itertools.product(rng, rng, rng)), dtype=np.int64)
 
 
-def _tie_groups(sorted_dists: np.ndarray, tol: float) -> np.ndarray:
-    """Group ranks for ascending distances; a gap > tol starts a new group."""
+def _tie_groups(sorted_dists: np.ndarray) -> np.ndarray:
+    """Group ranks for ascending distances; a gap > TIE_TOL past the start
+    of the current group starts a new group."""
     groups = np.empty(len(sorted_dists), dtype=np.int64)
     group = -1
     start = -np.inf
     for i, d in enumerate(sorted_dists):
-        if d - start > tol:
+        if d - start > TIE_TOL:
             group += 1
             start = d
         groups[i] = group
@@ -142,14 +143,13 @@ def _candidate_table(frac: np.ndarray, lattice: np.ndarray,
 
 
 def neighbor_list(s: CrystalStructure, k: int = 12,
-                  radius: float | None = None,
-                  tie_tol: float = TIE_TOL) -> PeriodicGraph:
+                  radius: float | None = None) -> PeriodicGraph:
     """Build the periodic k-NN multigraph of a structure.
 
     With ``radius`` unset, offset shells are expanded until the k-th neighbor
     distance of every vertex clears the plane-spacing bound, which certifies
     that no unseen image could enter the k nearest (or perturb a tie within
-    ``tie_tol``).  With ``radius`` set, only images within that distance are
+    ``TIE_TOL``).  With ``radius`` set, only images within that distance are
     candidates and RadiusTooSmallError is raised if some vertex has fewer
     than k.
 
@@ -166,7 +166,7 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
     elif radius <= 0:
         raise ValueError("radius must be positive")
     else:
-        shells = [max(1, int(np.ceil((radius + tie_tol) / h_min)))]
+        shells = [max(1, int(np.ceil((radius + TIE_TOL) / h_min)))]
     for shell in shells:
         offsets = _box_offsets(shell)
         n_off = offsets.shape[0]
@@ -175,7 +175,7 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
         # and images coincident with the target are never candidates.
         dist[dist == 0.0] = np.inf
         if radius is not None:
-            dist[dist > radius + tie_tol] = np.inf
+            dist[dist > radius + TIE_TOL] = np.inf
         found = np.count_nonzero(np.isfinite(dist), axis=1)
         if found.min() < k:
             if radius is None:
@@ -184,14 +184,14 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
             raise RadiusTooSmallError(
                 f"vertex {v}: {int(found[v])} images within radius "
                 f"{radius}, need k={k}")
-        # Only the prefix d - d_k <= tie_tol of a sorted row (d_k its k-th
+        # Only the prefix d - d_k <= TIE_TOL of a sorted row (d_k its k-th
         # smallest) can decide the picks.  This is exact: d_k lies in a tie
         # group G starting at or below d_k, so every member of the groups up
         # to G (>= k candidates) is in the prefix, and start-anchored grouping
         # scans left to right, so the prefix keeps the row's group numbers
         # and the same first k in (group, src, offset) order.
         kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        near = dist - kth_smallest <= tie_tol
+        near = dist - kth_smallest <= TIE_TOL
         bound = shell * h_min
         picks = []
         for v in range(n):
@@ -199,8 +199,8 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
             cols = cols[np.argsort(dist[v, cols])]
             d = dist[v, cols]
             # cols increase in (src, offset) order: the tie-break key.
-            picked = np.lexsort((cols, _tie_groups(d, tie_tol)))[:k]
-            if radius is None and d[picked[-1]] + tie_tol >= bound:
+            picked = np.lexsort((cols, _tie_groups(d)))[:k]
+            if radius is None and d[picked[-1]] + TIE_TOL >= bound:
                 break  # an unseen image could still be among the k nearest
             picks.append((cols[picked], d[picked]))
         else:
@@ -212,8 +212,7 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
 
 
 def brute_force_neighbors(s: CrystalStructure, k: int = 12,
-                          supercell_radius: int = 4,
-                          tie_tol: float = TIE_TOL) -> PeriodicGraph:
+                          supercell_radius: int = 4) -> PeriodicGraph:
     """Reference k-NN by plain enumeration of a fixed supercell.
 
     Independent of neighbor_list: candidates come from the full offset box
@@ -251,13 +250,13 @@ def brute_force_neighbors(s: CrystalStructure, k: int = 12,
         start = -np.inf
         grouped = []
         for d, u, off in cands:
-            if d - start > tie_tol:
+            if d - start > TIE_TOL:
                 group += 1
                 start = d
             grouped.append((group, u, off, d))
         grouped.sort(key=lambda c: (c[0], c[1], c[2]))
         kth = grouped[k - 1][3]
-        if kth + tie_tol >= bound:
+        if kth + TIE_TOL >= bound:
             raise RadiusTooSmallError(
                 f"vertex {v}: k-th distance {kth:.6f} too close to the "
                 f"supercell bound {bound:.6f}")

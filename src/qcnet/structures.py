@@ -18,10 +18,12 @@ as diagnostics with line numbers instead of aborting the whole load.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,15 +163,22 @@ def structure_from_dict(obj: dict, path: str | None = None,
     arrays = {}
     for key, dtype in (("lattice", np.float64), ("species", np.int64),
                        ("frac", np.float64)):
+        # Every leaf must be a JSON number (an integer for species); quoted
+        # numbers, bools and nulls are not coerced.
+        kinds = int if dtype is np.int64 else (int, float)
+        todo = [obj[key]]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, list):
+                todo.extend(reversed(item))
+            elif isinstance(item, bool) or not isinstance(item, kinds):
+                raise ParseError(f"field '{key}' holds {item!r:.40}, not a "
+                                 + ("JSON integer" if kinds is int
+                                    else "JSON number"), path, line)
         try:
             arrays[key] = np.asarray(obj[key], dtype=dtype)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"field '{key}' is not numeric: {exc}", path, line)
-    if isinstance(obj.get("species"), list):
-        for entry in obj["species"]:
-            if isinstance(entry, (bool, float)):
-                raise ParseError("field 'species' must hold integers",
-                                 path, line)
     try:
         return CrystalStructure(arrays["lattice"], arrays["species"],
                                 arrays["frac"], id=sid)
@@ -317,8 +326,7 @@ def write_structure(s: CrystalStructure, path: str | os.PathLike,
         text = poscar_text(s)
     else:
         raise ValueError(f"unknown structure format '{fmt}'")
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    replace_files([(os.fspath(path), [text.encode("utf-8")])])
 
 
 @dataclass(frozen=True)
@@ -361,23 +369,15 @@ def record_from_obj(obj: dict, path: str | None = None,
         raise ParseError("record is missing field 'structure'", path, line)
     if "target" not in obj:
         raise ParseError("record is missing field 'target'", path, line)
-    target = obj["target"]
-    if not isinstance(target, (int, float)) or isinstance(target, bool) \
-            or not math.isfinite(target):
-        raise ParseError(f"target must be a finite number, got {target!r}",
-                         path, line)
     structure = structure_from_dict(obj["structure"], path, line)
     rid = obj.get("id")
     if rid is not None:
         if not isinstance(rid, str):
             raise ParseError("field 'id' must be a string", path, line)
         structure = dataclasses.replace(structure, id=rid)
-    split = obj.get("split")
-    if split is not None and split not in ("train", "val", "test"):
-        raise ParseError(f"split must be train/val/test, got {split!r}",
-                         path, line)
     try:
-        return DatasetRecord(structure, float(target), split)
+        # The record checks the target and the split tag itself.
+        return DatasetRecord(structure, obj["target"], obj.get("split"))
     except ParseError as exc:
         raise ParseError(str(exc), path, line)
 
@@ -416,8 +416,28 @@ def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
 
 def save_dataset(records: list[DatasetRecord],
                  path: str | os.PathLike) -> None:
-    """Write JSONL, one compact deterministic line per record."""
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    """Write JSONL, one compact deterministic line per record; the file is
+    replaced atomically."""
+    replace_files([(os.fspath(path), [
+        (json.dumps(record_to_obj(record), sort_keys=True,
+                    separators=(",", ":")) + "\n").encode("utf-8")
+        for record in records])])
+
+
+def replace_files(files: list[tuple[str, list[bytes]]]) -> None:
+    """Write each (path, chunks) to a temporary file beside its path, then
+    rename them all into place.  A failed write leaves every path as it was;
+    a reader never sees a partly written file."""
+    temps = []
+    try:
+        for path, chunks in files:
+            temps.append(f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+            with open(temps[-1], "xb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)

@@ -23,6 +23,17 @@ from .periodic import min_image_distance, neighbor_list
 from .structures import CrystalStructure, DatasetRecord
 
 
+# One-cycle schedule: the warmup share of the steps, and the start and end
+# learning rates as fractions of the peak.
+WARMUP_FRAC = 0.3
+DIV_FACTOR = 25.0
+FINAL_DIV_FACTOR = 1e4
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class NonFiniteLossError(ArithmeticError):
     """Loss left the reals; names the epoch and batch where it happened."""
 
@@ -45,9 +56,6 @@ class TrainConfig:
     seed: int = 0
     hidden_dim: int = 64
     head_hidden: int = 64
-    warmup_frac: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
     checkpoint_path: str | None = None
 
     def __post_init__(self):
@@ -63,31 +71,25 @@ class TrainConfig:
             raise ValueError("loss must be 'mae' or 'mse'")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if not (0.0 < self.warmup_frac < 1.0):
-            raise ValueError("warmup_frac must be in (0, 1)")
-        if self.div_factor <= 1.0 or self.final_div_factor <= 1.0:
-            raise ValueError("div factors must be > 1")
 
 
-def one_cycle_lr(step: int, total_steps: int, peak_lr: float,
-                 div_factor: float = 25.0, final_div_factor: float = 1e4,
-                 warmup_frac: float = 0.3) -> float:
+def one_cycle_lr(step: int, total_steps: int, peak_lr: float) -> float:
     """Cosine warmup then cosine decay, exact at the anchor points.
 
-    lr(0) = peak/div_factor, lr(warmup) = peak (the boundary step belongs to
+    lr(0) = peak/DIV_FACTOR, lr(warmup) = peak (the boundary step belongs to
     the decay phase, whose cosine starts at exactly 1), and
-    lr(total_steps - 1) = peak/final_div_factor.
+    lr(total_steps - 1) = peak/FINAL_DIV_FACTOR.
     """
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     if not 0 <= step < total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps})")
-    warm = int(warmup_frac * total_steps)
+    warm = int(WARMUP_FRAC * total_steps)
     if step < warm:
-        lo = peak_lr / div_factor
+        lo = peak_lr / DIV_FACTOR
         frac = step / warm
         return lo + (peak_lr - lo) * (1.0 - math.cos(math.pi * frac)) / 2.0
-    final = peak_lr / final_div_factor
+    final = peak_lr / FINAL_DIV_FACTOR
     span = total_steps - warm - 1
     if span <= 0:
         return final
@@ -103,11 +105,8 @@ class AdamW:
     number.
     """
 
-    def __init__(self, tensors: list[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 1e-5):
+    def __init__(self, tensors: list[Tensor], weight_decay: float = 1e-5):
         self.tensors = tensors
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(t.data) for t in tensors]
         self.v = [np.zeros_like(t.data) for t in tensors]
@@ -116,15 +115,15 @@ class AdamW:
     def step(self, lr: float, grads: list[np.ndarray]) -> None:
         """One update; ``grads`` align with the tensors given at init."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for i, (p, g) in enumerate(zip(self.tensors, grads, strict=True)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -220,8 +219,7 @@ class TrainResult:
 def train(config: TrainConfig, train_records: list[DatasetRecord],
           val_records: list[DatasetRecord] = (),
           table: AtomFeatureTable | None = None,
-          initial_model: SimplexTransformer | None = None,
-          verbose: bool = False) -> TrainResult:
+          initial_model: SimplexTransformer | None = None) -> TrainResult:
     """Train, tracking the best model by validation loss.
 
     Without a validation set the training loss selects the best epoch.  The
@@ -273,9 +271,7 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"loss became {loss} at epoch {epoch}, batch {b}")
-            lr = one_cycle_lr(global_step, total_steps, config.peak_lr,
-                              config.div_factor, config.final_div_factor,
-                              config.warmup_frac)
+            lr = one_cycle_lr(global_step, total_steps, config.peak_lr)
             opt.step(lr, grads)
             loss_sum += loss * len(idx)
             global_step += 1
@@ -286,11 +282,6 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
             val_loss = batch_loss(model, val_items, val_targets, config.loss)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss, "lr": lr})
-        if verbose:
-            shown = val_loss if val_loss is not None else train_loss
-            print(f"epoch {epoch}: train {train_loss:.6f}"
-                  + (f" val {val_loss:.6f}" if val_loss is not None else "")
-                  + f" lr {lr:.2e}")
         selection = val_loss if val_loss is not None else train_loss
         if selection < best_loss:
             best_loss = selection
@@ -320,8 +311,7 @@ def evaluate(model: SimplexTransformer, records: list[DatasetRecord],
 def finetune(checkpoint_path: str, config: TrainConfig,
              train_records: list[DatasetRecord],
              val_records: list[DatasetRecord] = (),
-             table: AtomFeatureTable | None = None,
-             verbose: bool = False) -> TrainResult:
+             table: AtomFeatureTable | None = None) -> TrainResult:
     """Continue training from a checkpoint under a fresh schedule.
 
     The checkpoint must match the configured architecture.  With
@@ -335,7 +325,7 @@ def finetune(checkpoint_path: str, config: TrainConfig,
             save_checkpoint(model, config.checkpoint_path)
         return TrainResult(model=model, history=[], best_epoch=None)
     return train(config, train_records, val_records, table,
-                 initial_model=model, verbose=verbose)
+                 initial_model=model)
 
 
 def synthetic_overfit_dataset(n_samples: int = 32,

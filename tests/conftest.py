@@ -32,12 +32,15 @@ class DiskFull:
 
 
 def open_failing_at(index: int, opened: list):
-    """An ``open`` that appends each file it opens to ``opened`` and hands
-    back the ``index``-th (from 0) wrapped in DiskFull; none for None."""
+    """An ``open`` that appends each file it opens for writing to ``opened``
+    and hands back the ``index``-th (from 0) of those wrapped in DiskFull;
+    none for None.  Files opened for reading pass through uncounted."""
     real_open = builtins.open
 
-    def flaky_open(file, *args, **kwargs):
-        fh = real_open(file, *args, **kwargs)
+    def flaky_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if not set(mode) & set("wxa+"):
+            return fh
         opened.append(file)
         return DiskFull(fh) if len(opened) - 1 == index else fh
     return flaky_open

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qcnet.autodiff import (concat, constant, gather_rows, no_grad, normalize,
-                            parameter, segment_mean, segment_sum, sigmoid_np,
-                            silu_np)
+from qcnet.autodiff import (affine, concat, constant, gather_rows, no_grad,
+                            normalize, parameter, segment_mean, segment_sum,
+                            sigmoid_np, silu_np)
 
 ATOL = 1e-8
 RTOL = 1e-4
@@ -64,9 +64,15 @@ class TestElementwiseOps:
         fd_check(lambda x, y: ((x + y) * (x - y)).sum(), [a, b])
 
     def test_broadcast_row(self):
+        # Constants broadcast; gradients do not: an operand that requires a
+        # gradient must have the result's shape.
         a = self.rng.standard_normal((3, 4))
-        b = self.rng.standard_normal((1, 4))
-        fd_check(lambda x, y: (x * y + y).sum(), [a, b])
+        row = constant(self.rng.standard_normal((1, 4)))
+        fd_check(lambda x: (x * row + row).sum(), [a])
+        for op in (lambda x, y: x * y, lambda x, y: x + y):
+            out = op(parameter(a), parameter(row.data)).sum()
+            with pytest.raises(ValueError):
+                out.backward()
 
     def test_scalar_mixing(self):
         a = self.rng.standard_normal((2, 3))
@@ -92,6 +98,26 @@ class TestElementwiseOps:
     def test_neg(self):
         a = self.rng.standard_normal((2, 2))
         fd_check(lambda x: (-x).sum(), [a])
+
+
+class TestAffine:
+    def setup_method(self):
+        self.rng = np.random.default_rng(37)
+
+    def test_value_is_matmul_plus_row(self):
+        x = self.rng.standard_normal((5, 3))
+        w = self.rng.standard_normal((3, 2))
+        b = self.rng.standard_normal(2)
+        out = affine(constant(x), constant(w), constant(b))
+        assert out.data.tobytes() == (x @ w + b).tobytes()
+
+    def test_gradient_x_w_b(self):
+        x = self.rng.standard_normal((5, 3))
+        w = self.rng.standard_normal((3, 2))
+        b = self.rng.standard_normal(2)
+        c = self.rng.standard_normal((5, 2))
+        fd_check(lambda x, w, b: (affine(x, w, b).silu() * c).sum(),
+                 [x, w, b])
 
 
 class TestMatmul:
@@ -126,15 +152,28 @@ class TestNormalize:
     def setup_method(self):
         self.rng = np.random.default_rng(36)
 
+    def affine_pair(self):
+        return (self.rng.standard_normal(4) + 1.0,
+                self.rng.standard_normal(4))
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_values_and_statistics(self, axis):
         a = self.rng.standard_normal((5, 4)) * 3.0 + 1.0
-        xhat, mean, var = normalize(constant(a), axis, 1e-5)
+        gamma, beta = self.affine_pair()
+        out, mean, var = normalize(constant(a), constant(gamma),
+                                   constant(beta), axis, 1e-5)
         np.testing.assert_allclose(mean, a.mean(axis=axis), atol=1e-12)
         np.testing.assert_allclose(var, a.var(axis=axis), atol=1e-12)
         expected = ((a - a.mean(axis=axis, keepdims=True))
                     / np.sqrt(a.var(axis=axis, keepdims=True) + 1e-5))
-        np.testing.assert_allclose(xhat.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected * gamma + beta,
+                                   atol=1e-12)
+        given, mean2, var2 = normalize(constant(a), constant(gamma),
+                                       constant(beta), axis, 1e-5,
+                                       (mean, var))
+        assert given.data.tobytes() == out.data.tobytes()
+        assert (mean2.tobytes(), var2.tobytes()) == (mean.tobytes(),
+                                                     var.tobytes())
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_gradient_random_weights(self, axis):
@@ -142,7 +181,25 @@ class TestNormalize:
         # so only a weighted objective exercises the mean(g) term.
         a = self.rng.standard_normal((5, 4)) * 2.0
         w = self.rng.standard_normal((5, 4))
-        fd_check(lambda x: (normalize(x, axis, 1e-5)[0] * w).sum(), [a])
+        fd_check(lambda x, g, b: (normalize(x, g, b, axis, 1e-5)[0]
+                                  * w).sum(), [a, *self.affine_pair()])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_gradient_given_statistics(self, axis):
+        # Given statistics are constants: x only scales and shifts.
+        a = self.rng.standard_normal((5, 4)) * 2.0
+        w = self.rng.standard_normal((5, 4))
+        n = a.shape[1 - axis]
+        stats = (self.rng.standard_normal(n), self.rng.uniform(0.5, 2.0, n))
+        fd_check(lambda x, g, b: (normalize(x, g, b, axis, 1e-5, stats)[0]
+                                  * w).sum(), [a, *self.affine_pair()])
+        x = parameter(a)
+        gamma, beta = self.affine_pair()
+        normalize(x, constant(gamma), constant(beta), axis, 1e-5,
+                  stats)[0].sum().backward()
+        inv_std = 1.0 / np.sqrt(np.expand_dims(stats[1], axis) + 1e-5)
+        np.testing.assert_allclose(x.grad, np.broadcast_to(
+            gamma * inv_std, a.shape), rtol=1e-15)
 
 
 class TestStructuredOps:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import qcnet
-import qcnet.features
 import qcnet.periodic
+import qcnet.structures
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
 from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
@@ -143,6 +143,17 @@ class TestBuild:
         assert main(["build", str(bad), "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
 
+    def test_quoted_numbers_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "quoted.json"
+        bad.write_text(json.dumps({"lattice": [["3", "0", "0"],
+                                               ["0", "3", "0"],
+                                               ["0", "0", "3"]],
+                                   "species": ["26"], "frac": [[0, 0, 0]]}))
+        out = tmp_path / "x.json"
+        assert main(["build", str(bad), "-o", str(out)]) == EXIT_INPUT
+        assert "'lattice'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_radius_too_small(self, tmp_path, capsys):
         assert main(["build", POSCAR, "--radius", "0.5", "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
@@ -224,13 +235,13 @@ class TestInterruptedWrites:
             return {p: p.read_bytes() for p in inputs["tmp"].rglob("*")
                     if p.is_file()}
         opened = []
-        monkeypatch.setattr(qcnet.features, "open",
+        monkeypatch.setattr(qcnet.structures, "open",
                             open_failing_at(None, opened), raising=False)
         assert main(argv + first) == EXIT_OK
         failing_file %= len(opened)
         before = outputs()
         opened = []
-        monkeypatch.setattr(qcnet.features, "open",
+        monkeypatch.setattr(qcnet.structures, "open",
                             open_failing_at(failing_file, opened),
                             raising=False)
         assert main(argv + second) == EXIT_INPUT

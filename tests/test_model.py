@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcnet.autodiff as ad
-import qcnet.features
+import qcnet.structures
 from qcnet.autodiff import constant, parameter
 from qcnet.complexes import MessagingPairs, build_complex, edge_pairs, \
     vertex_pairs
@@ -93,9 +93,15 @@ class TestNormalization:
                 num[i, j] = (fp - fm) / (2 * eps)
         np.testing.assert_allclose(x.grad, num, rtol=1e-5, atol=1e-8)
 
-    def test_train_norms_add_three_tape_nodes(self, monkeypatch):
-        x = parameter(np.random.default_rng(0).standard_normal((5, 3)))
+    def test_norms_and_affine_are_one_tape_node(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = parameter(rng.standard_normal((5, 3)))
+        w, b = parameter(rng.standard_normal((3, 2))), parameter(np.zeros(2))
         bn, ln = BatchNorm.init(3), LayerNorm.init(3)
+        calls = {"train BatchNorm": lambda: bn.apply(x, "train"),
+                 "eval BatchNorm": lambda: bn.apply(x, "eval"),
+                 "LayerNorm": lambda: ln.apply(x),
+                 "affine": lambda: ad.affine(x, w, b)}
         created = []
         init = ad.Tensor.__init__
 
@@ -103,12 +109,14 @@ class TestNormalization:
             init(tensor, *args, **kwargs)
             created.append(tensor)
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-        bn.apply(x, "train")
-        n_batch = len(created)
-        ln.apply(x)
+        counts = {}
+        for name, call in calls.items():
+            before = len(created)
+            call()
+            counts[name] = len(created) - before
         monkeypatch.undo()
-        assert (n_batch, len(created) - n_batch) == (3, 3)
-        assert all(t.requires_grad for t in created)
+        assert counts == dict.fromkeys(calls, 1)
+        assert all(t.requires_grad and len(t._parents) == 3 for t in created)
 
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
@@ -639,7 +647,7 @@ class TestCheckpoint:
         save_checkpoint(old, path, extra={"k_neighbors": 4})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         opened = []
-        monkeypatch.setattr(qcnet.features, "open",
+        monkeypatch.setattr(qcnet.structures, "open",
                             open_failing_at(failing_file, opened),
                             raising=False)
         with pytest.raises(OSError):

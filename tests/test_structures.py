@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcnet.structures
+from qcnet.features import AtomFeatureTable
 from qcnet.structures import (MAX_Z, CrystalStructure, DatasetRecord,
                               DegenerateLatticeError, ParseError,
                               UnknownSpeciesError, load_dataset, parse_poscar,
@@ -15,7 +17,7 @@ from qcnet.structures import (MAX_Z, CrystalStructure, DatasetRecord,
                               structure_json_text, structure_to_dict,
                               write_structure)
 
-from conftest import DATA_DIR, random_structure
+from conftest import DATA_DIR, open_failing_at, random_structure
 
 
 class TestCrystalStructure:
@@ -173,6 +175,25 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             structure_from_dict(obj)
 
+    @pytest.mark.parametrize("key, value", [
+        ("species", ["26"]), ("species", [True]), ("species", [26.0]),
+        ("species", [None]), ("species", [10 ** 30]),
+        ("lattice", [["3", "0", "0"], [0, 3, 0], [0, 0, 3]]),
+        ("lattice", [[3, 0, 0], [0, 3, 0], [0, 0, False]]),
+        ("lattice", [[10 ** 400, 0, 0], [0, 3, 0], [0, 0, 3]]),
+        ("frac", [[True, 0, 0]]), ("frac", [["0.5", 0, 0]]),
+        ("frac", [[0, {}, 0]]),
+    ], ids=["species-quoted", "species-bool", "species-float",
+            "species-null", "species-huge", "lattice-quoted", "lattice-bool",
+            "lattice-huge", "frac-bool", "frac-quoted", "frac-object"])
+    def test_non_number_leaf_rejected(self, key, value):
+        # Quoted numbers and bools are not coerced; the error names the field.
+        obj = {"lattice": (3.0 * np.eye(3)).tolist(), "species": [26],
+               "frac": [[0.0, 0.0, 0.0]]}
+        obj[key] = value
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            structure_from_dict(obj)
+
     def test_missing_key(self):
         with pytest.raises(ParseError, match="frac"):
             structure_from_dict({"lattice": np.eye(3).tolist(),
@@ -282,6 +303,18 @@ class TestDataset:
         assert result.n_skipped == 2
         assert [lineno for lineno, _ in result.errors] == [2, 4]
 
+    def test_quoted_numbers_reported_per_line(self, tmp_path, catio3):
+        quoted = structure_to_dict(catio3)
+        quoted["lattice"] = [[str(x) for x in row] for row in quoted["lattice"]]
+        path = tmp_path / "d.jsonl"
+        path.write_text(self._record_line(catio3, 1.0) + "\n"
+                        + json.dumps({"structure": quoted, "target": 2.0})
+                        + "\n")
+        result = load_dataset(path)
+        assert len(result.records) == 1
+        assert [lineno for lineno, _ in result.errors] == [2]
+        assert "'lattice'" in result.errors[0][1]
+
     def test_invalid_target(self, catio3):
         with pytest.raises(ValueError):
             DatasetRecord(structure=catio3, target=float("nan"))
@@ -299,3 +332,32 @@ class TestDataset:
         save_dataset(records, p1)
         save_dataset(records, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestInterruptedWrites:
+    WRITERS = {
+        "structure-json": lambda s, path: write_structure(s, path),
+        "structure-poscar": lambda s, path: write_structure(s, path,
+                                                            fmt="poscar"),
+        "dataset": lambda s, path: save_dataset(
+            [DatasetRecord(structure=s, target=1.0)], path),
+        "atom-table": lambda s, path: AtomFeatureTable(
+            {int(z): np.full(92, float(z)) for z in s.species}).save(path),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              catio3, writer):
+        # A disk that fills up mid-write leaves the previous file whole.
+        write = self.WRITERS[writer]
+        path = tmp_path / "out"
+        write(catio3, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        opened = []
+        monkeypatch.setattr(qcnet.structures, "open",
+                            open_failing_at(0, opened), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(random_structure(np.random.default_rng(1)), path)
+        monkeypatch.undo()
+        assert len(opened) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
