@@ -26,9 +26,8 @@ _MODULE_NAMES = {
         "triangle_features", "vertex_features"),
     "homology": (
         "QuotientHomologyReport", "SimplicialComplex", "SubcomplexError",
-        "betti_numbers", "boundary_matrix", "inclusion_induced_rank",
-        "matrix_rank", "pairwise_gluing", "star_gluing",
-        "verify_quotient_homology"),
+        "betti_numbers", "inclusion_induced_rank", "matrix_rank",
+        "pairwise_gluing", "star_gluing", "verify_quotient_homology"),
     "model": (
         "CheckpointMismatchError", "EmptyComplexError", "ModelConfig",
         "NonFiniteActivationError", "SimplexTransformer", "batch_loss",

@@ -361,16 +361,22 @@ def _model_and_table(checkpoint: str, table_arg: str | None,
     if not isinstance(extra, dict):
         extra = {}
 
-    def recorded(key, flag, default):
+    def recorded(key, flag, default, valid, kind):
         if flag is not None:
             return flag
         if key not in extra:
             print(f"warning: {checkpoint}.json records no {key}; "
                   f"using {default}", file=sys.stderr)
-        return extra.get(key, default)
+            return default
+        if not valid(extra[key]):
+            raise CliError(EXIT_CONFIG, f"{checkpoint}.json: {key} must be "
+                           f"{kind}, got {extra[key]!r:.40}")
+        return extra[key]
 
-    table_desc = recorded("atom_table", table_arg, "random:0")
-    k = int(recorded("k_neighbors", k_arg, 12))
+    table_desc = recorded("atom_table", table_arg, "random:0",
+                          lambda v: isinstance(v, str), "a string")
+    k = recorded("k_neighbors", k_arg, 12,
+                 lambda v: type(v) is int and v >= 1, "an integer >= 1")
     return model, _load_table(table_desc), k
 
 

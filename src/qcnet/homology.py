@@ -4,17 +4,20 @@ Complexes are finite abstract simplicial complexes on integer vertices,
 stored closed under taking faces.  Boundary matrices use the alternating
 sign convention on sorted vertex tuples (the boundary of an edge (a, b) is
 (b) - (a)).  Ranks are exact over Q, by fraction-free sparse elimination
-on Python ints: rank d_q = rank d_q^T, so each q-simplex contributes one
-row {face index: +-1}.  A row v is reduced at its lowest index against the
-stored pivot row p as a*v - b*p, then divided by the gcd of its entries.
-Betti numbers come from those ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
+on Python ints.  Rows have one format, a {column: int} dict: rank d_q =
+rank d_q^T, so each q-simplex contributes one row {face index: +-1}.  A
+row v is reduced at its lowest index against the stored pivot row p as
+a*v - b*p, then divided by the gcd of its entries.  Betti numbers come
+from those ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
 
 Identifying groups of vertices is modeled by attaching a cone: for each
 class with at least two members, a fresh apex joined by an edge to every
 member (the "star" gluing).  The glued complex deformation-retracts onto
-the quotient space, so its homology is the quotient's.  The map induced on
-homology by the inclusion of the original complex is onto in degree 0,
-injective in degree 1, and an isomorphism above; ``verify_quotient_homology``
+the quotient space, so its homology is the quotient's.  Cone edges add
+only vertices and edges, so a gluing reuses K's faces of dimension >= 2
+and their positions as they are.  The map induced on homology by the
+inclusion of the original complex is onto in degree 0, injective in
+degree 1, and an isomorphism above; ``verify_quotient_homology``
 machine-checks those statements by computing the rank of the induced map
 H_q(K) -> H_q(K') from ranks alone:
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -68,14 +71,19 @@ class SimplicialComplex:
                 raise ValueError(f"repeated vertex in simplex {vs}")
             for size in range(1, len(vs) + 1):
                 faces.update(itertools.combinations(vs, size))
-        self.by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for face in faces:
-            self.by_dim.setdefault(len(face) - 1, []).append(face)
-        for q in self.by_dim:
-            self.by_dim[q].sort()
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
+        for face in sorted(faces):
+            by_dim.setdefault(len(face) - 1, []).append(face)
+        self._index_faces(by_dim, {})
+
+    def _index_faces(self, by_dim: dict[int, list[tuple[int, ...]]],
+                     known: dict[int, dict[tuple[int, ...], int]]) -> None:
+        """Take sorted face lists by dimension; number every list whose
+        positions ``known`` does not already hold."""
+        self.by_dim = by_dim
         self.index: dict[int, dict[tuple[int, ...], int]] = {
-            q: {s: i for i, s in enumerate(lst)}
-            for q, lst in self.by_dim.items()}
+            q: known[q] if q in known else {s: i for i, s in enumerate(lst)}
+            for q, lst in by_dim.items()}
         self._ranks: dict[int, int] = {}
 
     @property
@@ -125,21 +133,6 @@ def _boundary_rows(K: SimplicialComplex, q: int,
     return rows
 
 
-def boundary_matrix(K: SimplicialComplex,
-                    q: int) -> tuple[list[list[Fraction]], int]:
-    """(rows, n_cols) of d_q: rows are (q-1)-simplices, columns q-simplices.
-
-    d_0 is the zero map (no rows); a q above the dimension gives a matrix
-    with zero columns.  Both still have well-defined rank and nullspace.
-    """
-    cols = _boundary_rows(K, q)
-    rows = [[Fraction(0)] * len(cols) for _ in range(K.n(q - 1))]
-    for j, col in enumerate(cols):
-        for i, sign in col.items():
-            rows[i][j] = Fraction(sign)
-    return rows, len(cols)
-
-
 def _rref(rows: list[list[Fraction]],
           n_cols: int) -> tuple[int, list[list[Fraction]], list[int]]:
     m = [list(row) for row in rows]
@@ -163,31 +156,26 @@ def _rref(rows: list[list[Fraction]],
     return r, m, pivots
 
 
-def _integer_row(row) -> dict[int, int]:
-    """Nonzero entries of a dense or {col: value} rational row, scaled by
-    the lcm of their denominators to ints."""
-    entries = row.items() if isinstance(row, dict) else enumerate(row)
-    out = {j: x for j, x in entries if x != 0}
-    if all(type(x) is int for x in out.values()):
-        return out
-    exact = {j: Fraction(x) for j, x in out.items()}
-    scale = math.lcm(*(x.denominator for x in exact.values()))
-    return {j: int(x * scale) for j, x in exact.items()}
-
-
 def matrix_rank(rows, n_cols: int) -> int:
-    """Exact rank over Q of rows that are dense sequences of ``n_cols``
-    rationals or sparse {col: value} dicts.
+    """Exact rank over Q of sparse integer rows of width ``n_cols``.
 
-    Fraction-free elimination: each row, scaled to ints, is reduced at its
-    lowest column against the pivot row stored there as a*v - b*p and
-    divided by the gcd of its entries, until it is zero or starts a new
-    pivot.  The rank is the number of pivots.  Only nonzero entries are
-    visited, so ``n_cols`` states the row width but bounds no work.
+    Each row is a {column: nonzero int} dict, and is used as given: it is
+    neither copied nor changed.  A row that is not a dict raises
+    TypeError, one with a zero entry ValueError; rational rows must be
+    scaled to ints first (by the lcm of their denominators, say).
+    Fraction-free elimination: each row is reduced at its lowest column
+    against the pivot row stored there as a*v - b*p and divided by the gcd
+    of its entries, until it is zero or starts a new pivot.  The rank is
+    the number of pivots.  Only nonzero entries are visited, so ``n_cols``
+    states the row width but bounds no work.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        v = _integer_row(row)
+    for v in rows:
+        if not isinstance(v, dict):
+            raise TypeError(f"matrix_rank rows are {{column: int}} dicts, "
+                            f"not {type(v).__name__}")
+        if 0 in v.values():
+            raise ValueError(f"matrix_rank row has a zero entry: {v!r:.60}")
         while v:
             c = min(v)
             p = pivots.get(c)
@@ -256,23 +244,34 @@ def normalize_partition(K: SimplicialComplex,
     return out
 
 
-def _fresh_vertex(K: SimplicialComplex) -> int:
-    return (max(K.vertices) + 1) if K.vertices else 0
+def _cone_gluing(K: SimplicialComplex,
+                 groups: list[list[int]]) -> SimplicialComplex:
+    """K plus one fresh apex per group, joined by an edge to each member.
+
+    Cone edges add only vertices and edges, so the glued complex shares
+    K's higher face lists and their positions; only the vertex and edge
+    lists are rebuilt and numbered.
+    """
+    by_dim = dict(K.by_dim)
+    first = apex = max(K.vertices, default=-1) + 1
+    edges = list(K.simplices(1))
+    for group in groups:
+        edges += [(v, apex) for v in group]  # every member is below apex
+        apex += 1
+    if apex > first:
+        by_dim[0] = K.simplices(0) + [(a,) for a in range(first, apex)]
+    if edges:
+        by_dim[1] = sorted(edges)
+    glued = SimplicialComplex.__new__(SimplicialComplex)
+    glued._index_faces(by_dim, {q: K.index[q] for q in by_dim if q > 1})
+    return glued
 
 
 def star_gluing(K: SimplicialComplex,
                 classes: list[list[int]]) -> SimplicialComplex:
     """Attach one apex per class of size >= 2, coned to all its members."""
-    partition = normalize_partition(K, classes)
-    apex = _fresh_vertex(K)
-    simplices = [list(s) for q in sorted(K.by_dim) for s in K.simplices(q)]
-    for cls in partition:
-        if len(cls) < 2:
-            continue
-        for v in cls:
-            simplices.append([apex, v])
-        apex += 1
-    return SimplicialComplex(simplices)
+    return _cone_gluing(K, [cls for cls in normalize_partition(K, classes)
+                            if len(cls) >= 2])
 
 
 def pairwise_gluing(K: SimplicialComplex,
@@ -283,15 +282,9 @@ def pairwise_gluing(K: SimplicialComplex,
     apexes of pairs (a,b), (b,c), (a,c) together with the class members form
     an extra loop, inflating degree-1 homology.
     """
-    partition = normalize_partition(K, classes)
-    apex = _fresh_vertex(K)
-    simplices = [list(s) for q in sorted(K.by_dim) for s in K.simplices(q)]
-    for cls in partition:
-        for u, v in itertools.combinations(cls, 2):
-            simplices.append([apex, u])
-            simplices.append([apex, v])
-            apex += 1
-    return SimplicialComplex(simplices)
+    return _cone_gluing(K, [list(pair)
+                            for cls in normalize_partition(K, classes)
+                            for pair in itertools.combinations(cls, 2)])
 
 
 def inclusion_induced_rank(K: SimplicialComplex, K_big: SimplicialComplex,
@@ -332,15 +325,7 @@ class QuotientHomologyReport:
                 and self.h2_isomorphism and self.h3_isomorphism)
 
     def to_dict(self) -> dict:
-        return {"construction": self.construction,
-                "betti_base": self.betti_base,
-                "betti_glued": self.betti_glued,
-                "theta_rank": self.theta_rank,
-                "h0_onto": self.h0_onto,
-                "h1_injective": self.h1_injective,
-                "h2_isomorphism": self.h2_isomorphism,
-                "h3_isomorphism": self.h3_isomorphism,
-                "all_verified": self.all_verified}
+        return {**asdict(self), "all_verified": self.all_verified}
 
 
 def verify_quotient_homology(K: SimplicialComplex, classes: list[list[int]],

@@ -21,9 +21,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import secrets
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,10 +338,12 @@ class DatasetRecord:
     split_tag: str | None = None
 
     def __post_init__(self):
+        # The last test is false for nan, +-inf and ints beyond float range.
         if not isinstance(self.target, (int, float)) or \
-                isinstance(self.target, bool) or not math.isfinite(self.target):
+                isinstance(self.target, bool) or \
+                not abs(self.target) <= sys.float_info.max:
             raise ParseError(f"target must be a finite number, "
-                             f"got {self.target!r}")
+                             f"got {self.target!r:.40}")
         object.__setattr__(self, "target", float(self.target))
         if self.split_tag is not None and \
                 self.split_tag not in ("train", "val", "test"):

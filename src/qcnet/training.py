@@ -10,7 +10,7 @@ thread settings produce identical histories and checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -144,10 +144,7 @@ class MetricsReport:
     status: str
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "mae": self.mae, "mse": self.mse,
-                "rmse": self.rmse, "mad": self.mad, "cod": self.cod,
-                "pcc": self.pcc, "mad_mae_ratio": self.mad_mae_ratio,
-                "status": self.status}
+        return asdict(self)
 
 
 def metrics_report(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsReport:

@@ -15,7 +15,8 @@ import qcnet.structures
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
 from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
-from qcnet.structures import save_dataset, write_structure
+from qcnet.structures import record_to_obj, save_dataset, \
+    write_structure
 from qcnet.training import synthetic_overfit_dataset
 
 from conftest import DATA_DIR, open_failing_at
@@ -296,6 +297,22 @@ class TestTrain:
                        "[output]\ndir = out\n")
         assert main(["train", str(cfg)]) == EXIT_DATA
 
+    def test_unrepresentable_target_skipped(self, tmp_path, capsys):
+        # A target of 10**400 parses as JSON but has no float value.
+        line = json.dumps({**record_to_obj(synthetic_overfit_dataset(
+            n_samples=1, seed=7)[0]), "target": 10 ** 400})
+        data = tmp_path / "huge.jsonl"
+        data.write_text(line + "\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[data]\ntrain = {data}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["train", str(cfg)]) == EXIT_DATA
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith(f"warning: {data} line 1 skipped: ")
+        assert warning.endswith("target must be a finite number, "
+                                f"got {str(10 ** 400)[:40]}")
+        assert error == f"error: no usable records in {data}"
+
     def test_bad_train_value(self, run_config):
         cfg, _ = run_config(train={"epochs": "-3"})
         assert main(["train", str(cfg)]) == EXIT_CONFIG
@@ -442,6 +459,44 @@ class TestNonFiniteActivations:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "node.0" in err[0] and "Traceback" not in proc.stderr
+
+
+class TestSidecarValues:
+    """A sidecar value of the wrong type is a config error naming the key;
+    flags given on the command line still win over the sidecar."""
+
+    BAD = {"atom-table-null": ("atom_table", None),
+           "atom-table-int": ("atom_table", 7),
+           "k-float": ("k_neighbors", 1.5),
+           "k-bool": ("k_neighbors", True),
+           "k-zero": ("k_neighbors", 0)}
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_value_exits_config(self, tmp_path, case):
+        key, value = self.BAD[case]
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(SimplexTransformer.init(ModelConfig(4, 4), seed=0),
+                        ckpt, extra={"atom_table": "random:0",
+                                     "k_neighbors": 4, key: value})
+        src_dir = str(pathlib.Path(qcnet.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+
+        def predict(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "qcnet.cli", "predict",
+                 "--checkpoint", str(ckpt), POSCAR, *flags],
+                capture_output=True, text=True, env=env, timeout=120)
+
+        proc = predict()
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {ckpt}.json: {key} must be "
+            f"{'a string' if key == 'atom_table' else 'an integer >= 1'}, "
+            f"got {value!r}"]
+        proc = predict("--atom-table", "random:0", "--k", "4")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestHomologyCommand:

@@ -1,5 +1,8 @@
 """Exact simplicial homology and the vertex-gluing theorem checks."""
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcnet.homology import (SimplicialComplex, SubcomplexError,
-                            betti_numbers, boundary_matrix,
+                            _boundary_rows, betti_numbers,
                             inclusion_induced_rank, matrix_rank,
                             normalize_partition, nullspace_basis,
                             pairwise_gluing, random_flag_complex,
@@ -48,43 +51,43 @@ class TestSimplicialComplex:
         assert all(type(v) is int for v in K.vertices)
 
 
+def integer_row(row):
+    """A dense rational row as a {column: int} dict, scaled by the lcm of
+    its denominators."""
+    exact = [Fraction(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in exact))
+    return {j: int(x * scale) for j, x in enumerate(exact) if x}
+
+
 class TestBoundaryOperators:
     def test_single_edge_column(self):
         K = SimplicialComplex([[0, 1]])
-        rows, n_cols = boundary_matrix(K, 1)
-        assert n_cols == 1
-        # d(0,1) = (1) - (0): -1 on the row of vertex 0, +1 on vertex 1.
-        assert [row[0] for row in rows] == [Fraction(-1), Fraction(1)]
+        # d(0,1) = (1) - (0): -1 on vertex 0, +1 on vertex 1.
+        assert _boundary_rows(K, 1) == [{0: -1, 1: 1}]
 
     def test_d0_is_zero_map(self):
         K = SimplicialComplex([[0, 1]])
-        rows, n_cols = boundary_matrix(K, 0)
-        assert rows == [] and n_cols == 2
+        assert _boundary_rows(K, 0) == [{}, {}]
+        assert K.boundary_rank(0) == 0
 
     def test_dd_zero(self):
         rng = np.random.default_rng(70)
         for _ in range(10):
             K = random_flag_complex(6, 0.6, rng)
             for q in range(1, 4):
-                d_q, n_q = boundary_matrix(K, q)
-                d_q1, n_q1 = boundary_matrix(K, q + 1)
-                if not d_q or n_q1 == 0:
-                    continue
-                for j in range(n_q1):
-                    col = [d_q1[r][j] for r in range(len(d_q1))]
-                    product = [sum(d_q[i][r] * col[r]
-                                   for r in range(len(col)))
-                               for i in range(len(d_q))]
-                    assert all(x == 0 for x in product)
+                lower = _boundary_rows(K, q)
+                for row in _boundary_rows(K, q + 1):
+                    total = Counter()
+                    for face, sign in row.items():
+                        for sub, sub_sign in lower[face].items():
+                            total[sub] += sign * sub_sign
+                    assert not any(total.values())
 
     def test_tetra_boundary_ranks(self):
         K = SimplicialComplex([[0, 1, 2, 3]])
-        d1, _ = boundary_matrix(K, 1)
-        d2, n2 = boundary_matrix(K, 2)
-        d3, n3 = boundary_matrix(K, 3)
-        assert matrix_rank(d1, 6) == 3
-        assert matrix_rank(d2, n2) == 3
-        assert matrix_rank(d3, n3) == 1
+        assert [K.boundary_rank(q) for q in (1, 2, 3)] == [3, 3, 1]
+        assert [matrix_rank(_boundary_rows(K, q), K.n(q - 1))
+                for q in (1, 2, 3)] == [3, 3, 1]
 
 
 class TestExactLinearAlgebra:
@@ -93,7 +96,7 @@ class TestExactLinearAlgebra:
         for _ in range(50):
             m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             a = rng.integers(-3, 4, size=(m, n))
-            rows = [[Fraction(int(x)) for x in row] for row in a]
+            rows = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
             assert matrix_rank(rows, n) == np.linalg.matrix_rank(a)
 
     def test_nullspace_vectors_in_kernel(self):
@@ -103,7 +106,8 @@ class TestExactLinearAlgebra:
             a = rng.integers(-2, 3, size=(m, n))
             rows = [[Fraction(int(x)) for x in row] for row in a]
             basis = nullspace_basis(rows, n)
-            assert len(basis) == n - matrix_rank(rows, n)
+            sparse = [integer_row(row) for row in rows]
+            assert len(basis) == n - matrix_rank(sparse, n)
             for vec in basis:
                 for row in rows:
                     assert sum(r * v for r, v in zip(row, vec)) == 0
@@ -111,7 +115,26 @@ class TestExactLinearAlgebra:
     def test_exactness_with_awkward_fractions(self):
         rows = [[Fraction(1, 3), Fraction(1, 7)],
                 [Fraction(2, 3), Fraction(2, 7)]]
-        assert matrix_rank(rows, 2) == 1
+        assert matrix_rank([integer_row(row) for row in rows], 2) == 1
+        # Equal as floats, independent as ints.
+        big = 10 ** 30
+        assert matrix_rank([{0: big, 1: 1}, {0: big + 1, 1: 1}], 2) == 2
+
+    @pytest.mark.parametrize("row", [[1, 0], (1, 0), [Fraction(1)]],
+                             ids=["list", "tuple", "fractions"])
+    def test_dense_row_rejected(self, row):
+        with pytest.raises(TypeError, match="dicts"):
+            matrix_rank([{0: 1}, row], 2)
+
+    def test_zero_entry_rejected(self):
+        with pytest.raises(ValueError, match="zero entry"):
+            matrix_rank([{0: 1}, {0: 0, 1: 1}], 2)
+
+    def test_rows_used_as_given(self):
+        rows = [{0: 2, 1: 4}, {0: 3, 2: 1}, {0: 1, 1: 2}]
+        before = [dict(row) for row in rows]
+        assert matrix_rank(rows, 3) == 2
+        assert rows == before
 
 
 class TestBetti:
@@ -201,6 +224,56 @@ class TestGluings:
         glued = pairwise_gluing(K, [[0, 1, 2]])
         assert len(glued.vertices) == 3 + 3
         assert glued.n(1) == 2 + 6
+
+    @staticmethod
+    def reclosed(K, groups):
+        """The cone gluing rebuilt from scratch: K's faces plus one edge
+        (member, apex) per member, closed again under faces."""
+        apex = max(K.vertices, default=-1) + 1
+        simplices = [s for q in K.by_dim for s in K.simplices(q)]
+        for group in groups:
+            simplices += [(v, apex) for v in group]
+            apex += 1
+        return SimplicialComplex(simplices)
+
+    @staticmethod
+    def groups(K, classes, construction):
+        partition = normalize_partition(K, classes)
+        if construction == "star":
+            return [cls for cls in partition if len(cls) >= 2]
+        return [pair for cls in partition
+                for pair in itertools.combinations(cls, 2)]
+
+    EDGE_CASES = {
+        "no-groups": ([[0, 1, 2], [2, 3]], [[1], [3]]),
+        "no-edges": ([[0], [1], [2], [5]], [[0, 2, 5]]),
+        "empty": ([], []),
+    }
+
+    @pytest.mark.parametrize("construction", ["star", "pairwise"])
+    def test_gluing_equals_reclosed_reference(self, construction):
+        rng = np.random.default_rng(79)
+        cases = [(SimplicialComplex(simplices), classes)
+                 for simplices, classes in self.EDGE_CASES.values()]
+        for _ in range(40):
+            K = random_flag_complex(int(rng.integers(2, 10)),
+                                    float(rng.uniform(0.2, 0.9)), rng)
+            cases.append((K, random_partition(K.vertices, rng)))
+        glue = {"star": star_gluing, "pairwise": pairwise_gluing}
+        for K, classes in cases:
+            glued = glue[construction](K, classes)
+            ref = self.reclosed(K, self.groups(K, classes, construction))
+            assert glued.by_dim == ref.by_dim, classes
+            assert glued.index == ref.index, classes
+            assert glued.dim == ref.dim, classes
+
+    def test_gluing_shares_higher_faces(self):
+        K = SimplicialComplex([[0, 1, 2, 3]])
+        glued = star_gluing(K, [[0, 3]])
+        for q in (2, 3):
+            assert glued.by_dim[q] is K.by_dim[q]
+            assert glued.index[q] is K.index[q]
+        assert K.n(0) == 4 and K.n(1) == 6  # K itself is unchanged
 
     def test_three_path_counterexample(self):
         # One class holding all three path vertices: the star complex
@@ -361,9 +434,9 @@ class TestAgainstOracle:
     def test_boundary_ranks(self):
         for K, _ in fuzzed_instances(80, 25):
             for q in range(5):
-                rows, n_cols = boundary_matrix(K, q)
-                assert matrix_rank(rows, n_cols) == \
-                    oracle_rank(*oracle_boundary(K, q))
+                rank = oracle_rank(*oracle_boundary(K, q))
+                assert K.boundary_rank(q) == rank
+                assert matrix_rank(_boundary_rows(K, q), K.n(q - 1)) == rank
 
     def test_betti_numbers(self):
         for K, classes in fuzzed_instances(81, 25):
@@ -427,13 +500,12 @@ class TestRankProperties:
     def test_rank_matches_oracle_and_is_invariant(self, mat, data):
         rows, n = mat
         rank = oracle_rank(rows, n)
-        assert matrix_rank(rows, n) == rank
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert matrix_rank(sparse, n) == rank
+        ints = [integer_row(row) for row in rows]
+        assert matrix_rank(ints, n) == rank
         order = data.draw(st.permutations(range(len(rows))))
-        assert matrix_rank([rows[i] for i in order], n) == rank
+        assert matrix_rank([ints[i] for i in order], n) == rank
         scales = data.draw(st.lists(
             st.fractions(-5, 5, max_denominator=7).filter(bool),
             min_size=len(rows), max_size=len(rows)))
-        assert matrix_rank([[s * x for x in row]
+        assert matrix_rank([integer_row([s * x for x in row])
                             for s, row in zip(scales, rows)], n) == rank

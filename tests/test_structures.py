@@ -322,6 +322,18 @@ class TestDataset:
             record_from_obj({"structure": structure_to_dict(catio3),
                              "target": "high"})
 
+    def test_huge_integer_target_is_line_diagnostic(self, tmp_path, catio3):
+        # 10**400 is a valid JSON number but has no float value.
+        with pytest.raises(ParseError, match="finite number"):
+            DatasetRecord(structure=catio3, target=10 ** 400)
+        path = tmp_path / "d.jsonl"
+        path.write_text(self._record_line(catio3, 1.0) + "\n"
+                        + self._record_line(catio3, 10 ** 400) + "\n")
+        result = load_dataset(path)
+        assert [r.target for r in result.records] == [1.0]
+        assert [lineno for lineno, _ in result.errors] == [2]
+        assert "target must be a finite number" in result.errors[0][1]
+
     def test_invalid_split_tag(self, catio3):
         with pytest.raises(ValueError):
             DatasetRecord(structure=catio3, target=0.0, split_tag="holdout")
