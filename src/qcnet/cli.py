@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
@@ -220,18 +221,15 @@ def _read_run_config(path: str) -> configparser.ConfigParser:
 
 
 def _train_config_from_ini(cp: configparser.ConfigParser, seed: int):
+    """The keys the file sets, each converted by the type of its
+    ``TrainConfig`` default; ``TrainConfig`` supplies the rest."""
     from .training import TrainConfig
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     try:
-        return TrainConfig(
-            epochs=cp.getint("train", "epochs", fallback=500),
-            batch_size=cp.getint("train", "batch_size", fallback=64),
-            peak_lr=cp.getfloat("train", "peak_lr", fallback=0.005),
-            weight_decay=cp.getfloat("train", "weight_decay", fallback=1e-5),
-            loss=cp.get("train", "loss", fallback="mae"),
-            k_neighbors=cp.getint("train", "k_neighbors", fallback=12),
-            seed=seed,
-            hidden_dim=cp.getint("model", "hidden_dim", fallback=64),
-            head_hidden=cp.getint("model", "head_hidden", fallback=64))
+        return TrainConfig(seed=seed, **{
+            key: kinds[key](cp.get(section, key))
+            for section in ("train", "model") if cp.has_section(section)
+            for key in cp[section] if key != "seed"})
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"bad training config: {exc}")
 
@@ -422,7 +420,7 @@ def cmd_homology(args) -> int:
             simplices = json.load(fh)
         with open(args.partition, "r", encoding="utf-8") as fh:
             classes = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer too long to convert
         raise CliError(EXIT_INPUT, f"invalid JSON: {exc}")
     if not (isinstance(simplices, list) and simplices and
             all(isinstance(s, list) for s in simplices)):

@@ -21,15 +21,13 @@ import numpy as np
 
 from .complexes import QuotientComplex
 from .periodic import PeriodicGraph
-from .structures import replace_files
+from .structures import MAX_Z, replace_files
 
 VERTEX_DIM = 92
 EDGE_DIM = 376
 TRIANGLE_DIM = 216
 
 RBF_SIGMAS = (0.01, 0.1, 1.0)
-
-MAX_Z = 118
 
 
 class MissingSpeciesError(ValueError):

@@ -18,18 +18,21 @@ triangle information reaches edges before edges refresh the vertices.  The
 graph embedding is the concat of vertex-mean and edge-mean (2H), followed by
 a two-hidden-layer MLP head to a scalar.
 
-BatchNorm normalizes over the message population of one layer application
-(batch statistics in train mode with running-stat updates, frozen running
-stats in eval mode), so eval predictions are independent of batching.
-Every norm, gamma and beta included, is one ``autodiff.normalize`` node:
-BatchNorm over the rows (axis 0), with the running statistics passed in as
-constants in eval mode, and LayerNorm over each row's features (axis 1).
-Every biased map is one ``autodiff.affine`` node.  ``_attention_stage`` is
-the one implementation of the formula above.  Everything runs in float64 on
-the autodiff tape; a layer whose update path is zero-initialized is an exact
-identity.  Only ``loss_and_gradients`` records the tape: ``predict``,
-``batch_loss`` and ``layer_update`` run the same ops under
-``autodiff.no_grad()`` and keep no intermediates.
+BatchNorm normalizes over the message population of one layer application.
+The model carries no mode; the entry point picks the statistics.  The
+training step, ``loss_and_gradients``, uses batch statistics and updates
+the running statistics; ``predict`` (hence ``forward``) and ``batch_loss``
+use the running statistics, so they never change a model and their
+predictions are independent of batching.  Every norm, gamma and beta
+included, is one ``autodiff.normalize`` node: BatchNorm over the rows
+(axis 0), with the running statistics passed in as constants outside the
+training step, and LayerNorm over each row's features (axis 1).  Every
+biased map is one ``autodiff.affine`` node.  ``_attention_stage`` is the
+one implementation of the formula above.  Everything runs in float64 on
+the autodiff tape; a layer whose update path is zero-initialized is an
+exact identity.  Only ``loss_and_gradients`` records the tape:
+``predict`` and ``batch_loss`` run the same ops under ``autodiff.no_grad()``
+and keep no intermediates.
 """
 
 from __future__ import annotations
@@ -96,8 +99,10 @@ class BatchNorm:
         return cls(parameter(np.ones(dim)), parameter(np.zeros(dim)),
                    np.zeros(dim), np.ones(dim))
 
-    def apply(self, x: Tensor, mode: str) -> Tensor:
-        if mode != "train":
+    def apply(self, x: Tensor, train: bool) -> Tensor:
+        """Batch statistics (and a running-stat update) when ``train``,
+        else the running statistics."""
+        if not train:
             return ad.normalize(x, self.gamma, self.beta, 0, BN_EPS,
                                 (self.run_mean, self.run_var))[0]
         out, mean, var = ad.normalize(x, self.gamma, self.beta, 0, BN_EPS)
@@ -234,7 +239,6 @@ class SimplexTransformer:
         self.node_layers = node_layers
         self.edge_node_blocks = edge_node_blocks
         self.head = head
-        self.mode = "eval"
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "SimplexTransformer":
@@ -250,11 +254,6 @@ class SimplexTransformer:
                   for _ in range(N_EDGE_NODE_LAYERS)]
         head = Head.init(h, config.head_hidden, rng)
         return cls(config, embeds, node_layers, blocks, head)
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValueError("mode must be 'train' or 'eval'")
-        self.mode = mode
 
     # -- parameter bookkeeping ---------------------------------------------
 
@@ -323,14 +322,13 @@ class SimplexTransformer:
     def clone(self) -> "SimplexTransformer":
         fresh = SimplexTransformer.init(self.config, seed=0)
         fresh.copy_state_from(self)
-        fresh.mode = self.mode
         return fresh
 
 
 # -- attention core ---------------------------------------------------------
 
 def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
-                     layer: AttentionLayer, mode: str, hidden: int) -> Tensor:
+                     layer: AttentionLayer, train: bool) -> Tensor:
     """Messages for all pairs: (P, H) rows ready for segment aggregation."""
     hs = gather_rows(h, pairs.sigma)
     ht = gather_rows(h, pairs.tau)
@@ -339,8 +337,8 @@ def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
     qq = concat([q, q], axis=1)
     k = concat([ht @ layer.k_face, hc @ layer.k_cof], axis=1)
     k = affine(k, layer.key_w, layer.key_b).silu()
-    alpha = qq * k * (1.0 / np.sqrt(2.0 * hidden))
-    gate = layer.attn_bn.apply(alpha, mode).sigmoid()
+    alpha = qq * k * (1.0 / np.sqrt(2.0 * h.shape[1]))
+    gate = layer.attn_bn.apply(alpha, train).sigmoid()
     v = concat([ht @ layer.v_face, hc @ layer.v_cof], axis=1)
     v = affine(v, layer.val_w, layer.val_b).silu()
     m = gate * v
@@ -348,26 +346,15 @@ def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
 
 
 def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
-                      layer: AttentionLayer, mode: str,
-                      hidden: int) -> Tensor:
-    n = h.shape[0]
+                      layer: AttentionLayer, train: bool) -> Tensor:
     if pairs.n_pairs == 0:
-        agg: Tensor = constant(np.zeros((n, hidden)))
+        agg: Tensor = constant(np.zeros(h.shape))
     else:
-        msg = _attention_stage(h, h_cof, pairs, layer, mode, hidden)
-        agg = segment_sum(msg, pairs.sigma, n)
+        msg = _attention_stage(h, h_cof, pairs, layer, train)
+        agg = segment_sum(msg, pairs.sigma, h.shape[0])
     upd = layer.upd_bn.apply(affine(agg, layer.upd_w, layer.upd_b),
-                             mode).silu()
+                             train).silu()
     return h + upd
-
-
-def layer_update(h: np.ndarray, h_cof: np.ndarray, pairs: MessagingPairs,
-                 layer: AttentionLayer, mode: str = "eval") -> np.ndarray:
-    """Numpy convenience wrapper around one attention layer update."""
-    with ad.no_grad():
-        out = _attention_update(constant(h), constant(h_cof), pairs, layer,
-                                mode, h.shape[-1])
-    return out.data
 
 
 # -- forward ----------------------------------------------------------------
@@ -430,19 +417,19 @@ def _check_finite(h: Tensor, layer: str) -> None:
             f"layer {layer} produced non-finite activations")
 
 
-def _predict_tensor(model: SimplexTransformer, batch: MergedBatch) -> Tensor:
-    """Predictions for a merged batch as a (B, 1) tape tensor."""
-    h = model.config.hidden_dim
-    mode = model.mode
+def _predict_tensor(model: SimplexTransformer, batch: MergedBatch,
+                    train: bool) -> Tensor:
+    """Predictions for a merged batch as a (B, 1) tape tensor; ``train``
+    picks batch statistics (updating the running ones) over running ones."""
     h0 = model.embeds[0].apply(constant(batch.h0_raw))
     h1 = model.embeds[1].apply(constant(batch.h1_raw))
     h2 = model.embeds[2].apply(constant(batch.h2_raw))
     for i, layer in enumerate(model.node_layers):
-        h0 = _attention_update(h0, h1, batch.vp, layer, mode, h)
+        h0 = _attention_update(h0, h1, batch.vp, layer, train)
         _check_finite(h0, f"node.{i}")
     for i, block in enumerate(model.edge_node_blocks):
-        h1 = _attention_update(h1, h2, batch.ep, block.edge, mode, h)
-        h0 = _attention_update(h0, h1, batch.vp, block.node, mode, h)
+        h1 = _attention_update(h1, h2, batch.ep, block.edge, train)
+        h0 = _attention_update(h0, h1, batch.vp, block.node, train)
         _check_finite(h1, f"edge_node.{i}.edge")
         _check_finite(h0, f"edge_node.{i}.node")
     pooled = concat([segment_mean(h0, batch.v_gid, batch.n_graphs),
@@ -452,9 +439,10 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch) -> Tensor:
 
 def predict(model: SimplexTransformer,
             items: list[tuple[QuotientComplex, FeatureSet]]) -> np.ndarray:
-    """Per-structure predictions (B,); the forward records no tape."""
+    """Per-structure predictions (B,) from the running statistics; the
+    forward records no tape and leaves the model unchanged."""
     with ad.no_grad():
-        pred = _predict_tensor(model, merge_batch(items))
+        pred = _predict_tensor(model, merge_batch(items), False)
     return pred.data[:, 0].copy()
 
 
@@ -467,9 +455,10 @@ def forward(model: SimplexTransformer, c: QuotientComplex,
 def batch_loss(model: SimplexTransformer,
                items: list[tuple[QuotientComplex, FeatureSet]],
                targets: np.ndarray, loss: str = "mae") -> float:
-    """Forward-only loss over a batch (mae or mse); records no tape."""
+    """Forward-only loss over a batch (mae or mse) from the running
+    statistics; records no tape and leaves the model unchanged."""
     with ad.no_grad():
-        pred = _predict_tensor(model, merge_batch(items))
+        pred = _predict_tensor(model, merge_batch(items), False)
         return float(_loss_tensor(pred, targets, loss).item())
 
 
@@ -487,9 +476,11 @@ def loss_and_gradients(model: SimplexTransformer,
                        items: list[tuple[QuotientComplex, FeatureSet]],
                        targets: np.ndarray, loss: str = "mae"
                        ) -> tuple[float, list[np.ndarray]]:
-    """Batch loss plus per-parameter gradients in declared order."""
+    """Batch loss plus per-parameter gradients in declared order: one
+    training step's forward, on batch statistics, which also moves the
+    running statistics."""
     model.zero_grad()
-    pred = _predict_tensor(model, merge_batch(items))
+    pred = _predict_tensor(model, merge_batch(items), True)
     out = _loss_tensor(pred, targets, loss)
     out.backward()
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
@@ -561,7 +552,7 @@ def read_sidecar(path: str | os.PathLike) -> dict:
 
 def load_checkpoint(path: str | os.PathLike,
                     config: ModelConfig | None = None) -> SimplexTransformer:
-    """Rebuild a model (eval mode) from a checkpoint file.
+    """Rebuild a model from a checkpoint file.
 
     With ``config`` given, any architecture disagreement raises
     CheckpointMismatchError naming the offending field.  The header is
@@ -617,5 +608,4 @@ def load_checkpoint(path: str | os.PathLike,
                                     offset=offset).reshape(arr.shape))
         offset += arr.nbytes
     model.load_state(arrays)
-    model.mode = "eval"
     return model

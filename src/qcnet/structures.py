@@ -149,17 +149,17 @@ def validate_finite(s: CrystalStructure) -> None:
         raise ValueError("structure contains non-finite values")
 
 
-def structure_from_dict(obj: dict, path: str | None = None,
-                        line: int | None = None) -> CrystalStructure:
-    """Build a structure from the JSON object schema, with located errors."""
+def structure_from_dict(obj: dict) -> CrystalStructure:
+    """Build a structure from the JSON object schema; errors carry no
+    location, the caller that knows the file adds it."""
     if not isinstance(obj, dict):
-        raise ParseError("structure must be a JSON object", path, line)
+        raise ParseError("structure must be a JSON object")
     for key in ("lattice", "species", "frac"):
         if key not in obj:
-            raise ParseError(f"structure is missing field '{key}'", path, line)
+            raise ParseError(f"structure is missing field '{key}'")
     sid = obj.get("id")
     if sid is not None and not isinstance(sid, str):
-        raise ParseError("field 'id' must be a string", path, line)
+        raise ParseError("field 'id' must be a string")
     arrays = {}
     for key, dtype in (("lattice", np.float64), ("species", np.int64),
                        ("frac", np.float64)):
@@ -174,16 +174,13 @@ def structure_from_dict(obj: dict, path: str | None = None,
             elif isinstance(item, bool) or not isinstance(item, kinds):
                 raise ParseError(f"field '{key}' holds {item!r:.40}, not a "
                                  + ("JSON integer" if kinds is int
-                                    else "JSON number"), path, line)
+                                    else "JSON number"))
         try:
             arrays[key] = np.asarray(obj[key], dtype=dtype)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"field '{key}' is not numeric: {exc}", path, line)
-    try:
-        return CrystalStructure(arrays["lattice"], arrays["species"],
-                                arrays["frac"], id=sid)
-    except ParseError as exc:
-        raise ParseError(str(exc), path, line)
+            raise ParseError(f"field '{key}' is not numeric: {exc}")
+    return CrystalStructure(arrays["lattice"], arrays["species"],
+                            arrays["frac"], id=sid)
 
 
 def structure_to_dict(s: CrystalStructure) -> dict:
@@ -299,6 +296,12 @@ def _sniff_format(text: str) -> str:
     return "json"
 
 
+def _json_error(exc: ValueError) -> str:
+    """Message for a failed ``json.loads``: bad syntax, or an integer
+    literal longer than Python converts (a plain ValueError)."""
+    return f"invalid JSON: {getattr(exc, 'msg', exc)}"
+
+
 def parse_structure(path: str | os.PathLike,
                     fmt: str = "auto") -> CrystalStructure:
     """Read a structure file; ``fmt`` is ``json``, ``poscar``, or ``auto``."""
@@ -310,9 +313,13 @@ def parse_structure(path: str | os.PathLike,
     if fmt == "json":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path, exc.lineno)
-        return structure_from_dict(obj, path=path)
+        except ValueError as exc:
+            raise ParseError(_json_error(exc), path,
+                             getattr(exc, "lineno", None))
+        try:
+            return structure_from_dict(obj)
+        except ParseError as exc:
+            raise ParseError(str(exc), path)
     if fmt == "poscar":
         return parse_poscar(text, path=path)
     raise ValueError(f"unknown structure format '{fmt}'")
@@ -363,25 +370,23 @@ class DatasetLoadResult:
         return len(self.errors)
 
 
-def record_from_obj(obj: dict, path: str | None = None,
-                    line: int | None = None) -> DatasetRecord:
+def record_from_obj(obj: dict) -> DatasetRecord:
+    """Build a record from a dataset line's object; errors carry no
+    location."""
     if not isinstance(obj, dict):
-        raise ParseError("record must be a JSON object", path, line)
+        raise ParseError("record must be a JSON object")
     if "structure" not in obj:
-        raise ParseError("record is missing field 'structure'", path, line)
+        raise ParseError("record is missing field 'structure'")
     if "target" not in obj:
-        raise ParseError("record is missing field 'target'", path, line)
-    structure = structure_from_dict(obj["structure"], path, line)
+        raise ParseError("record is missing field 'target'")
+    structure = structure_from_dict(obj["structure"])
     rid = obj.get("id")
     if rid is not None:
         if not isinstance(rid, str):
-            raise ParseError("field 'id' must be a string", path, line)
+            raise ParseError("field 'id' must be a string")
         structure = dataclasses.replace(structure, id=rid)
-    try:
-        # The record checks the target and the split tag itself.
-        return DatasetRecord(structure, obj["target"], obj.get("split"))
-    except ParseError as exc:
-        raise ParseError(str(exc), path, line)
+    # The record checks the target and the split tag itself.
+    return DatasetRecord(structure, obj["target"], obj.get("split"))
 
 
 def record_to_obj(record: DatasetRecord) -> dict:
@@ -395,7 +400,11 @@ def record_to_obj(record: DatasetRecord) -> dict:
 
 
 def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
-    """Read a JSONL dataset; malformed lines become diagnostics, not aborts."""
+    """Read a JSONL dataset; malformed lines become diagnostics, not aborts.
+
+    A diagnostic is (line number, message); the message names neither the
+    file nor the line, so a reporter adds each once.
+    """
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
     path = os.fspath(path)
@@ -405,11 +414,11 @@ def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                errors.append((lineno, f"invalid JSON: {exc.msg}"))
+            except ValueError as exc:
+                errors.append((lineno, _json_error(exc)))
                 continue
             try:
-                records.append(record_from_obj(obj, path, lineno))
+                records.append(record_from_obj(obj))
             except (ParseError, DegenerateLatticeError,
                     UnknownSpeciesError) as exc:
                 errors.append((lineno, str(exc)))

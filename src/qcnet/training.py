@@ -257,7 +257,6 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     global_step = 0
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
-        model.set_mode("train")
         loss_sum = 0.0
         lr = None
         for b in range(steps_per_epoch):
@@ -275,7 +274,6 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
         train_loss = loss_sum / n
         val_loss = None
         if val_items:
-            model.set_mode("eval")
             val_loss = batch_loss(model, val_items, val_targets, config.loss)
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss, "lr": lr})
@@ -286,7 +284,6 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
             best.copy_state_from(model)
     if best_epoch is not None:
         model.copy_state_from(best)
-    model.set_mode("eval")
     if config.checkpoint_path:
         save_checkpoint(model, config.checkpoint_path)
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
@@ -295,10 +292,10 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
 def evaluate(model: SimplexTransformer, records: list[DatasetRecord],
              table: AtomFeatureTable,
              k_neighbors: int = 12) -> MetricsReport:
-    """Eval-mode predictions of a dataset scored against its targets."""
+    """Predictions (running statistics; the model is left unchanged) of a
+    dataset scored against its targets."""
     if not records:
         raise TooFewSamplesError("dataset is empty")
-    model.set_mode("eval")
     items = prepare_items(records, table, k_neighbors)
     preds = predict(model, items)
     targets = np.array([r.target for r in records], dtype=np.float64)

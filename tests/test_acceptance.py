@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from qcnet import autodiff as ad
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.autodiff import constant
 from qcnet.features import (AtomFeatureTable, edge_bank, raw_features,
@@ -17,8 +18,8 @@ from qcnet.features import (AtomFeatureTable, edge_bank, raw_features,
 from qcnet.homology import SimplicialComplex, random_flag_complex, \
     random_partition, verify_quotient_homology
 from qcnet.model import (AttentionLayer, ModelConfig, SimplexTransformer,
-                         batch_loss, forward, layer_update,
-                         loss_and_gradients)
+                         _attention_update, _loss_tensor, _predict_tensor,
+                         forward, loss_and_gradients, merge_batch)
 from qcnet.periodic import brute_force_neighbors, neighbor_list
 from qcnet.structures import CrystalStructure
 from qcnet.training import (TrainConfig, evaluate, metrics_report,
@@ -132,7 +133,6 @@ def test_invariance_suite():
     rng = np.random.default_rng(1002)
     table = AtomFeatureTable.random(0)
     model = SimplexTransformer.init(ModelConfig(), seed=0)
-    model.set_mode("eval")
     worst = 0.0
     for _ in range(20):
         s = random_structure(rng)
@@ -166,15 +166,29 @@ def test_gradient_check_twenty_models():
     cube = unit_cube()
     c = build_complex(neighbor_list(cube, k=12))
     items = [(c, raw_features(c, cube.species, table))]
+
+    def fd_loss(model, targets, train):
+        with ad.no_grad():
+            pred = _predict_tensor(model, merge_batch(items), train)
+            return float(_loss_tensor(pred, targets, "mse").item())
+
     failures = []
     for trial in range(20):
         model = SimplexTransformer.init(ModelConfig(hidden_dim=8,
                                                     head_hidden=8),
                                         seed=trial)
-        mode = "train" if trial % 2 == 0 else "eval"
-        model.set_mode(mode)
+        # Even trials check the training step (batch statistics), odd
+        # trials the loss on running statistics.
+        train = trial % 2 == 0
         targets = np.array([float(rng.uniform(-1, 1))])
-        _, grads = loss_and_gradients(model, items, targets, loss="mse")
+        if train:
+            _, grads = loss_and_gradients(model, items, targets, loss="mse")
+        else:
+            model.zero_grad()
+            _loss_tensor(_predict_tensor(model, merge_batch(items), False),
+                         targets, "mse").backward()
+            grads = [np.zeros_like(t.data) if t.grad is None else t.grad
+                     for _, t in model.parameters()]
         for (name, tensor), grad in zip(model.parameters(), grads):
             fi = int(rng.integers(0, tensor.data.size))
             idx = np.unravel_index(fi, tensor.data.shape)
@@ -187,16 +201,16 @@ def test_gradient_check_twenty_models():
             ok = False
             for eps in (1e-5, 1e-7):
                 tensor.data[idx] = orig + eps
-                fp = batch_loss(model, items, targets, loss="mse")
+                fp = fd_loss(model, targets, train)
                 tensor.data[idx] = orig - eps
-                fm = batch_loss(model, items, targets, loss="mse")
+                fm = fd_loss(model, targets, train)
                 tensor.data[idx] = orig
                 num = (fp - fm) / (2 * eps)
                 if abs(grad[idx] - num) <= 1e-8 + 1e-4 * abs(num):
                     ok = True
                     break
             if not ok:
-                failures.append((trial, mode, name, idx,
+                failures.append((trial, train, name, idx,
                                  float(grad[idx]), float(num)))
     elapsed = time.time() - t0
     verdict(not failures and elapsed < 300.0,
@@ -206,7 +220,8 @@ def test_gradient_check_twenty_models():
 
 
 def test_residual_identity():
-    """Zeroed update path returns its input bitwise, all tiers and modes."""
+    """Zeroed update path returns its input bitwise, all tiers, either
+    statistics."""
     s = catio3_cell()
     c = build_complex(neighbor_list(s, k=12))
     cube_c = build_complex(neighbor_list(unit_cube(), k=6))
@@ -217,12 +232,13 @@ def test_residual_identity():
     ok = True
     h_v = rng.standard_normal((c.n_vertices, 8))
     h_e = rng.standard_normal((c.n_edges, 8))
-    for mode in ("train", "eval"):
-        out = layer_update(h_v, h_e, vertex_pairs(c), layer, mode=mode)
+    for train in (True, False):
+        out = _attention_update(constant(h_v), constant(h_e), vertex_pairs(c),
+                                layer, train).data
         ok &= np.array_equal(out, h_v)
     empty_h = rng.standard_normal((cube_c.n_edges, 8))
-    out = layer_update(empty_h, np.zeros((0, 8)), edge_pairs(cube_c), layer,
-                       mode="eval")
+    out = _attention_update(constant(empty_h), constant(np.zeros((0, 8))),
+                            edge_pairs(cube_c), layer, False).data
     ok &= np.array_equal(out, empty_h)
     verdict(ok, "residual identity: zeroed update path gives h' = h bitwise")
 

@@ -155,6 +155,18 @@ class TestBuild:
         assert "'lattice'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_too_long_to_convert_exits_input(self, tmp_path,
+                                                     capsys):
+        # json.loads fails with a plain ValueError past 4300 digits.
+        bad = tmp_path / "long.json"
+        bad.write_text('{"lattice": [[1' + "0" * 4999 + ', 0, 0], [0, 3, 0], '
+                       '[0, 0, 3]], "species": [26], "frac": [[0, 0, 0]]}')
+        out = tmp_path / "x.json"
+        assert main(["build", str(bad), "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: invalid JSON: ")
+        assert not out.exists()
+
     def test_radius_too_small(self, tmp_path, capsys):
         assert main(["build", POSCAR, "--radius", "0.5", "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
@@ -308,9 +320,9 @@ class TestTrain:
                        f"[output]\ndir = {tmp_path / 'out'}\n")
         assert main(["train", str(cfg)]) == EXIT_DATA
         warning, error = capsys.readouterr().err.splitlines()
-        assert warning.startswith(f"warning: {data} line 1 skipped: ")
-        assert warning.endswith("target must be a finite number, "
-                                f"got {str(10 ** 400)[:40]}")
+        # The location is named once, by the CLI.
+        assert warning == (f"warning: {data} line 1 skipped: target must be "
+                           f"a finite number, got {str(10 ** 400)[:40]}")
         assert error == f"error: no usable records in {data}"
 
     def test_bad_train_value(self, run_config):
@@ -548,6 +560,14 @@ class TestHomologyCommand:
         part = tmp_path / "p.json"
         part.write_text("[[0]]")
         assert main(["homology", str(bad), str(part)]) == EXIT_INPUT
+
+    def test_integer_too_long_to_convert(self, tmp_path, capsys):
+        cplx = tmp_path / "c.json"
+        part = tmp_path / "p.json"
+        cplx.write_text("[[0, 1" + "0" * 4999 + "]]")
+        part.write_text("[[0]]")
+        assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
 
     def test_unknown_vertex_in_partition(self, tmp_path):
         cplx = tmp_path / "c.json"

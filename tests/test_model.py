@@ -16,9 +16,11 @@ from qcnet.features import AtomFeatureTable, raw_features
 from qcnet.model import (BatchNorm, CheckpointMismatchError, EmptyComplexError,
                          LayerNorm, AttentionLayer, ModelConfig,
                          NonFiniteActivationError, SimplexTransformer,
-                         _attention_stage, _checkpoint_layout,
-                         _predict_tensor, batch_loss, forward, layer_update, load_checkpoint, loss_and_gradients,
-                         merge_batch, predict, read_sidecar, save_checkpoint)
+                         _attention_stage, _attention_update,
+                         _checkpoint_layout, _loss_tensor, _predict_tensor,
+                         batch_loss, forward, load_checkpoint,
+                         loss_and_gradients, merge_batch, predict,
+                         read_sidecar, save_checkpoint)
 from qcnet.periodic import neighbor_list
 from qcnet.structures import CrystalStructure
 from qcnet.training import evaluate, synthetic_overfit_dataset
@@ -38,11 +40,28 @@ def tiny_model(hidden=4, seed=0):
                                                head_hidden=hidden), seed=seed)
 
 
+def fd_loss(model, items, targets, loss, train):
+    """Tape-free loss on batch (``train``) or running statistics; the
+    finite-difference side of every gradient check."""
+    with ad.no_grad():
+        pred = _predict_tensor(model, merge_batch(items), train)
+        return float(_loss_tensor(pred, targets, loss).item())
+
+
+def backprop_running_stats(model, items, targets, loss="mae"):
+    """Gradients of the loss on running statistics, in declared order."""
+    model.zero_grad()
+    _loss_tensor(_predict_tensor(model, merge_batch(items), False), targets,
+                 loss).backward()
+    return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+            for _, t in model.parameters()]
+
+
 class TestNormalization:
     def test_batchnorm_train_uses_batch_stats(self):
         bn = BatchNorm.init(3)
         x = np.array([[1.0, 2, 3], [3.0, 6, 9]])
-        out = bn.apply(constant(x), "train").data
+        out = bn.apply(constant(x), True).data
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased
         np.testing.assert_allclose(out, (x - mean) / np.sqrt(var + 1e-5),
@@ -51,7 +70,7 @@ class TestNormalization:
     def test_batchnorm_running_update(self):
         bn = BatchNorm.init(2)
         x = np.array([[2.0, 4.0], [4.0, 8.0]])
-        bn.apply(constant(x), "train")
+        bn.apply(constant(x), True)
         np.testing.assert_allclose(bn.run_mean, 0.1 * x.mean(axis=0),
                                    atol=1e-12)
         np.testing.assert_allclose(bn.run_var,
@@ -63,7 +82,7 @@ class TestNormalization:
         bn.run_mean[:] = [1.0, 2.0]
         bn.run_var[:] = [4.0, 9.0]
         x = np.array([[3.0, 5.0]])
-        out = bn.apply(constant(x), "eval").data
+        out = bn.apply(constant(x), False).data
         expected = (x - [1.0, 2.0]) / np.sqrt(np.array([4.0, 9.0]) + 1e-5)
         np.testing.assert_allclose(out, expected, atol=1e-12)
         np.testing.assert_array_equal(bn.run_mean, [1.0, 2.0])  # untouched
@@ -71,13 +90,13 @@ class TestNormalization:
     def test_batchnorm_single_row_train_is_beta(self):
         bn = BatchNorm.init(3)
         bn.beta.data[:] = [0.5, -1.0, 2.0]
-        out = bn.apply(constant(np.array([[7.0, 8.0, 9.0]])), "train").data
+        out = bn.apply(constant(np.array([[7.0, 8.0, 9.0]])), True).data
         np.testing.assert_allclose(out[0], [0.5, -1.0, 2.0], atol=1e-12)
 
     def test_batchnorm_gradient_through_batch_stats(self):
         bn = BatchNorm.init(2)
         x = parameter(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 7.0]]))
-        bn.apply(x, "train").square().sum().backward()
+        bn.apply(x, True).square().sum().backward()
         eps = 1e-6
         num = np.zeros_like(x.data)
         for i in range(3):
@@ -87,9 +106,9 @@ class TestNormalization:
                 xm = x.data.copy()
                 xm[i, j] -= eps
                 bn2 = BatchNorm.init(2)
-                fp = bn2.apply(constant(xp), "train").square().sum().data
+                fp = bn2.apply(constant(xp), True).square().sum().data
                 bn3 = BatchNorm.init(2)
-                fm = bn3.apply(constant(xm), "train").square().sum().data
+                fm = bn3.apply(constant(xm), True).square().sum().data
                 num[i, j] = (fp - fm) / (2 * eps)
         np.testing.assert_allclose(x.grad, num, rtol=1e-5, atol=1e-8)
 
@@ -98,8 +117,8 @@ class TestNormalization:
         x = parameter(rng.standard_normal((5, 3)))
         w, b = parameter(rng.standard_normal((3, 2))), parameter(np.zeros(2))
         bn, ln = BatchNorm.init(3), LayerNorm.init(3)
-        calls = {"train BatchNorm": lambda: bn.apply(x, "train"),
-                 "eval BatchNorm": lambda: bn.apply(x, "eval"),
+        calls = {"batch-stat BatchNorm": lambda: bn.apply(x, True),
+                 "running-stat BatchNorm": lambda: bn.apply(x, False),
                  "LayerNorm": lambda: ln.apply(x),
                  "affine": lambda: ad.affine(x, w, b)}
         created = []
@@ -144,13 +163,12 @@ class TestAttentionHandTrace:
         return layer
 
     @staticmethod
-    def _stage(layer, hidden, mode, seed):
+    def _stage(layer, hidden, train, seed):
         """(h_sigma, h_tau, h_coface, stage output row) for one pair."""
         hs, ht, hc = np.random.default_rng(seed).standard_normal((3, hidden))
         pairs = MessagingPairs(np.array([0]), np.array([1]), np.array([0]))
         out = _attention_stage(constant(np.stack([hs, ht])),
-                               constant(hc[None]), pairs, layer, mode,
-                               hidden)
+                               constant(hc[None]), pairs, layer, train)
         return hs, ht, hc, out.data[0]
 
     @staticmethod
@@ -179,7 +197,7 @@ class TestAttentionHandTrace:
     def test_alpha_formula(self):
         hidden = 3
         layer = self._layer(hidden, 40)
-        hs, ht, hc, got = self._stage(layer, hidden, "eval", 41)
+        hs, ht, hc, got = self._stage(layer, hidden, False, 41)
         np.testing.assert_allclose(
             got, self._eval_reference(hs, ht, hc, layer, hidden), atol=1e-12)
 
@@ -188,7 +206,7 @@ class TestAttentionHandTrace:
         layer = self._layer(hidden, 42)
         layer.attn_bn.run_mean[:] = [0.1, -0.2, 0.3, 0.05]
         layer.attn_bn.run_var[:] = [1.0, 2.0, 0.5, 4.0]
-        hs, ht, hc, got = self._stage(layer, hidden, "eval", 43)
+        hs, ht, hc, got = self._stage(layer, hidden, False, 43)
         np.testing.assert_allclose(
             got, self._eval_reference(hs, ht, hc, layer, hidden), atol=1e-12)
         np.testing.assert_array_equal(layer.attn_bn.run_mean,
@@ -197,7 +215,7 @@ class TestAttentionHandTrace:
     def test_message_train_single_pair_centers_to_zero(self):
         hidden = 2
         layer = self._layer(hidden, 44)
-        _, ht, hc, got = self._stage(layer, hidden, "train", 45)
+        _, ht, hc, got = self._stage(layer, hidden, True, 45)
         # One message: alpha - mean(alpha) is identically zero, so the gate
         # is sigmoid(beta).
         gate = 1.0 / (1.0 + np.exp(-layer.attn_bn.beta.data))
@@ -207,14 +225,14 @@ class TestAttentionHandTrace:
     def test_scaling_factor_sqrt_2h(self):
         for hidden in (1, 2, 8):
             layer = self._layer(hidden, 46)
-            hs, ht, hc, got = self._stage(layer, hidden, "eval", 47)
+            hs, ht, hc, got = self._stage(layer, hidden, False, 47)
             np.testing.assert_allclose(
                 got, self._eval_reference(hs, ht, hc, layer, hidden),
                 atol=1e-12)
             # A train step on one message moves run_mean from 0 to 0.1 alpha,
             # which exposes alpha itself even where LayerNorm over a single
             # feature (H = 1) hides it from the message.
-            self._stage(layer, hidden, "train", 47)
+            self._stage(layer, hidden, True, 47)
             np.testing.assert_allclose(
                 layer.attn_bn.run_mean / 0.1 * np.sqrt(2.0 * hidden),
                 self._unscaled_alpha(hs, ht, hc, layer), atol=1e-12)
@@ -230,8 +248,9 @@ class TestResidualIdentity:
         layer.upd_b.data[:] = 0.0
         h = rng.standard_normal((c.n_vertices, 4))
         h_cof = rng.standard_normal((c.n_edges, 4))
-        for mode in ("train", "eval"):
-            out = layer_update(h, h_cof, vp, layer, mode=mode)
+        for train in (True, False):
+            out = _attention_update(constant(h), constant(h_cof), vp, layer,
+                                    train).data
             assert np.array_equal(out, h)  # bitwise
 
     def test_no_pairs_identity_with_zero_update(self, cubic1):
@@ -244,7 +263,8 @@ class TestResidualIdentity:
         layer.upd_w.data[:] = 0.0
         layer.upd_b.data[:] = 0.0
         h = rng.standard_normal((c.n_edges, 4))
-        out = layer_update(h, np.zeros((0, 4)), ep, layer, mode="eval")
+        out = _attention_update(constant(h), constant(np.zeros((0, 4))), ep,
+                                layer, False).data
         assert np.array_equal(out, h)
 
 
@@ -279,19 +299,29 @@ class TestForwardShape:
         with pytest.raises(ValueError):
             merge_batch([(c, bad)])
 
-    def test_train_mode_updates_buffers_eval_does_not(self, catio3):
-        item = featurized(catio3)
+    def test_training_step_updates_buffers(self, catio3):
+        items = [featurized(catio3)]
         m = tiny_model()
-        m.set_mode("eval")
         before = [buf.copy() for _, buf in m.buffers()]
-        predict(m, [item])
-        for (_, buf), snap in zip(m.buffers(), before):
-            np.testing.assert_array_equal(buf, snap)
-        m.set_mode("train")
-        predict(m, [item])
-        changed = any(not np.array_equal(buf, snap)
-                      for (_, buf), snap in zip(m.buffers(), before))
-        assert changed
+        loss_and_gradients(m, items, np.array([0.3]))
+        unchanged = [name for (name, buf), snap in zip(m.buffers(), before)
+                     if np.array_equal(buf, snap)]
+        assert not unchanged
+
+    def test_inference_leaves_model_bit_identical(self, catio3):
+        items = [featurized(catio3, k=4)]
+        targets = np.array([0.3])
+        records = synthetic_overfit_dataset(n_samples=3, seed=7)
+        m = tiny_model()
+        for after_step in (False, True):
+            if after_step:
+                loss_and_gradients(m, items, targets)
+            before = [a.tobytes() for a in m.state()]
+            predict(m, items)
+            forward(m, *items[0])
+            batch_loss(m, items, targets)
+            evaluate(m, records, TABLE, 4)
+            assert [a.tobytes() for a in m.state()] == before
 
 
 class TestInvariance:
@@ -323,9 +353,11 @@ class TestInvariance:
 
 
 class TestGradients:
-    def _fd_sweep(self, model, items, targets, mode, n_coords=2, seed=60):
-        model.set_mode(mode)
-        loss, grads = loss_and_gradients(model, items, targets, loss="mse")
+    def _fd_sweep(self, model, items, targets, train, n_coords=2, seed=60):
+        if train:
+            _, grads = loss_and_gradients(model, items, targets, loss="mse")
+        else:
+            grads = backprop_running_stats(model, items, targets, loss="mse")
         names = [name for name, _ in model.parameters()]
         tensors = [t for _, t in model.parameters()]
         rng = np.random.default_rng(seed)
@@ -340,29 +372,28 @@ class TestGradients:
                 idx = np.unravel_index(int(fi), tensor.data.shape)
                 orig = tensor.data[idx]
                 tensor.data[idx] = orig + eps
-                fp = batch_loss(model, items, targets, loss="mse")
+                fp = fd_loss(model, items, targets, "mse", train)
                 tensor.data[idx] = orig - eps
-                fm = batch_loss(model, items, targets, loss="mse")
+                fm = fd_loss(model, items, targets, "mse", train)
                 tensor.data[idx] = orig
                 num = (fp - fm) / (2 * eps)
                 np.testing.assert_allclose(
                     grad[idx], num, rtol=1e-4, atol=1e-8,
-                    err_msg=f"{name}{idx} in mode {mode}")
+                    err_msg=f"{name}{idx}, train={train}")
 
     def test_every_parameter_train_mode(self, cubic1):
         items = [featurized(cubic1, k=12)]
         model = tiny_model(hidden=4, seed=3)
-        self._fd_sweep(model, items, np.array([0.7]), "train")
+        self._fd_sweep(model, items, np.array([0.7]), True)
 
     def test_every_parameter_eval_mode(self, cubic1):
         items = [featurized(cubic1, k=12)]
         model = tiny_model(hidden=4, seed=4)
-        self._fd_sweep(model, items, np.array([-0.3]), "eval")
+        self._fd_sweep(model, items, np.array([-0.3]), False)
 
     def test_mae_loss_gradient(self, cubic1):
         items = [featurized(cubic1, k=12)]
         model = tiny_model(hidden=4, seed=5)
-        model.set_mode("train")
         loss, grads = loss_and_gradients(model, items, np.array([10.0]),
                                          loss="mae")
         # Far-off target: d|e|/de = -1, so gradients mirror the prediction
@@ -372,9 +403,9 @@ class TestGradients:
         eps = 1e-6
         orig = tensor.data[idx]
         tensor.data[idx] = orig + eps
-        fp = batch_loss(model, items, np.array([10.0]), loss="mae")
+        fp = fd_loss(model, items, np.array([10.0]), "mae", True)
         tensor.data[idx] = orig - eps
-        fm = batch_loss(model, items, np.array([10.0]), loss="mae")
+        fm = fd_loss(model, items, np.array([10.0]), "mae", True)
         tensor.data[idx] = orig
         head_slot = [i for i, (n, t) in enumerate(model.parameters())
                      if t is tensor][0]
@@ -393,7 +424,7 @@ class TestTapeFreeEval:
         evaluate(m, synthetic_overfit_dataset(n_samples=3, seed=7), TABLE, 4)
         assert all(t.grad is None for _, t in m.parameters())
         with ad.no_grad():
-            out = _predict_tensor(m, merge_batch(items))
+            out = _predict_tensor(m, merge_batch(items), False)
         assert out._parents == () and out._pullback is None
 
     def test_nonfinite_activation_restores_recording(self, catio3):
@@ -404,21 +435,23 @@ class TestTapeFreeEval:
             predict(m, items)
         with pytest.raises(NonFiniteActivationError):
             batch_loss(m, items, np.array([0.2]))
-        out = _predict_tensor(tiny_model(seed=5), merge_batch(items))
+        out = _predict_tensor(tiny_model(seed=5), merge_batch(items), False)
         assert out.requires_grad and out._parents
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_gradients_unchanged_by_prior_eval(self, catio3, mode):
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_gradients_unchanged_by_prior_eval(self, catio3, train):
         items = [featurized(catio3, k=4)]
         targets = np.array([0.4])
 
         def gradients(eval_first):
             m = tiny_model(seed=6)
-            m.set_mode(mode)
             if eval_first:
                 predict(m, items)
                 batch_loss(m, items, targets)
-            _, grads = loss_and_gradients(m, items, targets)
+            if train:
+                _, grads = loss_and_gradients(m, items, targets)
+            else:
+                grads = backprop_running_stats(m, items, targets)
             return [g.tobytes() for g in grads]
         assert gradients(True) == gradients(False)
 
@@ -439,7 +472,7 @@ class TestTapeFreeEval:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        with_tape = peak(lambda: _predict_tensor(m, batch))
+        with_tape = peak(lambda: _predict_tensor(m, batch, False))
         tape_free = peak(lambda: predict(m, items))
         assert tape_free < 0.5 * with_tape
 
@@ -486,8 +519,8 @@ class TestParameterBookkeeping:
 
     def test_state_round_trip(self, catio3):
         src = tiny_model(seed=3)
-        src.set_mode("train")
-        predict(src, [featurized(catio3)])  # drift the buffers
+        # A training step drifts the buffers.
+        loss_and_gradients(src, [featurized(catio3)], np.array([0.0]))
         dst = tiny_model(seed=4)
         held = [t for _, t in dst.parameters()]
         dst.load_state(src.state())
@@ -531,18 +564,13 @@ class TestParameterBookkeeping:
         with pytest.raises(ValueError):
             ModelConfig(hidden_dim=4, head_hidden=-1)
 
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            tiny_model().set_mode("predict")
-
 
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path, catio3):
         m = tiny_model(hidden=4, seed=11)
         item = featurized(catio3)
-        m.set_mode("train")
-        predict(m, [item])  # drift the buffers away from init
-        m.set_mode("eval")
+        # A training step drifts the buffers away from init.
+        loss_and_gradients(m, [item], np.array([0.0]))
         expected = forward(m, *item)
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)

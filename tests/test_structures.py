@@ -334,6 +334,30 @@ class TestDataset:
         assert [lineno for lineno, _ in result.errors] == [2]
         assert "target must be a finite number" in result.errors[0][1]
 
+    def test_integer_too_long_to_convert_is_line_diagnostic(self, tmp_path,
+                                                            catio3):
+        # Beyond Python's 4300-digit int conversion limit json.loads raises
+        # a plain ValueError, not a JSONDecodeError.
+        line = self._record_line(catio3, 0.0).replace(
+            '"target": 0.0', '"target": 1' + "0" * 4999)
+        path = tmp_path / "d.jsonl"
+        path.write_text(self._record_line(catio3, 1.0) + "\n" + line + "\n")
+        result = load_dataset(path)
+        assert [r.target for r in result.records] == [1.0]
+        assert [lineno for lineno, _ in result.errors] == [2]
+        assert result.errors[0][1].startswith("invalid JSON: ")
+
+    def test_diagnostics_name_no_location(self, tmp_path, catio3):
+        no_frac = structure_to_dict(catio3)
+        del no_frac["frac"]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"structure": no_frac, "target": 1.0})
+                        + "\n" + self._record_line(catio3, 1.0, split="x")
+                        + "\n")
+        assert load_dataset(path).errors == [
+            (1, "structure is missing field 'frac'"),
+            (2, "split must be train/val/test, got 'x'")]
+
     def test_invalid_split_tag(self, catio3):
         with pytest.raises(ValueError):
             DatasetRecord(structure=catio3, target=0.0, split_tag="holdout")
