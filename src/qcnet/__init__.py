@@ -35,8 +35,8 @@ _MODULE_NAMES = {
         "predict", "save_checkpoint"),
     "periodic": (
         "LatticeTooSkewedError", "PeriodicEdge", "PeriodicGraph",
-        "RadiusTooSmallError", "brute_force_neighbors", "min_image_distance",
-        "neighbor_list", "plane_spacing_min"),
+        "RadiusTooSmallError", "brute_force_neighbors", "neighbor_list",
+        "plane_spacing_min"),
     "structures": (
         "CrystalStructure", "DatasetRecord", "DatasetLoadResult",
         "DegenerateLatticeError", "ParseError", "UnknownSpeciesError",

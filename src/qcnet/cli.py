@@ -415,13 +415,14 @@ def cmd_homology(args) -> int:
     for path in (args.complex, args.partition):
         if not os.path.exists(path):
             raise CliError(EXIT_INPUT, f"file not found: {path}")
-    try:
-        with open(args.complex, "r", encoding="utf-8") as fh:
-            simplices = json.load(fh)
-        with open(args.partition, "r", encoding="utf-8") as fh:
-            classes = json.load(fh)
-    except ValueError as exc:  # bad syntax, or an integer too long to convert
-        raise CliError(EXIT_INPUT, f"invalid JSON: {exc}")
+    loaded = []
+    for path in (args.complex, args.partition):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded.append(json.load(fh))
+        except ValueError as exc:  # bad syntax, or an integer too long
+            raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}")
+    simplices, classes = loaded
     if not (isinstance(simplices, list) and simplices and
             all(isinstance(s, list) for s in simplices)):
         raise CliError(EXIT_INPUT,

@@ -14,15 +14,23 @@ The graph is stored as edge columns (``src``, ``dst``, ``offset``, ``dist``);
 One search loop serves both modes: tabulate the distance from every image in
 the offset box |k_i| <= R to every target, mark zero-distance images (and any
 beyond a cutoff radius) unavailable, and pick each target's k candidates in
-(distance tie group, src, offset) order.  A cutoff sizes R once; without one
-R grows from 1 until every target's k-th pick clears the bound below.
+(distance tie group, src, offset) order.  One rule sizes the box: R is the
+smallest integer with R * h_min > reach + TIE_TOL.  With a cutoff, reach is
+the radius and one table is built.  Without one, reach is the largest k-th
+smallest candidate distance in the current box; starting from R = 1 the box
+jumps to the R that reach asks for until the box in hand already satisfies
+the rule.  Reach only falls as the box grows, since a bigger box only adds
+candidates.
 
 Correctness of the search depends on a lower bound for images outside an
 offset box.  With L the lattice row matrix and c_i the columns of L^-1, any
 separation vector y.L satisfies |y_i| <= |y.L| * |c_i|, so an image whose
 offset leaves the box |k_i| <= R is farther than R * h_min where
 h_min = 1 / max_i |c_i| (the smallest spacing between adjacent lattice
-planes).
+planes).  A box that satisfies the rule therefore holds every image within
+reach + TIE_TOL: every member of each tie group that starts at or below a
+target's k-th smallest distance d_k, so the unseen images cannot change the
+picks.
 """
 
 from __future__ import annotations
@@ -48,13 +56,6 @@ class RadiusTooSmallError(ValueError):
 class LatticeTooSkewedError(ValueError):
     """The offset search reached its shell cap: lattice planes lie too close
     together for the lengths of the lattice vectors."""
-
-
-def _shell_cap_error(h_min: float) -> LatticeTooSkewedError:
-    return LatticeTooSkewedError(
-        f"lattice too skewed: smallest lattice plane spacing {h_min:.4g} "
-        f"angstrom; {_MAX_SHELL} offset shells did not reach the nearest "
-        "images (reduce the lattice basis, e.g. to Niggli form)")
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,6 @@ class PeriodicGraph:
                 zip(self.src.tolist(), self.dst.tolist(),
                     self.offset.tolist(), self.dist.tolist())]
 
-    def in_edges(self, v: int) -> range:
-        """Indices of edges whose dst is v (a contiguous range)."""
-        return range(v * self.k, (v + 1) * self.k)
-
 
 def plane_spacing_min(lattice: np.ndarray) -> float:
     """Smallest distance between adjacent lattice planes of the three axes."""
@@ -112,8 +109,9 @@ def plane_spacing_min(lattice: np.ndarray) -> float:
 
 def _box_offsets(radius: int) -> np.ndarray:
     """All integer offsets with max-norm <= radius, lexicographically sorted."""
-    rng = range(-radius, radius + 1)
-    return np.array(list(itertools.product(rng, rng, rng)), dtype=np.int64)
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    grid = np.meshgrid(rng, rng, rng, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, 3)
 
 
 def _tie_groups(sorted_dists: np.ndarray) -> np.ndarray:
@@ -146,69 +144,83 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
                   radius: float | None = None) -> PeriodicGraph:
     """Build the periodic k-NN multigraph of a structure.
 
-    With ``radius`` unset, offset shells are expanded until the k-th neighbor
-    distance of every vertex clears the plane-spacing bound, which certifies
-    that no unseen image could enter the k nearest (or perturb a tie within
-    ``TIE_TOL``).  With ``radius`` set, only images within that distance are
-    candidates and RadiusTooSmallError is raised if some vertex has fewer
-    than k.
+    The offset box has the smallest half-width R with
+    ``R * h_min > reach + TIE_TOL``.  With ``radius`` set, reach is the
+    radius, only images within it are candidates, and RadiusTooSmallError is
+    raised if some vertex has fewer than k.  With ``radius`` unset, reach is
+    the largest k-th smallest candidate distance in the box, and the box
+    grows until it satisfies the rule.  Images outside the box are farther
+    than ``R * h_min``, so every member of a tie group that starts at or
+    below the k-th smallest distance is inside it, which certifies that no
+    unseen image could enter the k nearest (or perturb a tie within
+    ``TIE_TOL``).  LatticeTooSkewedError is raised if the box would have to
+    grow past ``_MAX_SHELL``.
 
     Coordinates are canonicalized first; offsets refer to the wrapped cell.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if radius is not None and radius <= 0:
+        raise ValueError("radius must be positive")
     s = s.canonicalize()
     frac, lattice = s.frac, s.lattice
     n = s.n_atoms
     h_min = plane_spacing_min(lattice)
-    if radius is None:
-        shells = range(1, _MAX_SHELL + 1)
-    elif radius <= 0:
-        raise ValueError("radius must be positive")
-    else:
-        shells = [max(1, int(np.ceil((radius + TIE_TOL) / h_min)))]
-    for shell in shells:
+
+    def shell_for(reach: float) -> int:
+        """Smallest R with R * h_min > reach + TIE_TOL."""
+        return int((reach + TIE_TOL) // h_min) + 1
+
+    shell = 1 if radius is None else shell_for(radius)
+    while True:
         offsets = _box_offsets(shell)
-        n_off = offsets.shape[0]
         dist = _candidate_table(frac, lattice, offsets)
         # The zero-offset self image (frac[v] + 0 - frac[v] is exactly 0)
         # and images coincident with the target are never candidates.
         dist[dist == 0.0] = np.inf
         if radius is not None:
             dist[dist > radius + TIE_TOL] = np.inf
-        found = np.count_nonzero(np.isfinite(dist), axis=1)
-        if found.min() < k:
-            if radius is None:
-                continue  # not enough candidates in this box yet
-            v = int(np.argmax(found < k))
-            raise RadiusTooSmallError(
-                f"vertex {v}: {int(found[v])} images within radius "
-                f"{radius}, need k={k}")
-        # Only the prefix d - d_k <= TIE_TOL of a sorted row (d_k its k-th
-        # smallest) can decide the picks.  This is exact: d_k lies in a tie
-        # group G starting at or below d_k, so every member of the groups up
-        # to G (>= k candidates) is in the prefix, and start-anchored grouping
-        # scans left to right, so the prefix keeps the row's group numbers
-        # and the same first k in (group, src, offset) order.
+        if dist.shape[1] < k:  # fewer images than k: pad with unavailable
+            dist = np.pad(dist, ((0, 0), (0, k - dist.shape[1])),
+                          constant_values=np.inf)
         kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        near = dist - kth_smallest <= TIE_TOL
-        bound = shell * h_min
-        picks = []
-        for v in range(n):
-            cols = np.flatnonzero(near[v])
-            cols = cols[np.argsort(dist[v, cols])]
-            d = dist[v, cols]
-            # cols increase in (src, offset) order: the tie-break key.
-            picked = np.lexsort((cols, _tie_groups(d)))[:k]
-            if radius is None and d[picked[-1]] + TIE_TOL >= bound:
-                break  # an unseen image could still be among the k nearest
-            picks.append((cols[picked], d[picked]))
-        else:
-            cols, dists = map(np.concatenate, zip(*picks))
-            return PeriodicGraph(n, k, cols // n_off,
-                                 np.repeat(np.arange(n), k),
-                                 offsets[cols % n_off], dists)
-    raise _shell_cap_error(h_min)
+        reach = kth_smallest.max() if radius is None else radius
+        # A box with fewer than k candidates for some target grows by one.
+        need = shell_for(reach) if np.isfinite(reach) else shell + 1
+        if need <= shell:
+            break
+        if shell >= _MAX_SHELL:
+            raise LatticeTooSkewedError(
+                f"lattice too skewed: smallest lattice plane spacing "
+                f"{h_min:.4g} angstrom; {_MAX_SHELL} offset shells did not "
+                "reach the nearest images (reduce the lattice basis, e.g. to "
+                "Niggli form)")
+        shell = min(need, _MAX_SHELL)
+    short = np.flatnonzero(np.isinf(kth_smallest))
+    if short.size:  # only with a radius: auto mode's reach is finite here
+        v = int(short[0])
+        raise RadiusTooSmallError(
+            f"vertex {v}: {np.count_nonzero(np.isfinite(dist[v]))} images "
+            f"within radius {radius}, need k={k}")
+    # Only the prefix d - d_k <= TIE_TOL of a sorted row (d_k its k-th
+    # smallest) can decide the picks.  This is exact: d_k lies in a tie
+    # group G starting at or below d_k, so every member of the groups up
+    # to G (>= k candidates) is in the prefix, and start-anchored grouping
+    # scans left to right, so the prefix keeps the row's group numbers
+    # and the same first k in (group, src, offset) order.
+    near = dist - kth_smallest <= TIE_TOL
+    picks = []
+    for v in range(n):
+        cols = np.flatnonzero(near[v])
+        cols = cols[np.argsort(dist[v, cols])]
+        d = dist[v, cols]
+        # cols increase in (src, offset) order: the tie-break key.
+        picked = np.lexsort((cols, _tie_groups(d)))[:k]
+        picks.append((cols[picked], d[picked]))
+    cols, dists = map(np.concatenate, zip(*picks))
+    n_off = offsets.shape[0]
+    return PeriodicGraph(n, k, cols // n_off, np.repeat(np.arange(n), k),
+                         offsets[cols % n_off], dists)
 
 
 def brute_force_neighbors(s: CrystalStructure, k: int = 12,
@@ -262,29 +274,3 @@ def brute_force_neighbors(s: CrystalStructure, k: int = 12,
                 f"supercell bound {bound:.6f}")
         rows.extend((u, v, off, d) for _, u, off, d in grouped[:k])
     return PeriodicGraph(n, k, *map(np.array, zip(*rows)))
-
-
-def min_image_distance(s: CrystalStructure, i: int, j: int) -> float:
-    """Distance from atom j to the nearest periodic image of atom i.
-
-    For i == j this is the nearest nonzero image, i.e. the shortest lattice
-    translation seen from that atom.
-    """
-    s = s.canonicalize()
-    frac, lattice = s.frac, s.lattice
-    if not (0 <= i < s.n_atoms and 0 <= j < s.n_atoms):
-        raise IndexError("atom index out of range")
-    h_min = plane_spacing_min(lattice)
-    shell = 1
-    while shell <= _MAX_SHELL:
-        offsets = _box_offsets(shell)
-        sep = (frac[i] + offsets - frac[j]) @ lattice
-        d = np.sqrt(np.einsum("oc,oc->o", sep, sep))
-        if i == j:
-            d = d[d > 0.0]
-        best = float(d.min())
-        if best <= shell * h_min:
-            return best
-        shell += 1
-    raise _shell_cap_error(h_min)
-

@@ -214,9 +214,12 @@ def parse_poscar(text: str, path: str | None = None) -> CrystalStructure:
         if len(parts) < count:
             raise ParseError(f"expected {count} numbers for {what}", path, i + 1)
         try:
-            return [float(p) for p in parts[:count]]
+            values = [float(p) for p in parts[:count]]
         except ValueError:
             raise ParseError(f"non-numeric {what}", path, i + 1)
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"non-finite {what}", path, i + 1)
+        return values
 
     need(0, "comment line")
     scale = floats(1, 1, "scale factor")[0]

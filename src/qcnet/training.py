@@ -19,7 +19,7 @@ from .complexes import QuotientComplex, build_complex
 from .features import AtomFeatureTable, FeatureSet, raw_features
 from .model import ModelConfig, SimplexTransformer, batch_loss, \
     load_checkpoint, loss_and_gradients, predict, save_checkpoint
-from .periodic import min_image_distance, neighbor_list
+from .periodic import neighbor_list
 from .structures import CrystalStructure, DatasetRecord
 
 
@@ -345,8 +345,12 @@ def synthetic_overfit_dataset(n_samples: int = 32,
         while True:
             frac = rng.uniform(0.0, 1.0, (n_atoms, 3))
             s = CrystalStructure(lat, species, frac, id=f"syn-{i:03d}")
-            if n_atoms == 1 or min_image_distance(s, 0, 1) >= 0.9:
+            # Every lattice translation is at least 1.8 long (lower-
+            # triangular rows, diagonal >= 1.8), so a nearest distance
+            # below 0.9 can only be the pair of atoms.
+            nearest = neighbor_list(s, k=1).dist
+            if nearest.min() >= 0.9:
                 break
-        target = float(np.mean(neighbor_list(s, k=1).dist))
+        target = float(np.mean(nearest))
         records.append(DatasetRecord(structure=s, target=target))
     return records

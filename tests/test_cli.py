@@ -167,6 +167,20 @@ class TestBuild:
             f"error: {bad}: invalid JSON: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, row", [(4, "0 inf 0"), (10, "nan 0 0")],
+                             ids=["lattice-row", "coordinate-row"])
+    def test_non_finite_poscar_number_names_line(self, tmp_path, capsys,
+                                                 line, row):
+        lines = pathlib.Path(POSCAR).read_text().splitlines()
+        lines[line - 1] = row
+        bad = tmp_path / "bad.poscar"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.json"
+        assert main(["build", str(bad), "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}, line {line}: non-finite ")
+        assert not out.exists()
+
     def test_radius_too_small(self, tmp_path, capsys):
         assert main(["build", POSCAR, "--radius", "0.5", "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
@@ -567,7 +581,19 @@ class TestHomologyCommand:
         cplx.write_text("[[0, 1" + "0" * 4999 + "]]")
         part.write_text("[[0]]")
         assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {cplx}: invalid JSON: ")
+
+    @pytest.mark.parametrize("bad_name", ["c.json", "p.json"])
+    def test_invalid_json_names_its_file(self, tmp_path, capsys, bad_name):
+        cplx = tmp_path / "c.json"
+        part = tmp_path / "p.json"
+        cplx.write_text("[[0, 1]]")
+        part.write_text("[[0, 1]]")
+        (tmp_path / bad_name).write_text("[[0")
+        assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / bad_name}: invalid JSON: ")
 
     def test_unknown_vertex_in_partition(self, tmp_path):
         cplx = tmp_path / "c.json"

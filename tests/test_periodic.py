@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import qcnet.periodic
 from qcnet.periodic import (LatticeTooSkewedError, RadiusTooSmallError,
-                            brute_force_neighbors, min_image_distance,
-                            neighbor_list, plane_spacing_min)
+                            brute_force_neighbors, neighbor_list,
+                            plane_spacing_min)
 from qcnet.structures import CrystalStructure
 
 from conftest import random_rotation, random_structure
@@ -68,7 +68,7 @@ class TestKnownCells:
         g = neighbor_list(catio3, k=12)
         edges = g.edges
         for oxygen in (2, 3, 4):
-            first_two = [edges[i] for i in g.in_edges(oxygen)][:2]
+            first_two = [edges[i] for i in np.flatnonzero(g.dst == oxygen)][:2]
             for e in first_two:
                 assert e.src == 1
                 assert e.dist == pytest.approx(1.92, abs=1e-9)
@@ -88,7 +88,7 @@ class TestEdgeOrdering:
                 assert type(e.offset) is tuple and type(e.dist) is float
                 assert all(type(x) is int for x in (e.src, e.dst, *e.offset))
             for v in range(s.n_atoms):
-                block = [edges[i] for i in g.in_edges(v)]
+                block = [edges[i] for i in np.flatnonzero(g.dst == v)]
                 assert all(e.dst == v for e in block)
                 dists = [e.dist for e in block]
                 # Within a tie group order is by source, so floats may step
@@ -97,16 +97,11 @@ class TestEdgeOrdering:
                            for i in range(len(dists) - 1))
 
     def test_in_edges_partition(self):
+        # Each target's k in-edges form one contiguous block, in target order.
         rng = np.random.default_rng(2)
         s = random_structure(rng, n_atoms=4)
         g = neighbor_list(s, k=5)
-        seen = set()
-        edges = g.edges
-        for v in range(4):
-            for i in g.in_edges(v):
-                assert edges[i].dst == v
-                seen.add(i)
-        assert seen == set(range(g.n_edges))
+        np.testing.assert_array_equal(g.dst, np.repeat(np.arange(4), 5))
 
     def test_positive_distances_with_coincident_atoms(self):
         # Two atoms on the same site: their zero-offset pair is excluded.
@@ -234,7 +229,8 @@ class TestInvariance:
         base_d = sorted(round(e.dist, 9) for e in base.edges)
         big_edges = big.edges
         for v in range(2):
-            got = sorted(round(big_edges[i].dist, 9) for i in big.in_edges(v))
+            got = sorted(round(big_edges[i].dist, 9)
+                         for i in np.flatnonzero(big.dst == v))
             assert got == base_d
 
 
@@ -276,7 +272,7 @@ class TestTieTolerance:
                            [0.1, 0.0, 0.0],
                            [0.0, 0.1 + eps, 0.0]]))
         g = neighbor_list(s, k=2)
-        first_two = [g.edges[i] for i in g.in_edges(0)]
+        first_two = [g.edges[i] for i in np.flatnonzero(g.dst == 0)]
         assert [e.src for e in first_two] == [1, 2]
 
     def test_chained_near_ties_group_by_start(self):
@@ -303,39 +299,56 @@ class TestTieTolerance:
                            [0.2, 0.0, 0.0],
                            [0.0, 0.1, 0.0]]))
         g = neighbor_list(s, k=2)
-        first_two = [g.edges[i] for i in g.in_edges(0)]
+        first_two = [g.edges[i] for i in np.flatnonzero(g.dst == 0)]
         assert [e.src for e in first_two] == [2, 1]
 
 
-class TestMinImage:
-    def test_two_sites(self):
-        s = CrystalStructure(lattice=np.eye(3), species=np.array([1, 1]),
-                             frac=np.array([[0.0, 0.0, 0.0],
-                                            [0.5, 0.0, 0.0]]))
-        assert min_image_distance(s, 0, 1) == pytest.approx(0.5)
-
-    def test_self_distance_is_shortest_translation(self, cubic1):
-        assert min_image_distance(cubic1, 0, 0) == pytest.approx(1.0)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(9)
-        s = random_structure(rng, n_atoms=4)
-        for i in range(4):
-            for j in range(4):
-                assert min_image_distance(s, i, j) == pytest.approx(
-                    min_image_distance(s, j, i), abs=1e-12)
-
-
-
 class TestShellCap:
-    @pytest.fixture(autouse=True)
-    def small_cap(self, monkeypatch):
+    def test_neighbor_list_names_plane_spacing(self, skewed1, monkeypatch):
         monkeypatch.setattr(qcnet.periodic, "_MAX_SHELL", 3)
-
-    def test_neighbor_list_names_plane_spacing(self, skewed1):
         with pytest.raises(LatticeTooSkewedError, match="plane spacing 0.008"):
             neighbor_list(skewed1, k=12)
 
-    def test_min_image_distance_names_plane_spacing(self, skewed1):
-        with pytest.raises(LatticeTooSkewedError, match="plane spacing 0.008"):
-            min_image_distance(skewed1, 0, 0)
+
+def count_tables(monkeypatch):
+    calls = []
+    table = qcnet.periodic._candidate_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(qcnet.periodic, "_candidate_table", counting)
+    return calls
+
+
+class TestBoxSize:
+    def test_skewed_lattice_fails_after_two_tables(self, skewed1,
+                                                   monkeypatch):
+        # The k-th distance in the first box asks for a box past the cap;
+        # the box at the cap is the last one built.
+        calls = count_tables(monkeypatch)
+        with pytest.raises(LatticeTooSkewedError, match="plane spacing"):
+            neighbor_list(skewed1, k=12)
+        assert len(calls) <= 2
+
+    def test_k_beyond_first_box(self, cubic1):
+        # The first box holds 26 images of the lone atom; k=30 needs the
+        # next shell and breaks the distance-2 tie by offset.
+        g = neighbor_list(cubic1, k=30)
+        assert edge_tuples(g) == edge_tuples(brute_force_neighbors(cubic1,
+                                                                   k=30))
+        with pytest.raises(RadiusTooSmallError, match="0 images"):
+            neighbor_list(cubic1, k=30, radius=0.5)
+
+    @pytest.mark.parametrize("radius", [1.0, 3.0])
+    def test_radius_builds_one_table(self, cubic1, monkeypatch, radius):
+        calls = count_tables(monkeypatch)
+        neighbor_list(cubic1, k=6, radius=radius)
+        assert len(calls) == 1
+
+    def test_radius_too_small_builds_one_table(self, cubic1, monkeypatch):
+        calls = count_tables(monkeypatch)
+        with pytest.raises(RadiusTooSmallError):
+            neighbor_list(cubic1, k=6, radius=0.99)
+        assert len(calls) == 1

@@ -1,0 +1,56 @@
+"""Count executable lines of the qcnet package.
+
+A line counts when some token of code lies on it; blank lines, comments
+and docstrings (the leading string of a module, class or function body) do
+not.  A statement that spans lines counts every line it spans.
+
+Run from anywhere, with no options:
+
+    python tools/sloc.py
+
+It prints the count per module of ``src/qcnet`` and the total.
+"""
+
+import ast
+import io
+import pathlib
+import tokenize
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qcnet"
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def main() -> None:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total ({PACKAGE.parent.name}/{PACKAGE.name})")
+
+
+if __name__ == "__main__":
+    main()
