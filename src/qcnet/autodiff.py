@@ -5,17 +5,21 @@ walks the tape in reverse topological order and accumulates gradients into
 every tensor with ``requires_grad``.  The op set is exactly what the
 simplex-attention model needs: elementwise arithmetic, matmul, ``affine``,
 concat, row gather / segment sum (the scatter pair used for message
-aggregation), full reductions for the loss, the activations, and
-``normalize``.  All accumulation happens in a fixed order determined by tape
-construction, so given identical inputs the gradients are bit-for-bit
-reproducible.
+aggregation), ``pair_affine_silu`` (an attention key or value: projected
+per source row, gathered per pair and activated in one node), full
+reductions for the loss, the activations, and ``normalize``.  Every
+scatter-add, forward or pullback, is ``scatter_rows``: one ``np.bincount``
+that adds each row's contributions in index order.  All accumulation
+happens in a fixed order determined by tape construction, so given
+identical inputs the gradients are bit-for-bit reproducible.
 
 Gradients are never broadcast.  A constant or scalar operand may broadcast
 against a tensor that requires a gradient, but a tensor that requires one
-must have the shape of the op's result: its pullback adds the upstream
-gradient in place, so a broadcast operand raises ValueError in
-``backward()``.  The two ops whose parameters are one row applied to every
-row carry their own row sums: ``affine`` is ``x @ w + b`` as one node, and
+must have the shape of the op's result: a gradient whose shape differs
+from its tensor's raises ValueError in ``backward()``.  The first gradient
+a tensor receives is copied in; later ones are added in place.  The ops
+whose parameters are one row applied to every row carry their own row
+sums: ``affine`` is ``x @ w + b`` as one node, and
 ``normalize`` is the one formula behind batch and layer normalization,
 ``(x - mean) / sqrt(var + eps) * gamma + beta`` as one node, with the mean
 and variance taken along the normalized axis (its pullback carries the
@@ -55,7 +59,10 @@ def no_grad():
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
     """Logistic function; the tanh form cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def silu_np(x: np.ndarray) -> np.ndarray:
@@ -83,9 +90,15 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.data.shape:
+            raise ValueError(
+                f"gradient of shape {np.shape(grad)} for a tensor of shape "
+                f"{self.data.shape}: gradients are never broadcast")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy: one pullback may hand the same array to two operands.
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -187,7 +200,7 @@ class Tensor:
 
     def sum(self):
         def pullback(g):
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.data.shape))
         return _record(self.data.sum(), (self,), pullback)
 
     def mean(self):
@@ -234,15 +247,75 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
                    tuple(tensors), pullback)
 
 
+def scatter_rows(values: np.ndarray, index: np.ndarray,
+                 n_rows: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` into ``n_rows`` zero rows.
+
+    One ``np.bincount`` over the keys ``row * C + column``: each output
+    entry sums its contributions in the order of ``index``, so the result
+    is bitwise that of an unbuffered in-order scatter-add.
+    """
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    keys = (np.asarray(index, dtype=np.int64)[:, None] * width
+            + np.arange(width, dtype=np.int64))
+    out = np.bincount(keys.ravel(), weights=values.ravel(),
+                      minlength=n_rows * width)
+    return out.reshape((n_rows,) + tail)
+
+
 def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     """Select rows; the pullback scatter-adds back into the source rows."""
     index = np.asarray(index, dtype=np.int64)
 
     def pullback(g):
-        acc = np.zeros_like(t.data)
-        np.add.at(acc, index, g)
-        t._accumulate(acc)
+        t._accumulate(scatter_rows(g, index, t.data.shape[0]))
     return _record(t.data[index], (t,), pullback)
+
+
+def pair_affine_silu(h: Tensor, w_face: Tensor, h_cof: Tensor,
+                     w_cof: Tensor, w: Tensor, b: Tensor, tau: np.ndarray,
+                     coface: np.ndarray) -> Tensor:
+    """``silu([h[tau] @ w_face, h_cof[coface] @ w_cof] @ w + b)`` as one
+    tape node, one row per (tau, coface) pair.
+
+    The map is linear before the SiLU, so ``w`` splits by rows into the
+    half that sees the face and the half that sees the coface, and each
+    half is applied once per source row, not once per pair:
+    ``(h @ w_face @ w[:H])[tau] + (h_cof @ w_cof @ w[H:])[coface] + b``.
+    Only the gather, the sum and the SiLU run per pair; the pullback
+    scatters the pair gradient back onto the source rows before any
+    matmul.
+    """
+    tau = np.asarray(tau, dtype=np.int64)
+    coface = np.asarray(coface, dtype=np.int64)
+    split = w_face.data.shape[1]
+    w_top, w_bottom = w.data[:split], w.data[split:]
+    u = h.data @ w_face.data
+    u_cof = h_cof.data @ w_cof.data
+    z = (u @ w_top)[tau]
+    z += (u_cof @ w_bottom)[coface]
+    z += b.data
+    sig = sigmoid_np(z)
+
+    def pullback(g):
+        dz = g * sig * (1.0 + z * (1.0 - sig))
+        if b.requires_grad:
+            b._accumulate(dz.sum(axis=0))
+        d_top = scatter_rows(dz, tau, u.shape[0])
+        d_bottom = scatter_rows(dz, coface, u_cof.shape[0])
+        if w.requires_grad:
+            w._accumulate(np.concatenate([u.T @ d_top, u_cof.T @ d_bottom]))
+        for x, wx, d, w_half in ((h, w_face, d_top, w_top),
+                                 (h_cof, w_cof, d_bottom, w_bottom)):
+            if not (x.requires_grad or wx.requires_grad):
+                continue
+            du = d @ w_half.T
+            if wx.requires_grad:
+                wx._accumulate(x.data.T @ du)
+            if x.requires_grad:
+                x._accumulate(du @ wx.data.T)
+    return _record(z * sig, (h, w_face, h_cof, w_cof, w, b), pullback)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -278,7 +351,8 @@ def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
         mean, var = (np.expand_dims(a, axis) for a in stats)
         centered = t.data - mean
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    xhat = centered
+    xhat *= inv_std
 
     def pullback(g):
         if gamma.requires_grad:
@@ -290,19 +364,19 @@ def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
             t._accumulate(g * inv_std if stats is not None else inv_std * (
                 g - g.mean(axis=axis, keepdims=True)
                 - xhat * (g * xhat).mean(axis=axis, keepdims=True)))
-    return (_record(xhat * gamma.data + beta.data, (t, gamma, beta), pullback),
+    out = xhat * gamma.data
+    out += beta.data
+    return (_record(out, (t, gamma, beta), pullback),
             np.squeeze(mean, axis), np.squeeze(var, axis))
 
 
 def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows into n_segments buckets; pullback is a row gather."""
     segment = np.asarray(segment, dtype=np.int64)
-    value = np.zeros((n_segments,) + t.data.shape[1:], dtype=np.float64)
-    np.add.at(value, segment, t.data)
 
     def pullback(g):
         t._accumulate(g[segment])
-    return _record(value, (t,), pullback)
+    return _record(scatter_rows(t.data, segment, n_segments), (t,), pullback)
 
 
 def segment_mean(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:

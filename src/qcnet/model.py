@@ -12,11 +12,20 @@ coface c):
     msg   = SiLU(LayerNorm(W_m m + b_m))            # 2H -> H
     h'_s  = h_s + SiLU(BatchNorm(W_u sum_t msg + b_u))
 
-where q, k, v come from per-tier H x H maps of the hidden states.  Five
-vertex layers run first, then two blocks of (edge layer, vertex layer) so
-triangle information reaches edges before edges refresh the vertices.  The
-graph embedding is the concat of vertex-mean and edge-mean (2H), followed by
-a two-hidden-layer MLP head to a scalar.
+where q, k, v come from per-tier H x H maps of the hidden states.  The
+maps inside both SiLUs are linear, so W_k splits by rows before the
+gather, ``W_k [k_t, k_c] = (h W_kface W_k[:H])[t] + (h_cof W_kcof
+W_k[H:])[c]``, and W_v the same way.  So every H-wide map runs once per
+simplex: [q, q] / sqrt(2H) on the receiver tier, then gathered to s; the
+face half of k and v on the receiver tier, gathered to t; the coface half
+on the coface tier, gathered to c.  ``autodiff.pair_affine_silu`` is one
+key or value path, both halves, gathers and SiLU, as one node.  Only W_m
+runs once per pair.
+
+Five vertex layers run first, then two blocks of (edge layer, vertex
+layer) so triangle information reaches edges before edges refresh the
+vertices.  The graph embedding is the concat of vertex-mean and edge-mean
+(2H), followed by a two-hidden-layer MLP head to a scalar.
 
 BatchNorm normalizes over the message population of one layer application.
 The model carries no mode; the entry point picks the statistics.  The
@@ -47,7 +56,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, affine, concat, constant, gather_rows, \
-    parameter, segment_mean, segment_sum
+    pair_affine_silu, parameter, segment_mean, segment_sum
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
 from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
@@ -329,18 +338,18 @@ class SimplexTransformer:
 
 def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
                      layer: AttentionLayer, train: bool) -> Tensor:
-    """Messages for all pairs: (P, H) rows ready for segment aggregation."""
-    hs = gather_rows(h, pairs.sigma)
-    ht = gather_rows(h, pairs.tau)
-    hc = gather_rows(h_cof, pairs.coface)
-    q = hs @ layer.q
-    qq = concat([q, q], axis=1)
-    k = concat([ht @ layer.k_face, hc @ layer.k_cof], axis=1)
-    k = affine(k, layer.key_w, layer.key_b).silu()
-    alpha = qq * k * (1.0 / np.sqrt(2.0 * h.shape[1]))
-    gate = layer.attn_bn.apply(alpha, train).sigmoid()
-    v = concat([ht @ layer.v_face, hc @ layer.v_cof], axis=1)
-    v = affine(v, layer.val_w, layer.val_b).silu()
+    """Messages for all pairs: (P, H) rows ready for segment aggregation.
+
+    q, k and v are projected once per simplex and gathered to the pairs;
+    only ``msg_w`` is applied once per pair.
+    """
+    qq = gather_rows(h @ concat([layer.q, layer.q])
+                     * (1.0 / np.sqrt(2.0 * h.shape[1])), pairs.sigma)
+    k = pair_affine_silu(h, layer.k_face, h_cof, layer.k_cof, layer.key_w,
+                         layer.key_b, pairs.tau, pairs.coface)
+    gate = layer.attn_bn.apply(qq * k, train).sigmoid()
+    v = pair_affine_silu(h, layer.v_face, h_cof, layer.v_cof, layer.val_w,
+                         layer.val_b, pairs.tau, pairs.coface)
     m = gate * v
     return layer.msg_ln.apply(affine(m, layer.msg_w, layer.msg_b)).silu()
 

@@ -160,8 +160,8 @@ def neighbor_list(s: CrystalStructure, k: int = 12,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if radius is not None and radius <= 0:
-        raise ValueError("radius must be positive")
+    if radius is not None and not 0 < radius < np.inf:  # nan fails too
+        raise ValueError("radius must be a positive finite number")
     s = s.canonicalize()
     frac, lattice = s.frac, s.lattice
     n = s.n_atoms

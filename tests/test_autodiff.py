@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qcnet.autodiff import (affine, concat, constant, gather_rows, no_grad,
-                            normalize, parameter, segment_mean, segment_sum,
+                            normalize, pair_affine_silu, parameter,
+                            scatter_rows, segment_mean, segment_sum,
                             sigmoid_np, silu_np)
 
 ATOL = 1e-8
@@ -118,6 +119,79 @@ class TestAffine:
         c = self.rng.standard_normal((5, 2))
         fd_check(lambda x, w, b: (affine(x, w, b).silu() * c).sum(),
                  [x, w, b])
+
+
+class TestPairAffineSilu:
+    """Face rows 1 and 4 and coface rows 2 and 4 are never referenced,
+    tau and coface repeat unsorted, and h_cof is taller than h."""
+
+    TAU = np.array([3, 0, 3, 2, 0])
+    COFACE = np.array([5, 5, 0, 3, 1])
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(38)
+
+    def operands(self, hidden=2):
+        rng = self.rng
+        return [rng.standard_normal((5, hidden)),
+                rng.standard_normal((hidden, hidden)),
+                rng.standard_normal((6, hidden)),
+                rng.standard_normal((hidden, hidden)),
+                rng.standard_normal((2 * hidden, 2 * hidden)) * 0.7,
+                rng.standard_normal(2 * hidden)]
+
+    @staticmethod
+    def reference(h, w_face, h_cof, w_cof, w, b, tau, coface):
+        """The unsplit map: per-pair rows, concat, then one affine."""
+        x = np.concatenate([h[tau] @ w_face, h_cof[coface] @ w_cof], axis=1)
+        return silu_np(x @ w + b)
+
+    def test_value_matches_unsplit_map(self):
+        arrays = self.operands(3)
+        out = pair_affine_silu(*map(constant, arrays), self.TAU, self.COFACE)
+        np.testing.assert_allclose(
+            out.data, self.reference(*arrays, self.TAU, self.COFACE),
+            rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("tau, coface", [(TAU, COFACE),
+                                             ([4], [2])],
+                             ids=["repeated-and-unreferenced", "one-pair"])
+    def test_gradient_every_operand(self, tau, coface):
+        arrays = self.operands()
+        c = self.rng.standard_normal((len(tau), 4))
+        fd_check(lambda *t: (pair_affine_silu(*t, tau, coface) * c).sum(),
+                 arrays)
+
+    def test_no_grad_equal_values_and_no_parents(self):
+        tensors = [parameter(a) for a in self.operands()]
+        recorded = pair_affine_silu(*tensors, self.TAU, self.COFACE)
+        with no_grad():
+            out = pair_affine_silu(*tensors, self.TAU, self.COFACE)
+        assert recorded._parents and recorded.requires_grad
+        assert out._parents == () and out._pullback is None
+        assert not out.requires_grad
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+
+class TestScatterRows:
+    @staticmethod
+    def oracle(values, index, n_rows):
+        out = np.zeros((n_rows,) + values.shape[1:])
+        np.add.at(out, index, values)
+        return out
+
+    @pytest.mark.parametrize("shape", [(40, 3), (40,), (40, 2, 3), (0, 3)])
+    def test_bitwise_equal_to_add_at(self, shape):
+        # Wide magnitudes make every sum depend on its order; rows 0, 5 and
+        # 9 receive nothing.
+        rng = np.random.default_rng(39)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -8, 9, shape)
+        index = rng.choice([1, 2, 3, 4, 6, 7, 8], size=shape[0])
+        got = scatter_rows(values, index, 10)
+        assert got.shape == (10,) + shape[1:]
+        np.testing.assert_array_equal(got, self.oracle(values, index, 10))
+        assert got[[0, 5, 9]].tobytes() == bytes(8 * got[[0, 5, 9]].size)
 
 
 class TestMatmul:

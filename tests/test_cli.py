@@ -185,6 +185,15 @@ class TestBuild:
         assert main(["build", POSCAR, "--radius", "0.5", "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_exits_config(self, tmp_path, capsys, radius):
+        out = tmp_path / "x.json"
+        assert main(["build", POSCAR, "--radius", radius, "-o",
+                     str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: radius must be a positive finite number\n")
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["build", POSCAR, "-o", str(a)])

@@ -137,6 +137,28 @@ class TestNormalization:
         assert counts == dict.fromkeys(calls, 1)
         assert all(t.requires_grad and len(t._parents) == 3 for t in created)
 
+    def test_training_attention_stage_node_count(self, monkeypatch):
+        # One node each: the doubled q map, its matmul, the 1/sqrt(2H)
+        # scale and the gather to the pairs; the fused key and value
+        # paths; alpha, the batch norm and its gate; the gated value, the
+        # message map, its layer norm and activation.
+        rng = np.random.default_rng(1)
+        layer = AttentionLayer.init(3, rng)
+        pairs = MessagingPairs(np.array([0, 1, 1]), np.array([1, 0, 2]),
+                               np.array([0, 1, 1]))
+        h = parameter(rng.standard_normal((3, 3)))
+        h_cof = parameter(rng.standard_normal((2, 3)))
+        created = []
+        init = ad.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            created.append(tensor)
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        _attention_stage(h, h_cof, pairs, layer, True)
+        monkeypatch.undo()
+        assert sum(t._pullback is not None for t in created) == 13
+
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
         x = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 10.0, 10.0, 10.0]])
