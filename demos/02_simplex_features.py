@@ -13,7 +13,7 @@ import numpy as np
 
 from qcnet import (AtomFeatureTable, CrystalStructure, ModelConfig,
                    SimplexTransformer, build_complex, edge_features,
-                   neighbor_list, raw_features, vertex_features)
+                   neighbor_list, raw_features)
 from qcnet.autodiff import constant
 
 # A two-atom cell along z with the near pair at exactly 0.75 angstroms.
@@ -34,7 +34,8 @@ print(f"  triangles {fs.h2_raw.shape}")
 
 # Edge layout: 192 basis responses on the transformed distance, then the
 # source fingerprint, then the destination fingerprint.
-ef = edge_features(c.graph, vertex_features(s.species, table))
+vf = table.features_for(s.species)
+ef = edge_features(c.graph, vf)
 e = c.graph.edges[0]
 print(f"\nedge 0: {e.src} -> {e.dst}, d = {e.dist:.4f} A")
 print(f"  transformed distance -0.75/d = {-0.75 / e.dist:.4f}")
@@ -42,7 +43,6 @@ print(f"  basis block max = {ef[0, :192].max():.6f}"
       " (response peaks at 1 when -0.75/d hits a basis center)")
 src_block = ef[0, 192:284]
 dst_block = ef[0, 284:376]
-vf = vertex_features(s.species, table)
 print(f"  source block matches fingerprint: "
       f"{bool(np.array_equal(src_block, vf[e.src]))}")
 print(f"  dest block matches fingerprint:   "

@@ -23,7 +23,7 @@ _MODULE_NAMES = {
         "EDGE_DIM", "TRIANGLE_DIM", "VERTEX_DIM", "AtomFeatureTable",
         "FeatureSet", "MissingSpeciesError", "NonPositiveDistanceError",
         "edge_features", "raw_features", "save_feature_arrays",
-        "triangle_features", "vertex_features"),
+        "triangle_features"),
     "homology": (
         "QuotientHomologyReport", "SimplicialComplex", "SubcomplexError",
         "betti_numbers", "inclusion_induced_rank", "matrix_rank",

@@ -272,15 +272,17 @@ def _run_training(args, finetune_from: str | None) -> int:
         result = finetune(finetune_from, config, train_records, val_records,
                           table)
 
+    # Both evaluations run before any file is written, so a model they
+    # reject (non-finite weights) leaves no checkpoint behind.
+    train_metrics = evaluate(result.model, train_records, table,
+                             config.k_neighbors)
+    val_metrics = (evaluate(result.model, val_records, table,
+                            config.k_neighbors) if val_records else None)
     from .model import save_checkpoint
     save_checkpoint(result.model, checkpoint_path,
                     extra={"atom_table": table_desc,
                            "k_neighbors": config.k_neighbors,
                            "seed": seed})
-    train_metrics = evaluate(result.model, train_records, table,
-                             config.k_neighbors)
-    val_metrics = (evaluate(result.model, val_records, table,
-                            config.k_neighbors) if val_records else None)
     summary = {
         "seed": seed,
         "n_train": len(train_records),

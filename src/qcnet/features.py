@@ -1,14 +1,18 @@
 """Geometric features of simplices as radial-basis expansions.
 
 Vertices carry a 92-dim per-element vector from an atom feature table.
-Edges expand the transformed distance d' = -0.75/d over 64 centers on
-[-4, 0] at three widths (192 values, laid out sigma-major) and append the
-two endpoint vectors, giving 376.  Triangles expand nine derived scalars of
-their edge lengths {d1, d2, d3, d1*d2, d1*d3, d2*d3, d1^2, d2^2, d3^2} over
-8 centers on [0, 5] at the same three widths, value-major, giving 216.
+Edges expand the transformed distance d' = -0.75/d over EDGE_CENTERS (64
+on [-4, 0]) at three widths (192 values) and append the two endpoint
+vectors, giving 376.  Triangles expand nine derived scalars of their edge
+lengths {d1, d2, d3, d1*d2, d1*d3, d2*d3, d1^2, d2^2, d3^2} over
+TRIANGLE_CENTERS (8 on [0, 5]) at the same three widths, giving 216.
 
-The radial basis is rbf(x) = exp(-(x - c)^2 / sigma): sigma divides the
-squared distance directly, so the three widths act like variances.
+The radial basis is rbf(x, c) = exp(-(x - c)^2 / sigma): sigma divides the
+squared distance directly, so the three widths act like variances.  ``rbf``
+returns one (values..., widths, centers) array, and a feature row is that
+array flattened: sigma-major within a value (all centers of one width
+before the next width), and value-major across the nine triangle scalars
+(all 24 responses of one scalar before the next scalar).
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ VERTEX_DIM = 92
 EDGE_DIM = 376
 TRIANGLE_DIM = 216
 
-RBF_SIGMAS = (0.01, 0.1, 1.0)
+RBF_SIGMAS = np.array([0.01, 0.1, 1.0])
+EDGE_CENTERS = np.linspace(-4.0, 0.0, 64)
+TRIANGLE_CENTERS = np.linspace(0.0, 5.0, 8)
 
 
 class MissingSpeciesError(ValueError):
@@ -38,41 +44,23 @@ class NonPositiveDistanceError(ValueError):
     """Edge distance must be positive to apply d' = -0.75/d."""
 
 
-@dataclass(frozen=True)
-class RbfBank:
-    """Fixed centers crossed with widths; output is sigma-major.
-
-    Column s * len(centers) + c holds exp(-(x - centers[c])^2 / sigmas[s]),
-    so the response peaks at exactly 1.0 when x hits a center.
-    """
-
-    centers: np.ndarray
-    sigmas: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.sigmas) * len(self.centers)
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        diff2 = (x[:, None] - self.centers[None, :]) ** 2
-        blocks = [np.exp(-diff2 / s) for s in self.sigmas]
-        return np.concatenate(blocks, axis=1)
-
-
-def edge_bank() -> RbfBank:
-    return RbfBank(np.linspace(-4.0, 0.0, 64), RBF_SIGMAS)
-
-
-def triangle_bank() -> RbfBank:
-    return RbfBank(np.linspace(0.0, 5.0, 8), RBF_SIGMAS)
+def rbf(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """exp(-(x - c)^2 / sigma) as an x.shape + (widths, centers) array; the
+    response is exactly 1.0 where x hits a center."""
+    diff2 = (np.asarray(x, dtype=np.float64)[..., None] - centers) ** 2
+    out = -diff2[..., None, :] / RBF_SIGMAS[:, None]
+    return np.exp(out, out=out)
 
 
 class AtomFeatureTable:
-    """Map from atomic number to a 92-dim feature vector."""
+    """Map from atomic number to a 92-dim feature vector.
+
+    ``rows`` is one (MAX_Z + 1, 92) array indexed by Z; the rows of absent
+    elements (and row 0) are NaN, which no stored vector can be.
+    """
 
     def __init__(self, vectors: dict[int, np.ndarray]):
-        self.vectors = {}
+        self.rows = np.full((MAX_Z + 1, VERTEX_DIM), np.nan)
         for z, vec in vectors.items():
             z = int(z)
             vec = np.asarray(vec, dtype=np.float64)
@@ -84,7 +72,7 @@ class AtomFeatureTable:
                     f"expected ({VERTEX_DIM},)")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"feature vector for Z={z} is not finite")
-            self.vectors[z] = vec
+            self.rows[z] = vec
 
     @classmethod
     def from_json(cls, path: str | os.PathLike) -> "AtomFeatureTable":
@@ -99,31 +87,27 @@ class AtomFeatureTable:
     def random(cls, seed: int = 0, max_z: int = MAX_Z) -> "AtomFeatureTable":
         """Seeded placeholder table covering every element up to max_z."""
         rng = np.random.default_rng(seed)
-        return cls({z: rng.uniform(0.0, 1.0, VERTEX_DIM)
-                    for z in range(1, max_z + 1)})
+        draws = rng.uniform(0.0, 1.0, (max_z, VERTEX_DIM))
+        return cls(dict(enumerate(draws, start=1)))
 
     def save(self, path: str | os.PathLike) -> None:
         """Write ``{"<Z>": [92 floats], ...}``; the file is replaced
         atomically."""
-        obj = {str(z): [float(x) for x in vec]
-               for z, vec in sorted(self.vectors.items())}
+        present = np.flatnonzero(~np.isnan(self.rows[:, 0]))
+        obj = {str(z): self.rows[z].tolist() for z in present}
         replace_files([(os.fspath(path), [
             (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")])])
 
     def features_for(self, species: np.ndarray) -> np.ndarray:
-        rows = []
-        for z in np.asarray(species).ravel():
-            z = int(z)
-            if z not in self.vectors:
-                raise MissingSpeciesError(
-                    f"atom table has no feature vector for element Z={z}")
-            rows.append(self.vectors[z])
-        return np.array(rows, dtype=np.float64)
-
-
-def vertex_features(species: np.ndarray, table: AtomFeatureTable) -> np.ndarray:
-    """(n, 92) per-atom vectors in structure order."""
-    return table.features_for(species)
+        """(n, 92) per-atom vectors in structure order."""
+        z = np.asarray(species, dtype=np.int64).ravel()
+        out = self.rows[np.where((z >= 0) & (z <= MAX_Z), z, 0)]
+        missing = np.isnan(out[:, 0])
+        if missing.any():
+            raise MissingSpeciesError(
+                "atom table has no feature vector for element "
+                f"Z={int(z[missing.argmax()])}")
+        return out
 
 
 def edge_features(g: PeriodicGraph, vfeats: np.ndarray) -> np.ndarray:
@@ -131,22 +115,17 @@ def edge_features(g: PeriodicGraph, vfeats: np.ndarray) -> np.ndarray:
     if g.n_edges and g.dist.min() <= 0.0:
         raise NonPositiveDistanceError(
             f"edge distance {float(g.dist.min())} is not positive")
-    rbf = edge_bank().expand(-0.75 / g.dist)
-    return np.concatenate([rbf, vfeats[g.src], vfeats[g.dst]], axis=1)
+    basis = rbf(-0.75 / g.dist, EDGE_CENTERS).reshape(g.n_edges, 192)
+    return np.concatenate([basis, vfeats[g.src], vfeats[g.dst]], axis=1)
 
 
 def triangle_features(c: QuotientComplex) -> np.ndarray:
-    """(t, 216) rows: nine length-derived scalars, each rbf-expanded.
-
-    Scalar order is d1, d2, d3, d1*d2, d1*d3, d2*d3, d1^2, d2^2, d3^2;
-    the layout is value-major (all 24 basis responses of one scalar before
-    the next scalar).
-    """
-    bank = triangle_bank()
-    d1, d2, d3 = c.graph.dist[c.tri.T]
-    scalars = [d1, d2, d3, d1 * d2, d1 * d3, d2 * d3,
-               d1 * d1, d2 * d2, d3 * d3]
-    return np.concatenate([bank.expand(v) for v in scalars], axis=1)
+    """(t, 216) rows: nine length-derived scalars, each rbf-expanded, in
+    the order d1, d2, d3, d1*d2, d1*d3, d2*d3, d1^2, d2^2, d3^2."""
+    d = c.graph.dist[c.tri]
+    scalars = np.concatenate(
+        [d, d[:, [0, 0, 1]] * d[:, [1, 2, 2]], d * d], axis=1)
+    return rbf(scalars, TRIANGLE_CENTERS).reshape(len(d), TRIANGLE_DIM)
 
 
 @dataclass
@@ -161,7 +140,7 @@ class FeatureSet:
 def raw_features(c: QuotientComplex, species: np.ndarray,
                  table: AtomFeatureTable) -> FeatureSet:
     """Raw features of every tier of the complex."""
-    vf = vertex_features(species, table)
+    vf = table.features_for(species)
     return FeatureSet(h0_raw=vf, h1_raw=edge_features(c.graph, vf),
                       h2_raw=triangle_features(c))
 

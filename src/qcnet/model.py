@@ -443,7 +443,10 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch,
         _check_finite(h0, f"edge_node.{i}.node")
     pooled = concat([segment_mean(h0, batch.v_gid, batch.n_graphs),
                      segment_mean(h1, batch.e_gid, batch.n_graphs)], axis=1)
-    return model.head.apply(pooled)
+    pred = model.head.apply(pooled)
+    if not train:  # a training step reports its loss with epoch and batch
+        _check_finite(pred, "head")
+    return pred
 
 
 def predict(model: SimplexTransformer,

@@ -451,6 +451,8 @@ def replace_files(files: list[tuple[str, list[bytes]]]) -> None:
                     fh.write(chunk)
         for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
+    except OSError as exc:  # name the target, not its temporary
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         for tmp in temps:
             with contextlib.suppress(FileNotFoundError):

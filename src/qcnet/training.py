@@ -65,8 +65,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (self.peak_lr > 0 and math.isfinite(self.peak_lr)):
             raise ValueError("peak_lr must be positive and finite")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError("weight_decay must be >= 0 and finite")
         if self.loss not in ("mae", "mse"):
             raise ValueError("loss must be 'mae' or 'mse'")
         if self.k_neighbors < 1:

@@ -13,8 +13,8 @@ import pytest
 from qcnet import autodiff as ad
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.autodiff import constant
-from qcnet.features import (AtomFeatureTable, edge_bank, raw_features,
-                            triangle_bank)
+from qcnet.features import (EDGE_CENTERS, RBF_SIGMAS, TRIANGLE_CENTERS,
+                            AtomFeatureTable, raw_features, rbf)
 from qcnet.homology import SimplicialComplex, random_flag_complex, \
     random_partition, verify_quotient_homology
 from qcnet.model import (AttentionLayer, ModelConfig, SimplexTransformer,
@@ -104,7 +104,7 @@ def test_triangle_closure_fuzz():
 
 
 def test_feature_dimensions_and_banks():
-    """Dims 92/376/216/64; bank response 1.0 at centers; -0.75/0.75 = -1."""
+    """Dims 92/376/216/64; basis response 1.0 at centers; -0.75/0.75 = -1."""
     s = catio3_cell()
     c = build_complex(neighbor_list(s, k=12))
     table = AtomFeatureTable.random(0)
@@ -115,12 +115,10 @@ def test_feature_dimensions_and_banks():
                and all(emb.apply(constant(x)).data.shape[1] == 64
                        for emb, x in zip(embeds, raws)))
     peaks_ok = True
-    for bank in (edge_bank(), triangle_bank()):
-        out = bank.expand(bank.centers)
-        n = len(bank.centers)
-        for si in range(len(bank.sigmas)):
-            block = out[:, si * n:(si + 1) * n]
-            peaks_ok &= bool(np.all(np.diag(block) == 1.0))
+    for centers in (EDGE_CENTERS, TRIANGLE_CENTERS):
+        out = rbf(centers, centers)
+        for si in range(len(RBF_SIGMAS)):
+            peaks_ok &= bool(np.all(np.diag(out[:, si, :]) == 1.0))
         peaks_ok &= float(np.max(out)) == 1.0
     transform_ok = (-0.75 / 0.75) == -1.0
     verdict(dims_ok and peaks_ok and transform_ok,

@@ -194,6 +194,21 @@ class TestBuild:
             "error: radius must be a positive finite number\n")
         assert not out.exists()
 
+    def test_missing_directory_names_target(self, tmp_path, capsys):
+        out = tmp_path / "no" / "dir" / "c.json"
+        assert main(["build", POSCAR, "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_failed_write_names_target(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(qcnet.structures, "open", open_failing_at(0, []),
+                            raising=False)
+        out = tmp_path / "c.json"
+        assert main(["build", POSCAR, "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 28] No space left on device: '{out}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["build", POSCAR, "-o", str(a)])
@@ -362,6 +377,29 @@ class TestTrain:
         assert not (out_dir / "model.ckpt.json").exists()
 
 
+    @pytest.mark.parametrize("weight_decay", ["nan", "inf"])
+    def test_non_finite_weight_decay_exits_config(self, run_config, capsys,
+                                                  weight_decay):
+        cfg, out_dir = run_config(train={"weight_decay": weight_decay})
+        assert main(["train", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: bad training config: weight_decay must be >= 0 and "
+            "finite\n")
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_weights_overflowing_on_last_step_write_nothing(self, run_config,
+                                                            capsys):
+        # The only step is the last, so the loss stays finite and the
+        # returned model's weights are not.
+        cfg, out_dir = run_config(train={"peak_lr": "1e308", "epochs": "1"})
+        assert main(["train", str(cfg)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: layer ") and "non-finite" in err[0]
+        assert list(out_dir.iterdir()) == []
+
+
 class TestSeedPrecedence:
     def _seed_of(self, out_dir):
         return json.loads((out_dir / "metrics.json").read_text())["seed"]
@@ -494,6 +532,39 @@ class TestNonFiniteActivations:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "node.0" in err[0] and "Traceback" not in proc.stderr
+
+    @pytest.fixture(params=["b3-inf", "weights-1e300"])
+    def head_checkpoint(self, request, tmp_path):
+        model = SimplexTransformer.init(ModelConfig(4, 4), seed=0)
+        params = dict(model.parameters())
+        if request.param == "b3-inf":
+            params["head.b3"].data[0] = np.inf
+        else:
+            for name in ("head.w1", "head.w2", "head.w3"):
+                params[name].data[...] = 1e300
+        path = tmp_path / "head.ckpt"
+        save_checkpoint(model, path,
+                        extra={"k_neighbors": 4, "atom_table": "random:0"})
+        return path
+
+    HEAD_ERROR = "error: layer head produced non-finite activations\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_prediction_exits_numeric(self, head_checkpoint,
+                                                 capsys):
+        assert main(["predict", "--checkpoint", str(head_checkpoint),
+                     POSCAR]) == EXIT_NUMERIC
+        assert capsys.readouterr() == ("", self.HEAD_ERROR)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_eval_writes_no_report(self, head_checkpoint, dataset,
+                                              tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--checkpoint", str(head_checkpoint),
+                     "--dataset", str(dataset), "-o",
+                     str(report)]) == EXIT_NUMERIC
+        assert capsys.readouterr() == ("", self.HEAD_ERROR)
+        assert not report.exists()
 
 
 class TestSidecarValues:

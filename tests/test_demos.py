@@ -1,5 +1,5 @@
-"""The demos run end to end.  Demo 03 is left out: it trains for ~25 s and
-writes a checkpoint into the working directory."""
+"""The demos and README's quick start run end to end.  Demo 03 is left out:
+it trains for ~25 s and writes a checkpoint into the working directory."""
 
 import os
 import pathlib
@@ -23,3 +23,15 @@ def test_demo_runs(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_start_prints_its_comments(tmp_path):
+    readme = (DEMOS.parent / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["5 60 236", "(60, 376)"]

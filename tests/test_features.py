@@ -1,4 +1,4 @@
-"""Simplex feature construction: dimensions, banks, and invariances."""
+"""Simplex feature construction: dimensions, basis, and invariances."""
 
 import json
 
@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from qcnet.autodiff import constant, silu_np
-from qcnet.complexes import build_complex
-from qcnet.features import (EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM,
+from qcnet.complexes import QuotientComplex, build_complex
+from qcnet.features import (EDGE_CENTERS, EDGE_DIM, RBF_SIGMAS,
+                            TRIANGLE_CENTERS, TRIANGLE_DIM, VERTEX_DIM,
                             AtomFeatureTable, MissingSpeciesError,
-                            NonPositiveDistanceError, edge_bank,
-                            edge_features, raw_features, save_feature_arrays,
-                            triangle_bank, triangle_features, vertex_features)
+                            NonPositiveDistanceError, edge_features,
+                            raw_features, rbf, save_feature_arrays,
+                            triangle_features)
 from qcnet.model import ModelConfig, SimplexTransformer
 from qcnet.periodic import PeriodicGraph, neighbor_list
-from qcnet.structures import CrystalStructure
+from qcnet.structures import MAX_Z, CrystalStructure
 
 from conftest import random_rotation, random_structure
 
@@ -28,42 +29,110 @@ def complex_for(s, k=8):
     return build_complex(neighbor_list(s, k=k))
 
 
+def reference_rbf(x, centers):
+    """The block-by-block expansion: one exp block per width, concatenated
+    sigma-major."""
+    diff2 = (np.asarray(x, dtype=np.float64)[:, None] - centers[None, :]) ** 2
+    return np.concatenate([np.exp(-diff2 / s) for s in (0.01, 0.1, 1.0)],
+                          axis=1)
+
+
+def per_element_draws(seed):
+    """The vectors of ``AtomFeatureTable.random(seed)``, one draw per Z."""
+    rng = np.random.default_rng(seed)
+    return {z: rng.uniform(0.0, 1.0, VERTEX_DIM) for z in range(1, MAX_Z + 1)}
+
+
+def reference_features(c, species, vectors):
+    """(h0, h1, h2) built per atom, per width and per scalar, then
+    concatenated."""
+    h0 = np.array([vectors[int(z)] for z in species])
+    edge = reference_rbf(-0.75 / c.graph.dist, np.linspace(-4.0, 0.0, 64))
+    h1 = np.concatenate([edge, h0[c.graph.src], h0[c.graph.dst]], axis=1)
+    d1, d2, d3 = c.graph.dist[c.tri.T]
+    scalars = [d1, d2, d3, d1 * d2, d1 * d3, d2 * d3,
+               d1 * d1, d2 * d2, d3 * d3]
+    tri = np.linspace(0.0, 5.0, 8)
+    h2 = np.concatenate([reference_rbf(v, tri) for v in scalars], axis=1)
+    return h0, h1, h2
+
+
+def assert_bitwise_reference(c, species, table):
+    """``table`` must be ``AtomFeatureTable.random(0)``."""
+    fs = raw_features(c, species, table)
+    for got, want in zip((fs.h0_raw, fs.h1_raw, fs.h2_raw),
+                         reference_features(c, species,
+                                            per_element_draws(0))):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRbfBanks:
+    """The edge and triangle banks: ``rbf`` over EDGE_CENTERS and
+    TRIANGLE_CENTERS at the three widths."""
+
     def test_edge_bank_shape(self):
-        bank = edge_bank()
-        assert bank.centers.shape == (64,)
-        assert bank.centers[0] == -4.0 and bank.centers[-1] == 0.0
-        assert bank.dim == 192
+        assert EDGE_CENTERS.shape == (64,)
+        assert EDGE_CENTERS[0] == -4.0 and EDGE_CENTERS[-1] == 0.0
+        assert rbf(np.zeros(5), EDGE_CENTERS).shape == (5, 3, 64)
 
     def test_triangle_bank_shape(self):
-        bank = triangle_bank()
-        assert bank.centers.shape == (8,)
-        assert bank.centers[0] == 0.0 and bank.centers[-1] == 5.0
-        assert bank.dim == 24
+        assert TRIANGLE_CENTERS.shape == (8,)
+        assert TRIANGLE_CENTERS[0] == 0.0 and TRIANGLE_CENTERS[-1] == 5.0
+        assert rbf(np.zeros((4, 9)), TRIANGLE_CENTERS).shape == (4, 9, 3, 8)
+        assert rbf(np.zeros((0, 9)), TRIANGLE_CENTERS).shape == (0, 9, 3, 8)
 
     def test_peak_is_one_at_centers(self):
-        for bank in (edge_bank(), triangle_bank()):
-            out = bank.expand(bank.centers)
-            n = len(bank.centers)
-            for s in range(len(bank.sigmas)):
-                block = out[:, s * n:(s + 1) * n]
-                np.testing.assert_array_equal(np.diag(block),
-                                              np.ones(n))
+        for centers in (EDGE_CENTERS, TRIANGLE_CENTERS):
+            out = rbf(centers, centers)
+            for s in range(len(RBF_SIGMAS)):
+                np.testing.assert_array_equal(np.diag(out[:, s, :]),
+                                              np.ones(len(centers)))
             assert np.max(out) == 1.0
 
     def test_sigma_major_layout(self):
-        bank = triangle_bank()
-        x = np.array([1.3])
-        out = bank.expand(x)[0]
-        for s, sigma in enumerate(bank.sigmas):
-            for c, center in enumerate(bank.centers):
+        out = rbf(1.3, TRIANGLE_CENTERS).reshape(24)
+        for s, sigma in enumerate(RBF_SIGMAS):
+            for c, center in enumerate(TRIANGLE_CENTERS):
                 expected = np.exp(-(1.3 - center) ** 2 / sigma)
                 assert out[s * 8 + c] == pytest.approx(expected, rel=1e-15)
+
+    def test_value_major_layout(self):
+        x = np.array([[0.4, 1.3, 2.9]])
+        out = rbf(x, TRIANGLE_CENTERS).reshape(1, 72)[0]
+        for v in range(3):
+            np.testing.assert_array_equal(
+                out[v * 24:(v + 1) * 24],
+                rbf(x[:, v], TRIANGLE_CENTERS).reshape(24))
+
+
+class TestReferenceIdentity:
+    """Features equal, byte for byte, the block-by-block construction."""
+
+    def test_catio3(self, catio3, table):
+        assert_bitwise_reference(complex_for(catio3, k=12), catio3.species,
+                                 table)
+
+    def test_zero_triangles(self, catio3, table):
+        c = complex_for(catio3, k=12)
+        empty = QuotientComplex(c.graph, c.tri[:0])
+        assert triangle_features(empty).shape == (0, TRIANGLE_DIM)
+        assert_bitwise_reference(empty, catio3.species, table)
+
+    def test_random_cells(self, table):
+        rng = np.random.default_rng(13)
+        triangles = 0
+        for i in range(60):
+            s = random_structure(rng)
+            c = complex_for(s, k=4 + i % 9)
+            triangles += c.n_triangles
+            assert_bitwise_reference(c, s.species, table)
+        assert triangles > 0
 
 
 class TestVertexFeatures:
     def test_shape_and_lookup(self, catio3, table):
-        vf = vertex_features(catio3.species, table)
+        vf = table.features_for(catio3.species)
         assert vf.shape == (5, VERTEX_DIM)
         np.testing.assert_array_equal(vf[2], vf[3])  # both oxygen
         assert not np.array_equal(vf[0], vf[1])
@@ -71,17 +140,34 @@ class TestVertexFeatures:
     def test_missing_species(self, catio3):
         small = AtomFeatureTable.random(0, max_z=10)
         with pytest.raises(MissingSpeciesError, match="20"):
-            vertex_features(catio3.species, small)
+            small.features_for(catio3.species)
+
+    def test_absent_element_named(self):
+        vectors = per_element_draws(0)
+        del vectors[50]
+        with pytest.raises(MissingSpeciesError) as exc:
+            AtomFeatureTable(vectors).features_for(np.array([8, 50, 20, 51]))
+        assert str(exc.value) == (
+            "atom table has no feature vector for element Z=50")
+
+    @pytest.mark.parametrize("species, bad", [
+        ([8, 0, 50], 0), ([1, -1, 119], -1), ([118, 119, 0], 119)])
+    def test_out_of_range_element_named(self, table, species, bad):
+        # -1 must not wrap around to the last row.
+        with pytest.raises(MissingSpeciesError) as exc:
+            table.features_for(np.array(species))
+        assert str(exc.value) == (
+            f"atom table has no feature vector for element Z={bad}")
 
 
 class TestEdgeFeatures:
     def test_shape(self, catio3, table):
         g = neighbor_list(catio3, k=12)
-        ef = edge_features(g, vertex_features(catio3.species, table))
+        ef = edge_features(g, table.features_for(catio3.species))
         assert ef.shape == (60, EDGE_DIM)
 
     def test_distance_transform_hits_center(self, table):
-        # d = 0.75 gives d' = -1.0; the bank response there never exceeds
+        # d = 0.75 gives d' = -1.0; the basis response there never exceeds
         # the response at the nearest center and the transform is exact.
         d = 0.75
         assert -0.75 / d == -1.0
@@ -91,11 +177,11 @@ class TestEdgeFeatures:
                              species=np.array([1, 6]),
                              frac=np.array([[0.0, 0, 0], [0.075, 0, 0]]))
         g = neighbor_list(s, k=1)
-        vf = vertex_features(s.species, table)
+        vf = table.features_for(s.species)
         ef = edge_features(g, vf)
         e = g.edges[0]
         assert e.dist == pytest.approx(0.75)
-        expected_rbf = edge_bank().expand(np.array([-1.0]))[0]
+        expected_rbf = rbf(-1.0, EDGE_CENTERS).reshape(192)
         np.testing.assert_allclose(ef[0, :192], expected_rbf, atol=1e-12)
         np.testing.assert_array_equal(ef[0, 192:284], vf[e.src])
         np.testing.assert_array_equal(ef[0, 284:376], vf[e.dst])
@@ -128,10 +214,9 @@ class TestTriangleFeatures:
         d = [edges[i].dist for i in (t.e1, t.e2, t.e3)]
         scalars = [d[0], d[1], d[2], d[0] * d[1], d[0] * d[2], d[1] * d[2],
                    d[0] ** 2, d[1] ** 2, d[2] ** 2]
-        bank = triangle_bank()
         for v, value in enumerate(scalars):
             block = tf[0, v * 24:(v + 1) * 24]
-            expected = bank.expand(np.array([value]))[0]
+            expected = rbf(value, TRIANGLE_CENTERS).reshape(24)
             np.testing.assert_allclose(block, expected, atol=1e-12)
 
     def test_empty(self, cubic1):
@@ -161,19 +246,29 @@ class TestAtomTable:
     def test_random_is_deterministic(self):
         a = AtomFeatureTable.random(3)
         b = AtomFeatureTable.random(3)
-        for z in (1, 50, 118):
-            np.testing.assert_array_equal(a.vectors[z], b.vectors[z])
+        z = np.array([1, 50, 118])
+        np.testing.assert_array_equal(a.features_for(z), b.features_for(z))
         c = AtomFeatureTable.random(4)
-        assert not np.array_equal(a.vectors[1], c.vectors[1])
+        assert not np.array_equal(a.features_for([1]), c.features_for([1]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_follow_per_element_draws(self, seed):
+        expected = np.array(list(per_element_draws(seed).values()))
+        got = AtomFeatureTable.random(seed).features_for(
+            np.arange(1, MAX_Z + 1))
+        assert got.tobytes() == expected.tobytes()
 
     def test_save_load_round_trip(self, tmp_path):
         a = AtomFeatureTable.random(5, max_z=12)
         path = tmp_path / "table.json"
         a.save(path)
+        assert sorted(json.loads(path.read_text()), key=int) == [
+            str(z) for z in range(1, 13)]
         b = AtomFeatureTable.from_json(path)
-        assert set(a.vectors) == set(b.vectors)
-        for z in a.vectors:
-            np.testing.assert_array_equal(a.vectors[z], b.vectors[z])
+        z = np.arange(1, 13)
+        np.testing.assert_array_equal(a.features_for(z), b.features_for(z))
+        with pytest.raises(MissingSpeciesError, match="Z=13"):
+            b.features_for([13])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -460,6 +460,22 @@ class TestTapeFreeEval:
         out = _predict_tensor(tiny_model(seed=5), merge_batch(items), False)
         assert out.requires_grad and out._parents
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("names, value", [
+        (["head.b3"], np.inf),
+        (["head.w1", "head.w2", "head.w3"], 1e300)], ids=["inf", "1e300"])
+    def test_nonfinite_prediction_names_head(self, catio3, names, value):
+        items = [featurized(catio3, k=4)]
+        m = tiny_model(seed=5)
+        for name in names:
+            dict(m.parameters())[name].data[...] = value
+        for run in (lambda: predict(m, items),
+                    lambda: forward(m, *items[0]),
+                    lambda: batch_loss(m, items, np.array([0.2]))):
+            with pytest.raises(NonFiniteActivationError,
+                               match="^layer head produced non-finite"):
+                run()
+
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     def test_gradients_unchanged_by_prior_eval(self, catio3, train):
         items = [featurized(catio3, k=4)]

@@ -276,6 +276,10 @@ class TestTrainLoop:
             tiny_config(loss="huber")
         with pytest.raises(ValueError):
             tiny_config(peak_lr=0.0)
+        for weight_decay in (-1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="^weight_decay must be >= 0 and finite$"):
+                tiny_config(weight_decay=weight_decay)
 
 
 class TestColumnarPipeline:
