@@ -5,11 +5,12 @@ walks the tape in reverse topological order and accumulates gradients into
 every tensor with ``requires_grad``.  The op set is exactly what the
 simplex-attention model needs: elementwise arithmetic, matmul, ``affine``,
 concat, row gather / segment sum (the scatter pair used for message
-aggregation), ``pair_affine_silu`` (an attention key or value: projected
-per source row, gathered per pair and activated in one node), full
-reductions for the loss, the activations, and ``normalize``.  Every
-scatter-add, forward or pullback, is ``scatter_rows``: one ``np.bincount``
-that adds each row's contributions in index order.  All accumulation
+aggregation), the two halves of an attention key or value (``project``,
+once per source row, then ``pair_silu``, gathered per pair, summed and
+activated), full reductions for the loss, the activations, and
+``normalize``.  Every scatter-add, forward or pullback, is
+``scatter_rows``: one ``np.bincount`` that adds each row's contributions in
+index order.  All accumulation
 happens in a fixed order determined by tape construction, so given
 identical inputs the gradients are bit-for-bit reproducible.
 
@@ -273,49 +274,58 @@ def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     return _record(t.data[index], (t,), pullback)
 
 
-def pair_affine_silu(h: Tensor, w_face: Tensor, h_cof: Tensor,
-                     w_cof: Tensor, w: Tensor, b: Tensor, tau: np.ndarray,
-                     coface: np.ndarray) -> Tensor:
-    """``silu([h[tau] @ w_face, h_cof[coface] @ w_cof] @ w + b)`` as one
-    tape node, one row per (tau, coface) pair.
+def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice) -> Tensor:
+    """``x @ w_in @ w[rows]`` as one tape node: the per-source-row half of
+    an attention key or value map (see ``pair_silu``).
 
-    The map is linear before the SiLU, so ``w`` splits by rows into the
-    half that sees the face and the half that sees the coface, and each
-    half is applied once per source row, not once per pair:
-    ``(h @ w_face @ w[:H])[tau] + (h_cof @ w_cof @ w[H:])[coface] + b``.
-    Only the gather, the sum and the SiLU run per pair; the pullback
-    scatters the pair gradient back onto the source rows before any
-    matmul.
+    ``w``'s gradient is zero outside ``rows``, so the two halves of one map
+    each accumulate into their own rows of it.
     """
-    tau = np.asarray(tau, dtype=np.int64)
-    coface = np.asarray(coface, dtype=np.int64)
-    split = w_face.data.shape[1]
-    w_top, w_bottom = w.data[:split], w.data[split:]
-    u = h.data @ w_face.data
-    u_cof = h_cof.data @ w_cof.data
-    z = (u @ w_top)[tau]
-    z += (u_cof @ w_bottom)[coface]
-    z += b.data
+    u = x.data @ w_in.data
+    w_rows = w.data[rows]
+
+    def pullback(g):
+        if w.requires_grad:
+            dw = np.zeros_like(w.data)
+            dw[rows] = u.T @ g
+            w._accumulate(dw)
+        if x.requires_grad or w_in.requires_grad:
+            du = g @ w_rows.T
+            if w_in.requires_grad:
+                w_in._accumulate(x.data.T @ du)
+            if x.requires_grad:
+                x._accumulate(du @ w_in.data.T)
+    return _record(u @ w_rows, (x, w_in, w), pullback)
+
+
+def pair_silu(a: Tensor, a_index: np.ndarray, b: Tensor, b_index: np.ndarray,
+              bias: Tensor) -> Tensor:
+    """``silu(a[a_index] + b[b_index] + bias)`` as one tape node, one row
+    per pair; ``bias`` is one row, added to every row.
+
+    An attention key or value map is linear before its SiLU, so
+    ``silu([h[tau] @ w_face, h_cof[coface] @ w_cof] @ w + b)`` is this op on
+    ``a = project(h, w_face, w, top)`` and ``b = project(h_cof, w_cof, w,
+    bottom)``, the row halves of ``w``: only the gathers, the sums and the
+    SiLU run per pair.  The pullback scatters the pair gradient back onto
+    the rows of ``a`` and ``b``.
+    """
+    a_index = np.asarray(a_index, dtype=np.int64)
+    b_index = np.asarray(b_index, dtype=np.int64)
+    z = a.data[a_index]
+    z += b.data[b_index]
+    z += bias.data
     sig = sigmoid_np(z)
 
     def pullback(g):
         dz = g * sig * (1.0 + z * (1.0 - sig))
+        if bias.requires_grad:
+            bias._accumulate(dz.sum(axis=0))
+        if a.requires_grad:
+            a._accumulate(scatter_rows(dz, a_index, a.data.shape[0]))
         if b.requires_grad:
-            b._accumulate(dz.sum(axis=0))
-        d_top = scatter_rows(dz, tau, u.shape[0])
-        d_bottom = scatter_rows(dz, coface, u_cof.shape[0])
-        if w.requires_grad:
-            w._accumulate(np.concatenate([u.T @ d_top, u_cof.T @ d_bottom]))
-        for x, wx, d, w_half in ((h, w_face, d_top, w_top),
-                                 (h_cof, w_cof, d_bottom, w_bottom)):
-            if not (x.requires_grad or wx.requires_grad):
-                continue
-            du = d @ w_half.T
-            if wx.requires_grad:
-                wx._accumulate(x.data.T @ du)
-            if x.requires_grad:
-                x._accumulate(du @ wx.data.T)
-    return _record(z * sig, (h, w_face, h_cof, w_cof, w, b), pullback)
+            b._accumulate(scatter_rows(dz, b_index, b.data.shape[0]))
+    return _record(z * sig, (a, b, bias), pullback)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -42,8 +42,10 @@ class MessagingPairs:
     """Flat (receiver, sender, coface) index triples for one tier.
 
     ``sigma`` and ``tau`` index the receiving tier's feature rows; ``coface``
-    indexes the tier one dimension up.  Row order is deterministic: the
-    canonical order of the underlying edges or triangles.
+    indexes the tier one dimension up.  Rows are sorted by receiver
+    (``sigma`` non-decreasing), so each receiver's pairs are contiguous;
+    within a receiver they keep the canonical order of the underlying
+    edges or triangles.
     """
 
     sigma: np.ndarray
@@ -143,10 +145,14 @@ def edge_pairs(c: QuotientComplex) -> MessagingPairs:
     """Three pairs per triangle, senders positioned lower than receivers.
 
     For a triangle (e1, e2, e3): e2 hears from e1, e3 hears from e1 and e2.
+    Pairs are stably sorted by receiver, so a receiver's pairs run in
+    triangle order, and within one triangle e3 hears from e1 first.
     """
+    sigma = c.tri[:, [1, 2, 2]].ravel()
+    order = np.argsort(sigma, kind="stable")
     return MessagingPairs(
-        sigma=c.tri[:, [1, 2, 2]].ravel(), tau=c.tri[:, [0, 0, 1]].ravel(),
-        coface=np.repeat(np.arange(c.n_triangles, dtype=np.int64), 3))
+        sigma=sigma[order], tau=c.tri[:, [0, 0, 1]].ravel()[order],
+        coface=np.repeat(np.arange(c.n_triangles, dtype=np.int64), 3)[order])
 
 
 def complex_json(c: QuotientComplex) -> str:

@@ -18,9 +18,10 @@ gather, ``W_k [k_t, k_c] = (h W_kface W_k[:H])[t] + (h_cof W_kcof
 W_k[H:])[c]``, and W_v the same way.  So every H-wide map runs once per
 simplex: [q, q] / sqrt(2H) on the receiver tier, then gathered to s; the
 face half of k and v on the receiver tier, gathered to t; the coface half
-on the coface tier, gathered to c.  ``autodiff.pair_affine_silu`` is one
-key or value path, both halves, gathers and SiLU, as one node.  Only W_m
-runs once per pair.
+on the coface tier, gathered to c.  Each half of a key or value path is
+one ``autodiff.project`` node; the gathers, the sum and the SiLU are one
+``autodiff.pair_silu`` node per block of pairs.  Only W_m runs once per
+pair.
 
 Five vertex layers run first, then two blocks of (edge layer, vertex
 layer) so triangle information reaches edges before edges refresh the
@@ -42,6 +43,17 @@ the autodiff tape; a layer whose update path is zero-initialized is an
 exact identity.  Only ``loss_and_gradients`` records the tape:
 ``predict`` and ``batch_loss`` run the same ops under ``autodiff.no_grad()``
 and keep no intermediates.
+
+Messaging pairs are sorted by receiver.  A forward on running statistics
+streams each layer's pairs through blocks of at most ``_EVAL_BLOCK_PAIRS``
+pairs, cut only where the receiver changes, in the tiling manner of
+FlashAttention (Dao et al., NeurIPS 2022): every per-pair array is one
+block's rows, so it stays in cache, and the peak memory of ``predict``
+does not grow with the number of structures.  Each block sums into its
+own range of receiver rows and the ranges are concatenated, so each
+receiver's messages add in the same order as in one block and the pass
+stays differentiable.  The training step is one block: its batch
+statistics need every pair.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, affine, concat, constant, gather_rows, \
-    pair_affine_silu, parameter, segment_mean, segment_sum
+    pair_silu, parameter, project, segment_mean, segment_sum
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
 from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
@@ -336,22 +348,68 @@ class SimplexTransformer:
 
 # -- attention core ---------------------------------------------------------
 
+# Pairs per block of a forward on running statistics.  At hidden 64 a
+# (block, 2H) float64 array is 256 KiB, so the few a block keeps alive fit
+# a 2 MiB L2 cache.  Forwards of the 48 predict_cells cells of seeds 0 and
+# 5 (blocks 0-2, one cell per call, 2-vCPU Xeon, 8 interleaved passes)
+# took a median 1.75 s and 1.70 s at 128 pairs, 1.64 s and 1.53 s at 256,
+# 1.71 s and 1.65 s at 512, and 1.71 s and 1.65 s at 1024.
+_EVAL_BLOCK_PAIRS = 256
+
+
+def _pair_blocks(sigma: np.ndarray, n_rows: int, limit: int):
+    """Cut receiver-sorted pairs into blocks of at most ``limit`` pairs.
+
+    A cut falls only where the receiver changes; a receiver with more than
+    ``limit`` pairs is a block of its own.  Yields ``(lo, hi, first,
+    stop)``: pairs ``[lo, hi)`` sum into receiver rows ``[first, stop)``,
+    and these row ranges tile ``[0, n_rows)`` in order.
+    """
+    if np.any(sigma[1:] < sigma[:-1]):
+        raise ValueError("messaging pairs must be sorted by receiver")
+    # The pair index where each receiver's run ends, the last one included.
+    ends = np.append(np.flatnonzero(sigma[1:] != sigma[:-1]) + 1, sigma.size)
+    lo = first = 0
+    while lo < sigma.size:
+        # The furthest run end within the limit, else the next run end.
+        i = max(np.searchsorted(ends, lo + limit, side="right") - 1,
+                np.searchsorted(ends, lo, side="right"))
+        hi = int(ends[i])
+        stop = int(sigma[hi]) if hi < sigma.size else n_rows
+        yield lo, hi, first, stop
+        lo, first = hi, stop
+
+
 def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
                      layer: AttentionLayer, train: bool) -> Tensor:
-    """Messages for all pairs: (P, H) rows ready for segment aggregation.
+    """Each receiver's summed messages: (n, H) rows, n the rows of ``h``.
 
-    q, k and v are projected once per simplex and gathered to the pairs;
-    only ``msg_w`` is applied once per pair.
+    q and the face and coface halves of k and v are projected once per
+    simplex.  The per-pair work, from the gathers to the message's
+    activation, runs one block of ``_EVAL_BLOCK_PAIRS`` pairs at a time,
+    and each block sums into its own range of receiver rows.  The training
+    step takes all pairs as one block: its batch statistics need them all.
     """
-    qq = gather_rows(h @ concat([layer.q, layer.q])
-                     * (1.0 / np.sqrt(2.0 * h.shape[1])), pairs.sigma)
-    k = pair_affine_silu(h, layer.k_face, h_cof, layer.k_cof, layer.key_w,
-                         layer.key_b, pairs.tau, pairs.coface)
-    gate = layer.attn_bn.apply(qq * k, train).sigmoid()
-    v = pair_affine_silu(h, layer.v_face, h_cof, layer.v_cof, layer.val_w,
-                         layer.val_b, pairs.tau, pairs.coface)
-    m = gate * v
-    return layer.msg_ln.apply(affine(m, layer.msg_w, layer.msg_b)).silu()
+    hidden = h.shape[1]
+    top, bottom = slice(0, hidden), slice(hidden, 2 * hidden)
+    qq = h @ concat([layer.q, layer.q]) * (1.0 / np.sqrt(2.0 * hidden))
+    key_face = project(h, layer.k_face, layer.key_w, top)
+    key_cof = project(h_cof, layer.k_cof, layer.key_w, bottom)
+    val_face = project(h, layer.v_face, layer.val_w, top)
+    val_cof = project(h_cof, layer.v_cof, layer.val_w, bottom)
+    blocks = ([(0, pairs.n_pairs, 0, h.shape[0])] if train else
+              _pair_blocks(pairs.sigma, h.shape[0], _EVAL_BLOCK_PAIRS))
+    sums = []
+    for lo, hi, first, stop in blocks:
+        sigma = pairs.sigma[lo:hi]
+        tau, coface = pairs.tau[lo:hi], pairs.coface[lo:hi]
+        k = pair_silu(key_face, tau, key_cof, coface, layer.key_b)
+        gate = layer.attn_bn.apply(gather_rows(qq, sigma) * k,
+                                   train).sigmoid()
+        m = gate * pair_silu(val_face, tau, val_cof, coface, layer.val_b)
+        msg = layer.msg_ln.apply(affine(m, layer.msg_w, layer.msg_b)).silu()
+        sums.append(segment_sum(msg, sigma - first, stop - first))
+    return sums[0] if len(sums) == 1 else concat(sums, axis=0)
 
 
 def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
@@ -359,8 +417,7 @@ def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
     if pairs.n_pairs == 0:
         agg: Tensor = constant(np.zeros(h.shape))
     else:
-        msg = _attention_stage(h, h_cof, pairs, layer, train)
-        agg = segment_sum(msg, pairs.sigma, h.shape[0])
+        agg = _attention_stage(h, h_cof, pairs, layer, train)
     upd = layer.upd_bn.apply(affine(agg, layer.upd_w, layer.upd_b),
                              train).silu()
     return h + upd
@@ -370,11 +427,14 @@ def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
 
 @dataclass
 class MergedBatch:
-    """Disjoint union of complexes with per-tier graph-id segments."""
+    """Disjoint union of complexes with per-tier graph-id segments.
 
-    h0_raw: np.ndarray
-    h1_raw: np.ndarray
-    h2_raw: np.ndarray
+    ``features`` are the structures' own arrays, concatenated one tier at a
+    time as the tier is embedded, so a forward-only pass holds no merged
+    copy of the raw features through its attention layers.
+    """
+
+    features: list[FeatureSet]
     vp: MessagingPairs
     ep: MessagingPairs
     v_gid: np.ndarray
@@ -386,7 +446,6 @@ def merge_batch(items: list[tuple[QuotientComplex, FeatureSet]]) -> MergedBatch:
     """Concatenate complexes into one forward pass with shifted indices."""
     if not items:
         raise EmptyComplexError("empty batch")
-    h0s, h1s, h2s = [], [], []
     vp_parts, ep_parts = [], []
     v_gid, e_gid = [], []
     v_off = e_off = t_off = 0
@@ -397,9 +456,6 @@ def merge_batch(items: list[tuple[QuotientComplex, FeatureSet]]) -> MergedBatch:
                 fs.h1_raw.shape[0] != c.n_edges or \
                 fs.h2_raw.shape[0] != c.n_triangles:
             raise ValueError("feature rows do not match the complex")
-        h0s.append(fs.h0_raw)
-        h1s.append(fs.h1_raw)
-        h2s.append(fs.h2_raw)
         vp = vertex_pairs(c)
         ep = edge_pairs(c)
         vp_parts.append((vp.sigma + v_off, vp.tau + v_off, vp.coface + e_off))
@@ -413,8 +469,7 @@ def merge_batch(items: list[tuple[QuotientComplex, FeatureSet]]) -> MergedBatch:
         return MessagingPairs(*(np.concatenate([p[i] for p in parts])
                                 for i in range(3)))
     return MergedBatch(
-        h0_raw=np.concatenate(h0s), h1_raw=np.concatenate(h1s),
-        h2_raw=np.concatenate(h2s),
+        features=[fs for _, fs in items],
         vp=_merge(vp_parts), ep=_merge(ep_parts),
         v_gid=np.concatenate(v_gid), e_gid=np.concatenate(e_gid),
         n_graphs=len(items))
@@ -430,9 +485,14 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch,
                     train: bool) -> Tensor:
     """Predictions for a merged batch as a (B, 1) tape tensor; ``train``
     picks batch statistics (updating the running ones) over running ones."""
-    h0 = model.embeds[0].apply(constant(batch.h0_raw))
-    h1 = model.embeds[1].apply(constant(batch.h1_raw))
-    h2 = model.embeds[2].apply(constant(batch.h2_raw))
+    def embed(tier: int, rows: list[np.ndarray]) -> Tensor:
+        # The merged rows are a temporary: only the embedding holds them.
+        return model.embeds[tier].apply(constant(np.concatenate(rows)))
+
+    fs = batch.features
+    h0 = embed(0, [f.h0_raw for f in fs])
+    h1 = embed(1, [f.h1_raw for f in fs])
+    h2 = embed(2, [f.h2_raw for f in fs])
     for i, layer in enumerate(model.node_layers):
         h0 = _attention_update(h0, h1, batch.vp, layer, train)
         _check_finite(h0, f"node.{i}")
@@ -452,8 +512,10 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch,
 def predict(model: SimplexTransformer,
             items: list[tuple[QuotientComplex, FeatureSet]]) -> np.ndarray:
     """Per-structure predictions (B,) from the running statistics; the
-    forward records no tape and leaves the model unchanged."""
-    with ad.no_grad():
+    forward records no tape and leaves the model unchanged.  Overflow
+    raises NonFiniteActivationError naming the layer, with no numpy
+    warning before it."""
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         pred = _predict_tensor(model, merge_batch(items), False)
     return pred.data[:, 0].copy()
 
@@ -468,8 +530,9 @@ def batch_loss(model: SimplexTransformer,
                items: list[tuple[QuotientComplex, FeatureSet]],
                targets: np.ndarray, loss: str = "mae") -> float:
     """Forward-only loss over a batch (mae or mse) from the running
-    statistics; records no tape and leaves the model unchanged."""
-    with ad.no_grad():
+    statistics; records no tape and leaves the model unchanged.  Overflow
+    raises as in ``predict``."""
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         pred = _predict_tensor(model, merge_batch(items), False)
         return float(_loss_tensor(pred, targets, loss).item())
 

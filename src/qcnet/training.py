@@ -222,7 +222,9 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     Without a validation set the training loss selects the best epoch.  The
     best state is kept in memory and the returned model carries it.  With
     ``config.checkpoint_path`` set, the returned model is written there
-    once, after the last epoch; a run that raises writes nothing.
+    once, after the last epoch and after a forward-only pass over the
+    training items, so a model that pass rejects (NonFiniteActivationError)
+    is never written; a run that raises writes nothing.
     ``initial_model`` is cloned, so finetuning from a checkpoint equals
     training from scratch with identical weights: the shuffle stream does
     not depend on whether init consumed randomness.
@@ -285,6 +287,9 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     if best_epoch is not None:
         model.copy_state_from(best)
     if config.checkpoint_path:
+        # A model whose forward overflows raises here, so no checkpoint
+        # is written that every later evaluation would reject.
+        predict(model, items)
         save_checkpoint(model, config.checkpoint_path)
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qcnet import autodiff as ad
+from qcnet import model as model_mod
 from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.autodiff import constant
 from qcnet.features import (EDGE_CENTERS, RBF_SIGMAS, TRIANGLE_CENTERS,
@@ -156,7 +157,7 @@ def test_invariance_suite():
             f"(worst relative drift {worst:.2e} <= 1e-9, 20 structures)")
 
 
-def test_gradient_check_twenty_models():
+def test_gradient_check_twenty_models(monkeypatch):
     """Analytic vs central FD, rtol 1e-4, 20 width-8 models, < 5 min."""
     t0 = time.time()
     rng = np.random.default_rng(1003)
@@ -164,6 +165,14 @@ def test_gradient_check_twenty_models():
     cube = unit_cube()
     c = build_complex(neighbor_list(cube, k=12))
     items = [(c, raw_features(c, cube.species, table))]
+    # Blocks of at most 24 pairs: the running-statistics trials run each
+    # edge layer as seven blocks, some of several receivers (the training
+    # step is one block whatever the size).
+    monkeypatch.setattr(model_mod, "_EVAL_BLOCK_PAIRS", 24)
+    sigma = edge_pairs(c).sigma
+    blocks = list(model_mod._pair_blocks(sigma, c.n_edges, 24))
+    assert len(blocks) == 7
+    assert any(sigma[lo] != sigma[hi - 1] for lo, hi, _, _ in blocks)
 
     def fd_loss(model, targets, train):
         with ad.no_grad():

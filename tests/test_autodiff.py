@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcnet.autodiff import (affine, concat, constant, gather_rows, no_grad,
-                            normalize, pair_affine_silu, parameter,
+                            normalize, pair_silu, parameter, project,
                             scatter_rows, segment_mean, segment_sum,
                             sigmoid_np, silu_np)
 
@@ -121,9 +121,83 @@ class TestAffine:
                  [x, w, b])
 
 
+def pair_affine_silu(h, w_face, h_cof, w_cof, w, b, tau, coface):
+    """An attention key or value path as the model builds it: each row half
+    of ``w`` projected once per source row, then gathered per pair."""
+    split = w_face.shape[1]
+    top, bottom = slice(0, split), slice(split, 2 * split)
+    return pair_silu(project(h, w_face, w, top), tau,
+                     project(h_cof, w_cof, w, bottom), coface, b)
+
+
+class TestProject:
+    def setup_method(self):
+        self.rng = np.random.default_rng(36)
+
+    def operands(self):
+        rng = self.rng
+        return [rng.standard_normal((4, 2)), rng.standard_normal((2, 3)),
+                rng.standard_normal((6, 5))]
+
+    @pytest.mark.parametrize("rows", [slice(0, 3), slice(3, 6)],
+                             ids=["top", "bottom"])
+    def test_value_is_chained_matmul(self, rows):
+        x, w_in, w = self.operands()
+        out = project(constant(x), constant(w_in), constant(w), rows)
+        assert out.data.tobytes() == ((x @ w_in) @ w[rows]).tobytes()
+
+    @pytest.mark.parametrize("rows", [slice(0, 3), slice(3, 6)],
+                             ids=["top", "bottom"])
+    def test_gradient_every_operand(self, rows):
+        c = self.rng.standard_normal((4, 5))
+        fd_check(lambda x, w_in, w: (project(x, w_in, w, rows).silu()
+                                     * c).sum(), self.operands())
+
+    def test_gradient_outside_rows_is_zero(self):
+        x, w_in, w = (parameter(a) for a in self.operands())
+        project(x, w_in, w, slice(3, 6)).sum().backward()
+        assert w.grad.shape == (6, 5)
+        assert not w.grad[:3].any() and w.grad[3:].all()
+
+
+class TestPairSilu:
+    """Rows of ``a`` 1 and 4 and of ``b`` 2 and 4 are never referenced, and
+    both indices repeat unsorted."""
+
+    A_INDEX = np.array([3, 0, 3, 2, 0])
+    B_INDEX = np.array([5, 5, 0, 3, 1])
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(35)
+
+    def operands(self):
+        rng = self.rng
+        return [rng.standard_normal((5, 3)), rng.standard_normal((6, 3)),
+                rng.standard_normal(3)]
+
+    def test_value_is_gathered_sum_then_silu(self):
+        a, b, bias = self.operands()
+        out = pair_silu(constant(a), self.A_INDEX, constant(b),
+                        self.B_INDEX, constant(bias))
+        z = a[self.A_INDEX] + b[self.B_INDEX] + bias
+        np.testing.assert_allclose(out.data, silu_np(z), rtol=1e-15,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("a_index, b_index",
+                             [(A_INDEX, B_INDEX), ([4], [2]), ([], [])],
+                             ids=["repeated-and-unreferenced", "one-pair",
+                                  "no-pairs"])
+    def test_gradient_every_operand(self, a_index, b_index):
+        c = self.rng.standard_normal((len(a_index), 3))
+        fd_check(lambda a, b, bias: (pair_silu(a, a_index, b, b_index, bias)
+                                     * c).sum(), self.operands())
+
+
 class TestPairAffineSilu:
-    """Face rows 1 and 4 and coface rows 2 and 4 are never referenced,
-    tau and coface repeat unsorted, and h_cof is taller than h."""
+    """The key or value path, ``project`` twice then ``pair_silu``, against
+    the unsplit map.  Face rows 1 and 4 and coface rows 2 and 4 are never
+    referenced, tau and coface repeat unsorted, and h_cof is taller than
+    h."""
 
     TAU = np.array([3, 0, 3, 2, 0])
     COFACE = np.array([5, 5, 0, 3, 1])

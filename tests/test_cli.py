@@ -549,14 +549,31 @@ class TestNonFiniteActivations:
 
     HEAD_ERROR = "error: layer head produced non-finite activations\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_prediction_exits_numeric(self, head_checkpoint,
                                                  capsys):
         assert main(["predict", "--checkpoint", str(head_checkpoint),
                      POSCAR]) == EXIT_NUMERIC
         assert capsys.readouterr() == ("", self.HEAD_ERROR)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # In a fresh process numpy's overflow warning would reach stderr.
+        model = SimplexTransformer.init(ModelConfig(8, 8), seed=0)
+        params = dict(model.parameters())
+        for name in ("head.w1", "head.w2", "head.w3"):
+            params[name].data[...] = 1e300
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(model, path)
+        src_dir = str(pathlib.Path(qcnet.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcnet.cli", "predict", "--checkpoint",
+             str(path), "--k", "6", "--atom-table", "random:0", POSCAR],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert (proc.stdout, proc.stderr) == ("", self.HEAD_ERROR)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_eval_writes_no_report(self, head_checkpoint, dataset,
                                               tmp_path, capsys):
         report = tmp_path / "r.json"

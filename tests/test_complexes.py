@@ -119,11 +119,16 @@ class TestMessagingPairs:
         c = build_complex(neighbor_list(catio3, k=12))
         p = edge_pairs(c)
         assert p.n_pairs == 3 * c.n_triangles
+        # The same rows as three per triangle, as a multiset.
+        expected = []
         for ti, t in enumerate(c.triangles):
-            rows = [(p.sigma[3 * ti + r], p.tau[3 * ti + r],
-                     p.coface[3 * ti + r]) for r in range(3)]
-            assert rows == [(t.e2, t.e1, ti), (t.e3, t.e1, ti),
-                            (t.e3, t.e2, ti)]
+            expected += [(t.e2, t.e1, ti), (t.e3, t.e1, ti), (t.e3, t.e2, ti)]
+        got = list(zip(p.sigma.tolist(), p.tau.tolist(), p.coface.tolist()))
+        assert sorted(got) == sorted(expected)
+        # Sorted by receiver; within a receiver, in triangle order, and
+        # within one triangle e3 hears from e1 before e2.
+        assert np.all(np.diff(p.sigma) >= 0)
+        assert got == sorted(expected, key=lambda row: row[0])
 
     def test_edge_tier_empty(self, cubic1):
         c = build_complex(neighbor_list(cubic1, k=6))

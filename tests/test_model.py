@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcnet.autodiff as ad
+import qcnet.model as model_mod
 import qcnet.structures
 from qcnet.autodiff import constant, parameter
 from qcnet.complexes import MessagingPairs, build_complex, edge_pairs, \
@@ -139,9 +140,11 @@ class TestNormalization:
 
     def test_training_attention_stage_node_count(self, monkeypatch):
         # One node each: the doubled q map, its matmul, the 1/sqrt(2H)
-        # scale and the gather to the pairs; the fused key and value
-        # paths; alpha, the batch norm and its gate; the gated value, the
-        # message map, its layer norm and activation.
+        # scale and the gather to the pairs; the face and coface
+        # projections and the per-pair SiLU of the key and of the value;
+        # alpha, the batch norm and its gate; the gated value, the message
+        # map, its layer norm and activation; the sum over receivers.  The
+        # training step is one block, so nothing repeats.
         rng = np.random.default_rng(1)
         layer = AttentionLayer.init(3, rng)
         pairs = MessagingPairs(np.array([0, 1, 1]), np.array([1, 0, 2]),
@@ -157,7 +160,7 @@ class TestNormalization:
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         _attention_stage(h, h_cof, pairs, layer, True)
         monkeypatch.undo()
-        assert sum(t._pullback is not None for t in created) == 13
+        assert sum(t._pullback is not None for t in created) == 18
 
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
@@ -513,6 +516,128 @@ class TestTapeFreeEval:
         with_tape = peak(lambda: _predict_tensor(m, batch, False))
         tape_free = peak(lambda: predict(m, items))
         assert tape_free < 0.5 * with_tape
+
+
+def bench_style_cells(count, seed):
+    """``count`` triclinic cells of 2-32 atoms (log-uniform midpoint
+    quantiles) at 0.08 atoms per cubic angstrom, Z in 1-83, featurized at
+    k = 12: the predict benchmark's cell recipe."""
+    rng = np.random.default_rng(seed)
+    sizes = 2 * 16 ** ((np.arange(count) + 0.5) / count)
+    items = []
+    for n in np.rint(sizes).astype(int):
+        lattice = np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3))
+        lattice *= (n / 0.08 / abs(np.linalg.det(lattice))) ** (1.0 / 3.0)
+        items.append(featurized(CrystalStructure(
+            lattice=lattice, species=rng.integers(1, 84, n),
+            frac=rng.uniform(0.0, 1.0, (n, 3)))))
+    return items
+
+
+class TestPairBlocks:
+    """Forward-only attention runs its pairs in receiver-aligned blocks."""
+
+    @staticmethod
+    def blocks(sigma, n_rows, limit):
+        return list(model_mod._pair_blocks(np.asarray(sigma), n_rows, limit))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           st.integers(1, 9))
+    def test_cuts_only_where_the_receiver_changes(self, runs, gaps, limit):
+        # Receiver runs of the given lengths; gaps are receivers without
+        # pairs, also before the first and after the last run.
+        sigma, row = [], 0
+        for length, gap in zip(runs, gaps * len(runs)):
+            row += gap
+            sigma += [row] * length
+            row += 1
+        n_rows = row + gaps[-1]
+        sigma = np.array(sigma, dtype=np.int64)
+        blocks = self.blocks(sigma, n_rows, limit)
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == sigma.size
+        assert [b[2] for b in blocks] == [0] + [b[3] for b in blocks[:-1]]
+        assert blocks[-1][3] == n_rows
+        run_ends = set(np.flatnonzero(np.diff(sigma)) + 1) | {sigma.size}
+        for lo, hi, first, stop in blocks:
+            assert hi in run_ends and lo < hi
+            assert first <= sigma[lo] and sigma[hi - 1] < stop
+            one_receiver = sigma[lo] == sigma[hi - 1]
+            assert hi - lo <= limit or one_receiver
+            # Greedy: the next receiver's run would not have fit.
+            if hi < sigma.size:
+                assert min(e for e in run_ends if e > hi) - lo > limit
+
+    def test_receiver_over_the_limit_is_one_block(self):
+        sigma = [0] * 3 + [1] * 10 + [2] * 2
+        assert self.blocks(sigma, 4, 4) == [(0, 3, 0, 1), (3, 13, 1, 2),
+                                            (13, 15, 2, 4)]
+
+    def test_training_step_is_one_block(self, catio3, monkeypatch):
+        # Batch statistics over every pair, whatever the block size.
+        c, _ = featurized(catio3)
+        rng = np.random.default_rng(50)
+        h = constant(rng.standard_normal((c.n_edges, 4)))
+        h_cof = constant(rng.standard_normal((c.n_triangles, 4)))
+        stats = []
+        for size in (1, 10 ** 9):
+            monkeypatch.setattr(model_mod, "_EVAL_BLOCK_PAIRS", size)
+            layer = AttentionLayer.init(4, np.random.default_rng(51))
+            out = _attention_stage(h, h_cof, edge_pairs(c), layer, True)
+            stats.append((out.data.tobytes(), layer.attn_bn.run_mean.tobytes(),
+                          layer.attn_bn.run_var.tobytes()))
+        assert stats[0] == stats[1]
+
+    def test_unsorted_pairs_rejected(self):
+        with pytest.raises(ValueError, match="sorted by receiver"):
+            self.blocks([0, 2, 1], 3, 7)
+
+    @pytest.mark.parametrize("case", ["catio3", "merged"])
+    def test_blocked_predict_equals_one_block(self, case, catio3,
+                                              monkeypatch):
+        items = ([featurized(catio3)] if case == "catio3"
+                 else bench_style_cells(6, 8))
+        batch = merge_batch(items)
+        m = tiny_model(hidden=8, seed=9)
+        # Running statistics away from the (0, 1) defaults.
+        for _, bn in m.batch_norms():
+            bn.run_mean = np.full_like(bn.run_mean, 0.05)
+            bn.run_var = np.full_like(bn.run_var, 1.7)
+        monkeypatch.setattr(model_mod, "_EVAL_BLOCK_PAIRS", 10 ** 9)
+        whole = predict(m, items)
+        monkeypatch.setattr(model_mod, "_EVAL_BLOCK_PAIRS", 7)
+        for pairs, n_rows in ((batch.vp, sum(c.n_vertices for c, _ in items)),
+                              (batch.ep, sum(c.n_edges for c, _ in items))):
+            assert len(self.blocks(pairs.sigma, n_rows, 7)) > 1
+        np.testing.assert_allclose(predict(m, items), whole, rtol=1e-12,
+                                   atol=0.0)
+
+    def test_running_stats_gradients_through_blocks(self, cubic1,
+                                                    monkeypatch):
+        # Seven edge blocks, some of several receivers.
+        monkeypatch.setattr(model_mod, "_EVAL_BLOCK_PAIRS", 24)
+        items = [featurized(cubic1, k=12)]
+        sigma = merge_batch(items).ep.sigma
+        blocks = self.blocks(sigma, items[0][0].n_edges, 24)
+        assert len(blocks) == 7
+        assert any(sigma[lo] != sigma[hi - 1] for lo, hi, _, _ in blocks)
+        TestGradients()._fd_sweep(tiny_model(hidden=4, seed=4), items,
+                                  np.array([-0.3]), False)
+
+    def test_predict_peak_memory_bounded(self):
+        # 16 merged cells, hidden 64: the one-block forward with the
+        # merged raw features held throughout peaked at 217 MB here.
+        items = bench_style_cells(16, 0)
+        m = tiny_model(hidden=64, seed=11)
+        tracemalloc.start()
+        try:
+            predict(m, items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 217 / 4 * 2 ** 20
 
 
 class TestParameterBookkeeping:

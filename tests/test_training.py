@@ -8,8 +8,8 @@ import qcnet.periodic
 import qcnet.training
 from qcnet.autodiff import parameter
 from qcnet.features import AtomFeatureTable
-from qcnet.model import SimplexTransformer, ModelConfig, load_checkpoint, \
-    predict, save_checkpoint
+from qcnet.model import SimplexTransformer, ModelConfig, \
+    NonFiniteActivationError, load_checkpoint, predict, save_checkpoint
 from qcnet.structures import DatasetRecord
 from qcnet.training import (AdamW, NonFiniteLossError, TooFewSamplesError,
                             TrainConfig, evaluate, finetune, kfold_split,
@@ -262,6 +262,16 @@ class TestTrainLoop:
         loaded = load_checkpoint(cfg.checkpoint_path)
         for a, b in zip(result.model.state(), loaded.state()):
             np.testing.assert_array_equal(a, b)
+
+    def test_overflowing_model_writes_no_checkpoint(self, tmp_path):
+        # The loss of the one step stays finite, but the step leaves
+        # weights whose forward overflows; that model is not written.
+        recs = synthetic_overfit_dataset(6)
+        cfg = tiny_config(tmp_path, epochs=1, batch_size=8, peak_lr=1e308,
+                          hidden_dim=8, head_hidden=8, k_neighbors=4)
+        with pytest.raises(NonFiniteActivationError, match="node.0"):
+            train(cfg, recs, (), TABLE)
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_records_rejected(self):
         with pytest.raises(TooFewSamplesError):
