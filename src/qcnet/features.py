@@ -13,6 +13,11 @@ returns one (values..., widths, centers) array, and a feature row is that
 array flattened: sigma-major within a value (all centers of one width
 before the next width), and value-major across the nine triangle scalars
 (all 24 responses of one scalar before the next scalar).
+
+Six of the nine triangle scalars (d1, d2, d3 and their squares) depend on
+one edge, and an edge lies in several triangles, so they are expanded once
+per edge and gathered into each triangle's row; only the three products
+are expanded per triangle.  The row layout is the same either way.
 """
 
 from __future__ import annotations
@@ -122,10 +127,18 @@ def edge_features(g: PeriodicGraph, vfeats: np.ndarray) -> np.ndarray:
 def triangle_features(c: QuotientComplex) -> np.ndarray:
     """(t, 216) rows: nine length-derived scalars, each rbf-expanded, in
     the order d1, d2, d3, d1*d2, d1*d3, d2*d3, d1^2, d2^2, d3^2."""
-    d = c.graph.dist[c.tri]
-    scalars = np.concatenate(
-        [d, d[:, [0, 0, 1]] * d[:, [1, 2, 2]], d * d], axis=1)
-    return rbf(scalars, TRIANGLE_CENTERS).reshape(len(d), TRIANGLE_DIM)
+    dist = c.graph.dist
+    t = len(c.tri)
+    # out[:, kind, i]: kind 0 the lengths, 1 the products, 2 the squares
+    out = np.empty((t, 3, 3, 24))
+    edge = rbf(np.stack([dist, dist * dist]),
+               TRIANGLE_CENTERS).reshape(2, len(dist), 24)
+    out[:, 0] = edge[0, c.tri]
+    out[:, 2] = edge[1, c.tri]
+    d = dist[c.tri]
+    out[:, 1] = rbf(d[:, [0, 0, 1]] * d[:, [1, 2, 2]],
+                    TRIANGLE_CENTERS).reshape(t, 3, 24)
+    return out.reshape(t, TRIANGLE_DIM)
 
 
 @dataclass

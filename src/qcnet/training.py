@@ -264,13 +264,16 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
         for b in range(steps_per_epoch):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
             batch = [items[i] for i in idx]
-            loss, grads = loss_and_gradients(model, batch, targets[idx],
-                                             config.loss)
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"loss became {loss} at epoch {epoch}, batch {b}")
-            lr = one_cycle_lr(global_step, total_steps, config.peak_lr)
-            opt.step(lr, grads)
+            # A diverging step overflows; the loss check below names the
+            # epoch and batch, so numpy's warnings would only repeat it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = loss_and_gradients(model, batch, targets[idx],
+                                                 config.loss)
+                if not math.isfinite(loss):
+                    raise NonFiniteLossError(
+                        f"loss became {loss} at epoch {epoch}, batch {b}")
+                lr = one_cycle_lr(global_step, total_steps, config.peak_lr)
+                opt.step(lr, grads)
             loss_sum += loss * len(idx)
             global_step += 1
         train_loss = loss_sum / n

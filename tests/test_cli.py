@@ -367,14 +367,26 @@ class TestTrain:
         cfg, _ = run_config(train={"epochs": "-3"})
         assert main(["train", str(cfg)]) == EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    DIVERGING = {"peak_lr": "1e25", "loss": "mse", "epochs": "8",
+                 "batch_size": "4"}
+
     def test_nonfinite_loss_writes_no_checkpoint(self, run_config, capsys):
-        cfg, out_dir = run_config(train={"peak_lr": "1e25", "loss": "mse",
-                                         "epochs": "8", "batch_size": "4"})
+        cfg, out_dir = run_config(train=self.DIVERGING)
         assert main(["train", str(cfg)]) == EXIT_NUMERIC
         assert "loss became" in capsys.readouterr().err
         assert not (out_dir / "model.ckpt").exists()
         assert not (out_dir / "model.ckpt.json").exists()
+
+    def test_nonfinite_loss_prints_only_the_error_line(self, run_config):
+        # In a fresh process numpy's overflow warnings would reach stderr.
+        cfg, _ = run_config(train=self.DIVERGING)
+        src_dir = str(pathlib.Path(qcnet.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcnet.cli", "train", str(cfg)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr == "error: loss became inf at epoch 1, batch 0\n"
 
 
     @pytest.mark.parametrize("weight_decay", ["nan", "inf"])
@@ -387,7 +399,6 @@ class TestTrain:
             "finite\n")
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_weights_overflowing_on_last_step_write_nothing(self, run_config,
                                                             capsys):
         # The only step is the last, so the loss stays finite and the

@@ -119,6 +119,27 @@ class TestReferenceIdentity:
         assert triangle_features(empty).shape == (0, TRIANGLE_DIM)
         assert_bitwise_reference(empty, catio3.species, table)
 
+    @pytest.mark.parametrize("k", [12, 30])
+    def test_self_loops(self, cubic1, table, k):
+        # Every edge is a self-loop; at k=30 one edge can be both e1 and e2
+        # of a triangle, so its responses are gathered twice into one row.
+        c = complex_for(cubic1, k=k)
+        assert c.n_triangles > 0
+        if k == 30:
+            assert np.any(c.tri[:, 0] == c.tri[:, 1])
+        assert_bitwise_reference(c, cubic1.species, table)
+
+    def test_ties_at_kth_distance(self, table):
+        # CsCl type: 8 neighbors at a*sqrt(3)/2, then 6 tied at a, so the
+        # 12th pick breaks a tie.
+        s = CrystalStructure(lattice=4.1 * np.eye(3),
+                             species=np.array([55, 17]),
+                             frac=np.array([[0.0, 0.0, 0.0],
+                                            [0.5, 0.5, 0.5]]))
+        c = complex_for(s, k=12)
+        assert c.n_triangles > 0
+        assert_bitwise_reference(c, s.species, table)
+
     def test_random_cells(self, table):
         rng = np.random.default_rng(13)
         triangles = 0

@@ -463,7 +463,6 @@ class TestTapeFreeEval:
         out = _predict_tensor(tiny_model(seed=5), merge_batch(items), False)
         assert out.requires_grad and out._parents
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("names, value", [
         (["head.b3"], np.inf),
         (["head.w1", "head.w2", "head.w3"], 1e300)], ids=["inf", "1e300"])

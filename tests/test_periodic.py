@@ -352,3 +352,31 @@ class TestBoxSize:
         with pytest.raises(RadiusTooSmallError):
             neighbor_list(cubic1, k=6, radius=0.99)
         assert len(calls) == 1
+
+
+def columns(g):
+    return [a.tobytes() for a in (g.src, g.dst, g.offset, g.dist)]
+
+
+class TestTableBlocks:
+    """Filling the candidate table in blocks of target rows changes no
+    bit of the graph."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("mode", ["auto", "radius"])
+    def test_blocks_match_one_block(self, monkeypatch, rows, mode):
+        rng = np.random.default_rng(21)
+        for n_atoms in (4, 7, 8, 11):  # none a multiple of 3
+            s = random_structure(rng, n_atoms)
+            # Just inside the plane spacing, so the box is |k_i| <= 1.
+            radius = (0.99 * plane_spacing_min(s.lattice) if mode == "radius"
+                      else None)
+            default = columns(neighbor_list(s, k=3, radius=radius))
+            # One block's (rows, n, n_off, 3) separations for that box.
+            monkeypatch.setattr(qcnet.periodic, "_TABLE_BLOCK_BYTES",
+                                rows * n_atoms * 27 * 3 * 8)
+            calls = count_tables(monkeypatch)
+            assert columns(neighbor_list(s, k=3, radius=radius)) == default
+            # One box of 27 offsets, so the block height is ``rows``.
+            assert [len(c[2]) for c in calls] == [27]
+            monkeypatch.undo()

@@ -234,7 +234,6 @@ class TestTrainLoop:
         assert result.history[-1]["val_loss"] is None
         assert result.best_epoch in (0, 1)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_raises(self, tmp_path):
         # The absurd learning rate overflows by design; the loop must stop
         # with a diagnosed error, not march on with NaNs, and must not
