@@ -3,8 +3,9 @@
 Subcommands: build, featurize, train, finetune, eval, predict, homology.
 Exit codes follow one taxonomy: 0 success, 1 malformed or unusable input
 files, 2 configuration or compatibility problems (bad flags, bad config
-keys, checkpoint mismatches), 3 data problems (missing datasets, species
-without feature vectors, too few samples), 4 numerical failures.
+keys, checkpoint mismatches, a model too large for memory), 3 data problems
+(missing datasets, species without feature vectors, too few samples), 4
+numerical failures.
 
 The training seed resolves as: --seed flag, else the QCNET_SEED environment
 variable, else the config file, else 0.  --threads pins the BLAS/OpenMP
@@ -58,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto", help="structure file format")
     p.add_argument("--k", type=int, default=12,
                    help="neighbors per vertex (default 12)")
-    p.add_argument("--radius", type=float, default=None,
-                   help="optional cutoff radius in angstroms; errors if it "
-                        "yields fewer than k neighbors")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("featurize",
@@ -245,7 +243,7 @@ def _split_records(records):
 
 
 def _run_training(args, finetune_from: str | None) -> int:
-    from .training import evaluate, finetune, train
+    from .training import finetune, train
     cp = _read_run_config(args.config)
     config_seed = (cp.getint("train", "seed")
                    if cp.has_option("train", "seed") else None)
@@ -272,12 +270,8 @@ def _run_training(args, finetune_from: str | None) -> int:
         result = finetune(finetune_from, config, train_records, val_records,
                           table)
 
-    # Both evaluations run before any file is written, so a model they
-    # reject (non-finite weights) leaves no checkpoint behind.
-    train_metrics = evaluate(result.model, train_records, table,
-                             config.k_neighbors)
-    val_metrics = (evaluate(result.model, val_records, table,
-                            config.k_neighbors) if val_records else None)
+    # train() scores the model before it returns, so a model it rejects
+    # (non-finite weights) leaves no checkpoint behind.
     from .model import save_checkpoint
     save_checkpoint(result.model, checkpoint_path,
                     extra={"atom_table": table_desc,
@@ -292,8 +286,9 @@ def _run_training(args, finetune_from: str | None) -> int:
                              if result.history else None),
         "final_val_loss": (result.history[-1]["val_loss"]
                            if result.history else None),
-        "train_metrics": train_metrics.to_dict(),
-        "val_metrics": val_metrics.to_dict() if val_metrics else None,
+        "train_metrics": result.train_metrics.to_dict(),
+        "val_metrics": (result.val_metrics.to_dict() if result.val_metrics
+                        else None),
     }
     from .structures import replace_files
     replace_files([
@@ -304,9 +299,9 @@ def _run_training(args, finetune_from: str | None) -> int:
     ])
     print(f"seed: {seed}")
     print(f"checkpoint: {checkpoint_path}")
-    print(f"train mae: {train_metrics.mae:.6f}")
-    if val_metrics is not None:
-        print(f"val mae: {val_metrics.mae:.6f}")
+    print(f"train mae: {result.train_metrics.mae:.6f}")
+    if result.val_metrics is not None:
+        print(f"val mae: {result.val_metrics.mae:.6f}")
     return EXIT_OK
 
 
@@ -317,8 +312,7 @@ def cmd_build(args) -> int:
     from .periodic import neighbor_list
     from .structures import replace_files
     s = _read_structure(args.structure, args.format)
-    g = neighbor_list(s, k=args.k, radius=args.radius)
-    c = build_complex(g)
+    c = build_complex(neighbor_list(s, k=args.k))
     replace_files([(args.out, [complex_json(c).encode("utf-8")])])
     print(f"vertices={c.n_vertices} edges={c.n_edges} "
           f"triangles={c.n_triangles}")
@@ -414,16 +408,14 @@ def cmd_predict(args) -> int:
 
 def cmd_homology(args) -> int:
     from .homology import SimplicialComplex, verify_quotient_homology
+    from .structures import decode_json
     for path in (args.complex, args.partition):
         if not os.path.exists(path):
             raise CliError(EXIT_INPUT, f"file not found: {path}")
     loaded = []
     for path in (args.complex, args.partition):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded.append(json.load(fh))
-        except ValueError as exc:  # bad syntax, or an integer too long
-            raise CliError(EXIT_INPUT, f"{path}: invalid JSON: {exc}")
+        with open(path, "rb") as fh:
+            loaded.append(decode_json(fh.read(), path))
     simplices, classes = loaded
     if not (isinstance(simplices, list) and simplices and
             all(isinstance(s, list) for s in simplices)):
@@ -486,7 +478,7 @@ def main(argv=None) -> int:
         code = _classify(exc)
         if code is None:
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 
@@ -495,16 +487,16 @@ def _classify(exc: Exception) -> int | None:
     from .homology import SubcomplexError
     from .model import CheckpointMismatchError, EmptyComplexError, \
         NonFiniteActivationError
-    from .periodic import LatticeTooSkewedError, RadiusTooSmallError
+    from .periodic import LatticeTooSkewedError
     from .structures import DegenerateLatticeError, ParseError, \
         UnknownSpeciesError
     from .training import NonFiniteLossError, TooFewSamplesError
     if isinstance(exc, (ParseError, DegenerateLatticeError,
-                        UnknownSpeciesError, RadiusTooSmallError,
-                        LatticeTooSkewedError, NonPositiveDistanceError,
-                        EmptyComplexError, SubcomplexError)):
+                        UnknownSpeciesError, LatticeTooSkewedError,
+                        NonPositiveDistanceError, EmptyComplexError,
+                        SubcomplexError)):
         return EXIT_INPUT
-    if isinstance(exc, CheckpointMismatchError):
+    if isinstance(exc, (CheckpointMismatchError, MemoryError)):
         return EXIT_CONFIG
     if isinstance(exc, (MissingSpeciesError, TooFewSamplesError)):
         return EXIT_DATA

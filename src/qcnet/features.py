@@ -30,7 +30,7 @@ import numpy as np
 
 from .complexes import QuotientComplex
 from .periodic import PeriodicGraph
-from .structures import MAX_Z, replace_files
+from .structures import MAX_Z, decode_json, replace_files
 
 VERTEX_DIM = 92
 EDGE_DIM = 376
@@ -82,8 +82,8 @@ class AtomFeatureTable:
     @classmethod
     def from_json(cls, path: str | os.PathLike) -> "AtomFeatureTable":
         """Load ``{"<Z>": [92 floats], ...}``."""
-        with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(os.fspath(path), "rb") as fh:
+            raw = decode_json(fh.read())
         if not isinstance(raw, dict):
             raise ValueError("atom table must be a JSON object")
         return cls({int(k): v for k, v in raw.items()})

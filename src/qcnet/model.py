@@ -72,7 +72,7 @@ from .autodiff import Tensor, affine, concat, constant, gather_rows, \
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
 from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
-from .structures import replace_files
+from .structures import decode_json, replace_files
 
 N_NODE_LAYERS = 5
 N_EDGE_NODE_LAYERS = 2
@@ -621,8 +621,9 @@ def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
 
 
 def read_sidecar(path: str | os.PathLike) -> dict:
-    with open(os.fspath(path) + ".json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    sidecar = os.fspath(path) + ".json"
+    with open(sidecar, "rb") as fh:
+        return decode_json(fh.read(), sidecar)
 
 
 def load_checkpoint(path: str | os.PathLike,

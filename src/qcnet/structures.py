@@ -299,10 +299,21 @@ def _sniff_format(text: str) -> str:
     return "json"
 
 
-def _json_error(exc: ValueError) -> str:
-    """Message for a failed ``json.loads``: bad syntax, or an integer
-    literal longer than Python converts (a plain ValueError)."""
-    return f"invalid JSON: {getattr(exc, 'msg', exc)}"
+def decode_json(data: str | bytes, path: str | None = None):
+    """``json.loads`` for outside input: every failure is a ParseError.
+
+    That covers bad syntax, bytes that are not UTF-8, an integer literal
+    longer than Python converts (a plain ValueError) and nesting deeper
+    than the decoder recurses (RecursionError).  With ``path`` the error
+    names the file and, for bad syntax, the line; without, no location.
+    """
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        message = ("nested too deeply" if isinstance(exc, RecursionError)
+                   else getattr(exc, "msg", exc))
+        raise ParseError(f"invalid JSON: {message}", path,
+                         getattr(exc, "lineno", None) if path else None)
 
 
 def parse_structure(path: str | os.PathLike,
@@ -314,11 +325,7 @@ def parse_structure(path: str | os.PathLike,
     if fmt == "auto":
         fmt = _sniff_format(text)
     if fmt == "json":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise ParseError(_json_error(exc), path,
-                             getattr(exc, "lineno", None))
+        obj = decode_json(text, path)
         try:
             return structure_from_dict(obj)
         except ParseError as exc:
@@ -416,12 +423,7 @@ def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
-            except ValueError as exc:
-                errors.append((lineno, _json_error(exc)))
-                continue
-            try:
-                records.append(record_from_obj(obj))
+                records.append(record_from_obj(decode_json(raw)))
             except (ParseError, DegenerateLatticeError,
                     UnknownSpeciesError) as exc:
                 errors.append((lineno, str(exc)))

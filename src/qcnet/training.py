@@ -44,8 +44,8 @@ class TooFewSamplesError(ValueError):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one run.  ``epochs = 0`` means no optimizer steps
-    (useful to round-trip a checkpoint through the finetune path)."""
+    """Hyperparameters of one run.  ``epochs = 0`` means no optimizer steps:
+    the run only scores (and writes) its initial model."""
 
     epochs: int = 500
     batch_size: int = 64
@@ -208,9 +208,15 @@ def prepare_items(records: list[DatasetRecord], table: AtomFeatureTable,
 
 @dataclass
 class TrainResult:
+    """The trained model, one history row per epoch, and the model's
+    metrics on the training and validation records (None without a
+    validation set), from the forward-only pass that ends every run."""
+
     model: SimplexTransformer
     history: list[dict]
-    best_epoch: int | None = None
+    best_epoch: int | None
+    train_metrics: MetricsReport
+    val_metrics: MetricsReport | None
 
 
 def train(config: TrainConfig, train_records: list[DatasetRecord],
@@ -220,11 +226,12 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     """Train, tracking the best model by validation loss.
 
     Without a validation set the training loss selects the best epoch.  The
-    best state is kept in memory and the returned model carries it.  With
+    best state is kept in memory and the returned model carries it.  Every
+    run ends with a forward-only pass over the training and validation
+    items, which scores the returned model; a model that pass rejects
+    (NonFiniteActivationError) raises there.  With
     ``config.checkpoint_path`` set, the returned model is written there
-    once, after the last epoch and after a forward-only pass over the
-    training items, so a model that pass rejects (NonFiniteActivationError)
-    is never written; a run that raises writes nothing.
+    once, after that pass, so a run that raises writes nothing.
     ``initial_model`` is cloned, so finetuning from a checkpoint equals
     training from scratch with identical weights: the shuffle stream does
     not depend on whether init consumed randomness.
@@ -289,12 +296,14 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
             best.copy_state_from(model)
     if best_epoch is not None:
         model.copy_state_from(best)
+    # A model whose forward overflows raises here, so no checkpoint is
+    # written that every later evaluation would reject.
+    train_metrics = metrics_report(targets, predict(model, items))
+    val_metrics = (metrics_report(val_targets, predict(model, val_items))
+                   if val_items else None)
     if config.checkpoint_path:
-        # A model whose forward overflows raises here, so no checkpoint
-        # is written that every later evaluation would reject.
-        predict(model, items)
         save_checkpoint(model, config.checkpoint_path)
-    return TrainResult(model=model, history=history, best_epoch=best_epoch)
+    return TrainResult(model, history, best_epoch, train_metrics, val_metrics)
 
 
 def evaluate(model: SimplexTransformer, records: list[DatasetRecord],
@@ -314,18 +323,13 @@ def finetune(checkpoint_path: str, config: TrainConfig,
              train_records: list[DatasetRecord],
              val_records: list[DatasetRecord] = (),
              table: AtomFeatureTable | None = None) -> TrainResult:
-    """Continue training from a checkpoint under a fresh schedule.
+    """``train`` from a checkpoint under a fresh schedule.
 
     The checkpoint must match the configured architecture.  With
-    ``epochs = 0`` the loaded model is returned unchanged, and written once
-    to ``config.checkpoint_path`` when that is set, as ``train`` does.
+    ``epochs = 0`` the loaded model is scored and returned unchanged.
     """
     model = load_checkpoint(
         checkpoint_path, ModelConfig(config.hidden_dim, config.head_hidden))
-    if config.epochs == 0:
-        if config.checkpoint_path:
-            save_checkpoint(model, config.checkpoint_path)
-        return TrainResult(model=model, history=[], best_epoch=None)
     return train(config, train_records, val_records, table,
                  initial_model=model)
 

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, outputs, and seed precedence."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 import qcnet
 import qcnet.periodic
 import qcnet.structures
+import qcnet.training
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
 from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
@@ -22,6 +24,9 @@ from qcnet.training import synthetic_overfit_dataset
 from conftest import DATA_DIR, open_failing_at
 
 POSCAR = str(DATA_DIR / "catio3.poscar")
+
+# Valid JSON syntax nested deeper than the decoder recurses.
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 @pytest.fixture
@@ -105,7 +110,7 @@ print(code, loaded, "numpy" in sys.modules)
         assert all(hasattr(qcnet, name) for name in qcnet.__all__)
 
     FLAGS = {
-        "build": ["--out", "--format", "--k", "--radius"],
+        "build": ["--out", "--format", "--k"],
         "featurize": ["--out-prefix", "--format", "--k", "--atom-table"],
         "train": ["--seed"],
         "finetune": ["--checkpoint", "--seed"],
@@ -181,17 +186,13 @@ class TestBuild:
             f"error: {bad}, line {line}: non-finite ")
         assert not out.exists()
 
-    def test_radius_too_small(self, tmp_path, capsys):
-        assert main(["build", POSCAR, "--radius", "0.5", "-o",
-                     str(tmp_path / "x.json")]) == EXIT_INPUT
-
-    @pytest.mark.parametrize("radius", ["inf", "nan"])
-    def test_non_finite_radius_exits_config(self, tmp_path, capsys, radius):
+    def test_too_deeply_nested_json_exits_input(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text(DEEP_JSON)
         out = tmp_path / "x.json"
-        assert main(["build", POSCAR, "--radius", radius, "-o",
-                     str(out)]) == EXIT_CONFIG
+        assert main(["build", str(bad), "-o", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: radius must be a positive finite number\n")
+            f"error: {bad}: invalid JSON: nested too deeply\n")
         assert not out.exists()
 
     def test_missing_directory_names_target(self, tmp_path, capsys):
@@ -244,6 +245,17 @@ class TestFeaturize:
     def test_missing_atom_table_file(self, tmp_path):
         assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
                      "--atom-table", str(tmp_path / "no.json")]) == EXIT_DATA
+
+    def test_too_deeply_nested_atom_table_exits_data(self, tmp_path,
+                                                      capsys):
+        table = tmp_path / "deep.json"
+        table.write_text(DEEP_JSON)
+        assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
+                     "--atom-table", str(table)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: bad atom table {table}: invalid JSON: "
+            "nested too deeply\n")
+        assert list(tmp_path.iterdir()) == [table]
 
 
 class TestInterruptedWrites:
@@ -399,6 +411,41 @@ class TestTrain:
             "finite\n")
         assert list(out_dir.iterdir()) == []
 
+    def test_builds_each_record_once(self, run_config, dataset,
+                                     monkeypatch):
+        # The reported metrics come from train()'s own final pass, so no
+        # record's complex is built a second time.
+        records = [dataclasses.replace(r, split_tag="val") if i < 2 else r
+                   for i, r in enumerate(synthetic_overfit_dataset(6, seed=7))]
+        save_dataset(records, dataset)
+        built = []
+        real = qcnet.training.neighbor_list
+
+        def counting(s, k):
+            built.append(s.id)
+            return real(s, k=k)
+
+        monkeypatch.setattr(qcnet.training, "neighbor_list", counting)
+        cfg, out_dir = run_config()
+        assert main(["train", str(cfg)]) == EXIT_OK
+        assert sorted(built) == sorted(r.structure.id for r in records)
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["val_metrics"]["n"] == 2
+
+    def test_out_of_memory_exits_config(self, run_config, monkeypatch,
+                                        capsys):
+        # A hidden_dim too large for the machine fails allocating the
+        # embeddings; the failure is simulated, not allocated.
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(qcnet.training.SimplexTransformer, "init",
+                            no_memory)
+        cfg, out_dir = run_config()
+        assert main(["train", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+        assert list(out_dir.iterdir()) == []
+
     def test_weights_overflowing_on_last_step_write_nothing(self, run_config,
                                                             capsys):
         # The only step is the last, so the loss stays finite and the
@@ -485,8 +532,10 @@ class TestEvalPredict:
         assert implicit.out == explicit
 
     @pytest.mark.parametrize(
-        "sidecar", [None, "missing", "{not json", "[1]", '{"extra": 3}'],
-        ids=["no-extra", "missing", "bad-json", "not-object", "extra-int"])
+        "sidecar", [None, "missing", "{not json", "[1]", '{"extra": 3}',
+                    DEEP_JSON],
+        ids=["no-extra", "missing", "bad-json", "not-object", "extra-int",
+             "too-deep"])
     def test_unrecorded_defaults_warn(self, tmp_path, capsys, sidecar):
         ckpt = tmp_path / "bare.ckpt"
         save_checkpoint(SimplexTransformer.init(ModelConfig(4, 4), seed=0),
@@ -701,7 +750,20 @@ class TestHomologyCommand:
         (tmp_path / bad_name).write_text("[[0")
         assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(
-            f"error: {tmp_path / bad_name}: invalid JSON: ")
+            f"error: {tmp_path / bad_name}, line 1: invalid JSON: ")
+
+    @pytest.mark.parametrize("bad_name", ["c.json", "p.json"])
+    def test_too_deeply_nested_json_names_its_file(self, tmp_path, capsys,
+                                                   bad_name):
+        cplx = tmp_path / "c.json"
+        part = tmp_path / "p.json"
+        cplx.write_text("[[0, 1]]")
+        part.write_text("[[0, 1]]")
+        (tmp_path / bad_name).write_text(DEEP_JSON)
+        assert main(["homology", str(cplx), str(part)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / bad_name}: invalid JSON: "
+                "nested too deeply\n")
 
     def test_unknown_vertex_in_partition(self, tmp_path):
         cplx = tmp_path / "c.json"

@@ -133,6 +133,12 @@ class TestOracleEquivalence:
         g2 = neighbor_list(random_structure(rng2), k=12)
         assert edge_tuples(g1) == edge_tuples(g2)
 
+    def test_brute_force_certifies_bound(self):
+        s = CrystalStructure(lattice=np.eye(3), species=np.array([1]),
+                             frac=np.zeros((1, 3)))
+        with pytest.raises(RadiusTooSmallError):
+            brute_force_neighbors(s, k=6, supercell_radius=0)
+
 
 # Skewed 1-3 atom cells on a coarse grid (exact ties) with optional
 # sub-TIE_TOL jitter (near ties).
@@ -168,13 +174,6 @@ class TestTiedCellProperties:
         assert [t[:3] for t in fast] == [t[:3] for t in slow]
         np.testing.assert_allclose([t[3] for t in fast],
                                    [t[3] for t in slow], rtol=0, atol=1e-12)
-
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(s=tied_cells(), k=st.integers(1, 12))
-    def test_generous_radius_matches_auto(self, s, k):
-        auto = edge_tuples(neighbor_list(s, k=k))
-        radius = max(t[3] for t in auto) + 0.5
-        assert edge_tuples(neighbor_list(s, k=k, radius=radius)) == auto
 
 
 class TestInvariance:
@@ -232,32 +231,6 @@ class TestInvariance:
             got = sorted(round(big_edges[i].dist, 9)
                          for i in np.flatnonzero(big.dst == v))
             assert got == base_d
-
-
-class TestRadiusMode:
-    def test_radius_matches_auto(self, cubic1):
-        auto = edge_tuples(neighbor_list(cubic1, k=6))
-        fixed = edge_tuples(neighbor_list(cubic1, k=6, radius=1.0))
-        assert auto == fixed
-
-    def test_radius_too_small(self, cubic1):
-        with pytest.raises(RadiusTooSmallError):
-            neighbor_list(cubic1, k=6, radius=0.99)
-
-    def test_radius_generous(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            s = random_structure(rng, n_atoms=2)
-            auto = edge_tuples(neighbor_list(s, k=9))
-            r = max(t[3] for t in auto) + 0.5
-            fixed = edge_tuples(neighbor_list(s, k=9, radius=r))
-            assert auto == fixed
-
-    def test_brute_force_certifies_bound(self):
-        s = CrystalStructure(lattice=np.eye(3), species=np.array([1]),
-                             frac=np.zeros((1, 3)))
-        with pytest.raises(RadiusTooSmallError):
-            brute_force_neighbors(s, k=6, supercell_radius=0)
 
 
 class TestTieTolerance:
@@ -338,20 +311,6 @@ class TestBoxSize:
         g = neighbor_list(cubic1, k=30)
         assert edge_tuples(g) == edge_tuples(brute_force_neighbors(cubic1,
                                                                    k=30))
-        with pytest.raises(RadiusTooSmallError, match="0 images"):
-            neighbor_list(cubic1, k=30, radius=0.5)
-
-    @pytest.mark.parametrize("radius", [1.0, 3.0])
-    def test_radius_builds_one_table(self, cubic1, monkeypatch, radius):
-        calls = count_tables(monkeypatch)
-        neighbor_list(cubic1, k=6, radius=radius)
-        assert len(calls) == 1
-
-    def test_radius_too_small_builds_one_table(self, cubic1, monkeypatch):
-        calls = count_tables(monkeypatch)
-        with pytest.raises(RadiusTooSmallError):
-            neighbor_list(cubic1, k=6, radius=0.99)
-        assert len(calls) == 1
 
 
 def columns(g):
@@ -363,20 +322,16 @@ class TestTableBlocks:
     bit of the graph."""
 
     @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("mode", ["auto", "radius"])
-    def test_blocks_match_one_block(self, monkeypatch, rows, mode):
+    def test_blocks_match_one_block(self, monkeypatch, rows):
         rng = np.random.default_rng(21)
         for n_atoms in (4, 7, 8, 11):  # none a multiple of 3
             s = random_structure(rng, n_atoms)
-            # Just inside the plane spacing, so the box is |k_i| <= 1.
-            radius = (0.99 * plane_spacing_min(s.lattice) if mode == "radius"
-                      else None)
-            default = columns(neighbor_list(s, k=3, radius=radius))
+            default = columns(neighbor_list(s, k=3))
             # One block's (rows, n, n_off, 3) separations for that box.
             monkeypatch.setattr(qcnet.periodic, "_TABLE_BLOCK_BYTES",
                                 rows * n_atoms * 27 * 3 * 8)
             calls = count_tables(monkeypatch)
-            assert columns(neighbor_list(s, k=3, radius=radius)) == default
+            assert columns(neighbor_list(s, k=3)) == default
             # One box of 27 offsets, so the block height is ``rows``.
             assert [len(c[2]) for c in calls] == [27]
             monkeypatch.undo()

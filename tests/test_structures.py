@@ -347,6 +347,15 @@ class TestDataset:
         assert [lineno for lineno, _ in result.errors] == [2]
         assert result.errors[0][1].startswith("invalid JSON: ")
 
+    def test_too_deeply_nested_line_is_line_diagnostic(self, tmp_path,
+                                                        catio3):
+        path = tmp_path / "d.jsonl"
+        path.write_text("[" * 100000 + "]" * 100000 + "\n"
+                        + self._record_line(catio3, 1.0) + "\n")
+        result = load_dataset(path)
+        assert [r.target for r in result.records] == [1.0]
+        assert result.errors == [(1, "invalid JSON: nested too deeply")]
+
     def test_diagnostics_name_no_location(self, tmp_path, catio3):
         no_frac = structure_to_dict(catio3)
         del no_frac["frac"]

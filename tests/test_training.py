@@ -342,6 +342,22 @@ class TestFinetune:
         assert (tmp_path / "out.ckpt").read_bytes() == \
             (tmp_path / "src.ckpt").read_bytes()
 
+    def test_zero_epochs_of_overflowing_checkpoint_writes_nothing(
+            self, tmp_path):
+        # The run scores the loaded model before it writes, as train()
+        # does; head weights of 1e300 overflow that forward.
+        m = SimplexTransformer.init(ModelConfig(hidden_dim=4, head_hidden=4),
+                                    seed=3)
+        for name in ("head.w1", "head.w2", "head.w3"):
+            dict(m.parameters())[name].data[...] = 1e300
+        save_checkpoint(m, tmp_path / "big.ckpt")
+        out = tmp_path / "out.ckpt"
+        with pytest.raises(NonFiniteActivationError, match="head"):
+            finetune(str(tmp_path / "big.ckpt"),
+                     tiny_config(epochs=0, checkpoint_path=str(out)),
+                     self._records(), (), TABLE)
+        assert not out.exists()
+
     def test_scratch_equals_finetune_from_seed_init(self, tmp_path):
         # Training from a checkpoint holding the seed-matched random init
         # must replay the scratch run byte for byte: the shuffle stream is
