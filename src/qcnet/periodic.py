@@ -11,30 +11,36 @@ parallel edges with different offsets are meaningful and kept.
 The graph is stored as edge columns (``src``, ``dst``, ``offset``, ``dist``);
 ``PeriodicGraph.edges`` builds ``PeriodicEdge`` records from them.
 
-One search loop builds the graph: tabulate the distance from every image in
-the offset box |k_i| <= R to every target, mark zero-distance images
-unavailable, and pick each target's k candidates in (distance tie group, src,
-offset) order.  One rule sizes the box: R is the smallest integer with
-R * h_min > reach + TIE_TOL, where reach is the largest k-th smallest
-candidate distance in the current box.  Starting from R = 1 the box jumps to
-the R that reach asks for until the box in hand already satisfies the rule.
-Reach only falls as the box grows, since a bigger box only adds candidates.
+One search loop builds the graph.  For a search radius r, atom u's image
+at integer offset o can lie within r of target v only if
+|f_u,i + o_i - f_v,i| <= r / h_i on every axis i (f fractional coordinates,
+h_i the spacing between adjacent lattice planes of axis i).  So each (v, u)
+pair tabulates a window of floor(2 r / h_i) + 1 offsets per axis, starting
+at ceil(f_v,i - f_u,i - r / h_i): one offset on any axis wider than 2 r.
+Zero-distance images are marked unavailable, and each target's k
+candidates are picked in (distance tie group, src, offset) order.
+
+The windows hold every image within r.  With L the lattice row matrix and
+c_i the columns of L^-1, any separation vector y.L satisfies
+|y_i| <= |y.L| * |c_i| = |y.L| / h_i, so an image within r has
+|y_i| <= r / h_i on every axis.  A pass therefore stands when
+r >= reach + TIE_TOL, reach being the largest k-th smallest candidate
+distance of any target: its windows hold every member of each tie group
+that starts at or below a target's k-th smallest distance, so the
+untabulated images cannot change the picks.  Otherwise the next pass takes
+r = reach + TIE_TOL, which certifies: every candidate at or below reach
+lies within the new r, so reach cannot rise.  The first r is half the
+smallest plane spacing when the cell has more than k atoms (so every target
+already sees k other atoms), else the smallest plane spacing; a window with
+fewer than k candidates per target widens by one plane spacing without a
+table.  A search that needs r past ``_MAX_SHELL`` smallest plane spacings
+raises LatticeTooSkewedError.
 
 The table is filled a block of target rows at a time, so the per-block
-separation arrays stay cache-sized; the (n, n * (2R + 1)^3) table itself is
-whole.  Selection is array code: the near prefix of every row goes into one
-padded (n, width) array sorted by distance, tie groups are built one column
-of all rows at a time, and one row-wise lexsort picks each target's k.
-
-Correctness of the search depends on a lower bound for images outside an
-offset box.  With L the lattice row matrix and c_i the columns of L^-1, any
-separation vector y.L satisfies |y_i| <= |y.L| * |c_i|, so an image whose
-offset leaves the box |k_i| <= R is farther than R * h_min where
-h_min = 1 / max_i |c_i| (the smallest spacing between adjacent lattice
-planes).  A box that satisfies the rule therefore holds every image within
-reach + TIE_TOL: every member of each tie group that starts at or below a
-target's k-th smallest distance d_k, so the unseen images cannot change the
-picks.
+separation arrays stay cache-sized.  Selection is array code: the near
+prefix of every row goes into one padded (n, width) array sorted by
+distance, tie groups are built one column of all rows at a time, and one
+row-wise lexsort picks each target's k.
 """
 
 from __future__ import annotations
@@ -114,59 +120,62 @@ class PeriodicGraph:
                     self.offset.tolist(), self.dist.tolist())]
 
 
+def _plane_spacings(lattice: np.ndarray) -> np.ndarray:
+    """Distance between adjacent lattice planes of each of the three axes."""
+    inv = np.linalg.inv(np.asarray(lattice, dtype=np.float64))
+    return 1.0 / np.linalg.norm(inv, axis=0)
+
+
 def plane_spacing_min(lattice: np.ndarray) -> float:
     """Smallest distance between adjacent lattice planes of the three axes."""
-    inv = np.linalg.inv(np.asarray(lattice, dtype=np.float64))
-    return float(1.0 / np.linalg.norm(inv, axis=0).max())
+    return float(_plane_spacings(lattice).min())
 
 
-def _box_offsets(radius: int) -> np.ndarray:
-    """All integer offsets with max-norm <= radius, lexicographically sorted."""
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grid = np.meshgrid(rng, rng, rng, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, 3)
+def _candidate_table(frac: np.ndarray, lattice: np.ndarray, lo: np.ndarray,
+                     grid: np.ndarray) -> np.ndarray:
+    """Row v, column ``g * n + u``: distance from atom u displaced by
+    ``lo[:, v, u] + grid[:, g]`` to atom v.
 
-
-def _candidate_table(frac: np.ndarray, lattice: np.ndarray,
-                     offsets: np.ndarray) -> np.ndarray:
-    """Row v, column ``u * len(offsets) + o``: distance from atom u displaced
-    by ``offsets[o]`` to atom v, so columns run in (src, offset) order.
-
-    Rows are filled in blocks whose (rows, n, n_off, 3) separation array
-    fits ``_TABLE_BLOCK_BYTES``."""
-    n, n_off = frac.shape[0], offsets.shape[0]
-    img = frac[:, None, :] + offsets  # img[u, o] = frac[u] + offsets[o]
-    table = np.empty((n, n, n_off))
-    rows = max(1, _TABLE_BLOCK_BYTES // img.nbytes)
-    sep = np.empty((min(rows, n),) + img.shape)
-    for lo in range(0, n, rows):
-        block = table[lo:lo + rows]
-        # sep[v, u, o, :] = frac[u] + offsets[o] - frac[v], in lattice
-        # coords, one long pass per coordinate
+    ``lo`` is (3, n, n) and ``grid`` (3, n_grid), both integer-valued
+    floats.  Rows are filled in blocks whose (rows, n_grid, n, 3)
+    separation array fits ``_TABLE_BLOCK_BYTES``."""
+    n, n_grid = frac.shape[0], grid.shape[1]
+    table = np.empty((n, n_grid, n))
+    rows = max(1, _TABLE_BLOCK_BYTES // (n_grid * n * 3 * 8))
+    sep = np.empty((min(rows, n), n_grid, n, 3))
+    for a in range(0, n, rows):
+        block = table[a:a + rows]
         part = sep[:len(block)]
+        # sep[v, g, u, c] = frac[u, c] + (lo[c, v, u] + grid[c, g])
+        # - frac[v, c] in lattice coords, one long pass per coordinate; the
+        # offset is summed exactly first, so each separation rounds as
+        # frac[u] + offset - frac[v] does
         for c in range(3):
-            np.subtract(img[..., c], frac[lo:lo + rows, c, None, None],
-                        out=part[..., c])
-        cart = part @ lattice
-        np.einsum("vuoc,vuoc->vuo", cart, cart, out=block)
+            out = part[..., c]
+            np.add(lo[c, a:a + rows, None], grid[c, :, None], out=out)
+            out += frac[:, c]
+            out -= frac[a:a + rows, c, None, None]
+        cart = part.reshape(-1, 3) @ lattice
+        np.einsum("ic,ic->i", cart, cart, out=block.reshape(-1))
         np.sqrt(block, out=block)
-    return table.reshape(n, n * n_off)
+    return table.reshape(n, n_grid * n)
 
 
 def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
     """Build the periodic k-NN multigraph of a structure.
 
-    The offset box has the smallest half-width R with
-    ``R * h_min > reach + TIE_TOL``, where reach is the largest k-th
-    smallest candidate distance in the box; the box grows until it
-    satisfies the rule.  Images outside the box are farther than
-    ``R * h_min``, so every member of a tie group that starts at or below
-    the k-th smallest distance is inside it, which certifies that no unseen
-    image could enter the k nearest (or perturb a tie within ``TIE_TOL``).
-    LatticeTooSkewedError is raised if the box would have to grow past
-    ``_MAX_SHELL``.
+    Each (target, source) pair tabulates the window of offsets whose images
+    can lie within the search radius r, ``floor(2 r / h_i) + 1`` offsets on
+    axis i of plane spacing h_i.  A pass stands when
+    ``r >= reach + TIE_TOL``, where reach is the largest k-th smallest
+    candidate distance; otherwise r becomes ``reach + TIE_TOL``.  An image
+    outside its window is farther than r, so every member of a tie group
+    that starts at or below the k-th smallest distance is tabulated, which
+    certifies that no unseen image could enter the k nearest (or perturb a
+    tie within ``TIE_TOL``).  LatticeTooSkewedError is raised if r would
+    have to pass ``_MAX_SHELL`` smallest plane spacings.
 
-    Each box's distance table is filled in blocks of target rows; the picks
+    Each pass's distance table is filled in blocks of target rows; the picks
     of all targets are made at once from one padded array of their sorted
     near candidates.
 
@@ -177,32 +186,47 @@ def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
     s = s.canonicalize()
     frac, lattice = s.frac, s.lattice
     n = s.n_atoms
-    h_min = plane_spacing_min(lattice)
-    shell = 1
+    h = _plane_spacings(lattice)
+    h_min = h.min()
+    cap = _MAX_SHELL * h_min
+    r = h_min / 2 if n > k else h_min
     while True:
-        offsets = _box_offsets(shell)
-        dist = _candidate_table(frac, lattice, offsets)
-        # The zero-offset self image (frac[v] + 0 - frac[v] is exactly 0)
-        # and images coincident with the target are never candidates.
-        dist[dist == 0.0] = np.inf
-        if dist.shape[1] < k:  # fewer images than k: pad with unavailable
-            dist = np.pad(dist, ((0, 0), (0, k - dist.shape[1])),
-                          constant_values=np.inf)
-        kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        reach = kth_smallest.max()
-        # The smallest R with R * h_min > reach + TIE_TOL; a box with fewer
-        # than k candidates for some target grows by one.
-        need = (int((reach + TIE_TOL) // h_min) + 1 if np.isfinite(reach)
-                else shell + 1)
-        if need <= shell:
-            break
-        if shell >= _MAX_SHELL:
+        w = r / h
+        span = (2 * w).astype(np.int64) + 1
+        reach = np.inf
+        # Each target sees n * prod(span) images, one of them its own
+        # zero-offset image; a window too small for k candidates widens
+        # without a table.
+        if n * span.prod() > k:
+            # lo[i, v, u]: the first offset on axis i whose image of u can
+            # lie within r of v; grid: the window's steps in lex order
+            ft = frac.T
+            lo = np.ceil(ft[:, :, None] - ft[:, None] - w[:, None, None])
+            grid = np.indices(span, dtype=float).reshape(3, -1)
+            dist = _candidate_table(frac, lattice, lo, grid)
+            # The zero-offset self image (frac[v] + 0 - frac[v] is exactly 0)
+            # and images coincident with the target are never candidates.
+            dist[dist == 0.0] = np.inf
+            kth_smallest = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+            reach = kth_smallest.max()
+            # An untabulated image is farther than r: with d = f_v,i - f_u,i,
+            # an offset o_i below ceil(d - w_i) or above
+            # ceil(d - w_i) + floor(2 w_i) has |o_i - d| > w_i, so the
+            # image's distance exceeds w_i * h_i = r.  That bound is strict,
+            # so the rule need not be: r >= reach + TIE_TOL certifies.
+            # Rounding of w and d moves a window edge by a few ulps of r,
+            # which could drop an image only at exactly TIE_TOL past the
+            # farthest target's k-th distance, where float noise decides
+            # tie groups in any search.
+            if reach + TIE_TOL <= r:
+                break
+        if r >= cap:
             raise LatticeTooSkewedError(
                 f"lattice too skewed: smallest lattice plane spacing "
-                f"{h_min:.4g} angstrom; {_MAX_SHELL} offset shells did not "
-                "reach the nearest images (reduce the lattice basis, e.g. to "
-                "Niggli form)")
-        shell = min(need, _MAX_SHELL)
+                f"{h_min:.4g} angstrom; a search radius of {_MAX_SHELL} plane "
+                "spacings did not reach the nearest images (reduce the "
+                "lattice basis, e.g. to Niggli form)")
+        r = min(reach + TIE_TOL if np.isfinite(reach) else r + h_min, cap)
     # Only the prefix d - d_k <= TIE_TOL of a sorted row (d_k its k-th
     # smallest) can decide the picks.  This is exact: d_k lies in a tie
     # group G starting at or below d_k, so every member of the groups up
@@ -213,14 +237,17 @@ def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
                         dist.shape[1])
     cols = cols[np.lexsort((dist[v, cols], v))]
     # One padded row per target, sorted by distance.  A short row repeats
-    # its last candidate with a column past every real one, so the padding
+    # its last candidate with a key past every real one, so the padding
     # joins the row's last tie group after its real members.
     counts = np.bincount(v, minlength=n)
     slot = np.arange(counts.max())
     first = np.cumsum(counts) - counts
     cols = cols[first[:, None] + np.minimum(slot, counts[:, None] - 1)]
     d = np.take_along_axis(dist, cols, axis=1)
-    cols[slot >= counts[:, None]] = dist.shape[1]
+    # Column g * n + u as the (src, offset) tie-break key u * n_grid + g.
+    n_grid = grid.shape[1]
+    key = cols % n * n_grid + cols // n
+    key[slot >= counts[:, None]] = n * n_grid
     # Start-anchored tie groups, one column of all rows at a time: a gap
     # > TIE_TOL past the start of the current group starts a new group.
     groups = np.zeros(d.shape, dtype=np.int64)
@@ -229,12 +256,12 @@ def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
         gap = d[:, j] - start > TIE_TOL
         groups[:, j] = groups[:, j - 1] + gap
         start = np.where(gap, d[:, j], start)
-    # cols increase in (src, offset) order: the tie-break key.
-    picked = np.lexsort((cols, groups), axis=1)[:, :k]
-    cols = np.take_along_axis(cols, picked, axis=1).ravel()
-    n_off = offsets.shape[0]
-    return PeriodicGraph(n, k, cols // n_off, np.repeat(np.arange(n), k),
-                         offsets[cols % n_off],
+    picked = np.lexsort((key, groups), axis=1)[:, :k]
+    src, g = np.divmod(np.take_along_axis(key, picked, axis=1).ravel(),
+                       n_grid)
+    dst = np.repeat(np.arange(n), k)
+    offset = (lo[:, dst, src] + grid[:, g]).T.astype(np.int64, order="C")
+    return PeriodicGraph(n, k, src, dst, offset,
                          np.take_along_axis(d, picked, axis=1).ravel())
 
 

@@ -299,6 +299,16 @@ def _sniff_format(text: str) -> str:
     return "json"
 
 
+def decode_text(data: bytes, path: str | None = None) -> str:
+    """UTF-8 text of outside input: a byte sequence that is not UTF-8 is a
+    ParseError naming ``path`` (when given) and the byte's offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         path)
+
+
 def decode_json(data: str | bytes, path: str | None = None):
     """``json.loads`` for outside input: every failure is a ParseError.
 
@@ -320,8 +330,8 @@ def parse_structure(path: str | os.PathLike,
                     fmt: str = "auto") -> CrystalStructure:
     """Read a structure file; ``fmt`` is ``json``, ``poscar``, or ``auto``."""
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = decode_text(fh.read(), path)
     if fmt == "auto":
         fmt = _sniff_format(text)
     if fmt == "json":
@@ -417,16 +427,16 @@ def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
     """
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
-    path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                records.append(record_from_obj(decode_json(raw)))
-            except (ParseError, DegenerateLatticeError,
-                    UnknownSpeciesError) as exc:
-                errors.append((lineno, str(exc)))
+    with open(os.fspath(path), "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = decode_text(raw)
+            if text.strip():
+                records.append(record_from_obj(decode_json(text)))
+        except (ParseError, DegenerateLatticeError,
+                UnknownSpeciesError) as exc:
+            errors.append((lineno, str(exc)))
     return DatasetLoadResult(records, errors)
 
 

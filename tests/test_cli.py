@@ -195,6 +195,15 @@ class TestBuild:
             f"error: {bad}: invalid JSON: nested too deeply\n")
         assert not out.exists()
 
+    def test_non_utf8_exits_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.poscar"
+        bad.write_bytes(b"\xff" + open(POSCAR, "rb").read())
+        out = tmp_path / "x.json"
+        assert main(["build", str(bad), "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n")
+        assert not out.exists()
+
     def test_missing_directory_names_target(self, tmp_path, capsys):
         out = tmp_path / "no" / "dir" / "c.json"
         assert main(["build", POSCAR, "-o", str(out)]) == EXIT_INPUT

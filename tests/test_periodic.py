@@ -133,6 +133,44 @@ class TestOracleEquivalence:
         g2 = neighbor_list(random_structure(rng2), k=12)
         assert edge_tuples(g1) == edge_tuples(g2)
 
+    def test_supercell_certifies_in_first_window(self, monkeypatch):
+        # A jittered 4x4x4 simple-cubic supercell: the first window, half
+        # the smallest plane spacing, holds every target's 12 nearest.  It
+        # spans two offsets on the thinnest axis and one on the others.
+        rng = np.random.default_rng(8)
+        sites = np.indices((4, 4, 4)).reshape(3, -1).T
+        s = CrystalStructure(
+            lattice=np.diag([8.0, 8.1, 8.2]), species=np.full(64, 6),
+            frac=(sites + rng.uniform(-0.1, 0.1, sites.shape)) / 4)
+        calls = count_tables(monkeypatch)
+        fast = edge_tuples(neighbor_list(s, k=12))
+        assert [window_spans(c).tolist() for c in calls] == [[2, 1, 1]]
+        slow = edge_tuples(brute_force_neighbors(s, k=12, supercell_radius=1))
+        assert [t[:3] for t in fast] == [t[:3] for t in slow]
+        np.testing.assert_allclose([t[3] for t in fast],
+                                   [t[3] for t in slow], rtol=0, atol=1e-12)
+
+    def test_anisotropic_windows_differ_by_axis(self, monkeypatch):
+        # Plane spacings 2.6, 2.6 and 13: a search radius that spans
+        # several in-plane offsets stays within one layer spacing.
+        s = CrystalStructure(
+            lattice=np.diag([2.6, 2.6, 13.0]), species=np.array([6, 8, 6]),
+            frac=np.array([[0.0, 0.0, 0.0], [0.5, 0.4, 0.1],
+                           [0.2, 0.7, 0.55]]))
+        for k in (4, 12, 20):
+            calls = count_tables(monkeypatch)
+            fast = edge_tuples(neighbor_list(s, k=k))
+            spans = window_spans(calls[-1])
+            assert spans[0] == spans[1] > spans[2]
+            reach = max(t[3] for t in fast) / plane_spacing_min(s.lattice)
+            slow = edge_tuples(brute_force_neighbors(
+                s, k=k, supercell_radius=int(np.ceil(reach)) + 1))
+            assert [t[:3] for t in fast] == [t[:3] for t in slow]
+            np.testing.assert_allclose([t[3] for t in fast],
+                                       [t[3] for t in slow], rtol=0,
+                                       atol=1e-12)
+            monkeypatch.undo()
+
     def test_brute_force_certifies_bound(self):
         s = CrystalStructure(lattice=np.eye(3), species=np.array([1]),
                              frac=np.zeros((1, 3)))
@@ -279,8 +317,11 @@ class TestTieTolerance:
 class TestShellCap:
     def test_neighbor_list_names_plane_spacing(self, skewed1, monkeypatch):
         monkeypatch.setattr(qcnet.periodic, "_MAX_SHELL", 3)
+        calls = count_tables(monkeypatch)
         with pytest.raises(LatticeTooSkewedError, match="plane spacing 0.008"):
             neighbor_list(skewed1, k=12)
+        # No window spans more than 3 smallest plane spacings each way.
+        assert calls and all(window_spans(c).max() <= 7 for c in calls)
 
 
 def count_tables(monkeypatch):
@@ -295,19 +336,25 @@ def count_tables(monkeypatch):
     return calls
 
 
+def window_spans(call):
+    """Offsets per axis of a ``_candidate_table`` call's window."""
+    grid = call[3]
+    return grid.max(axis=1).astype(int) + 1
+
+
 class TestBoxSize:
     def test_skewed_lattice_fails_after_two_tables(self, skewed1,
                                                    monkeypatch):
-        # The k-th distance in the first box asks for a box past the cap;
-        # the box at the cap is the last one built.
+        # The k-th distance in the first window asks for a search radius
+        # past the cap; the window at the cap is the last one built.
         calls = count_tables(monkeypatch)
         with pytest.raises(LatticeTooSkewedError, match="plane spacing"):
             neighbor_list(skewed1, k=12)
         assert len(calls) <= 2
 
     def test_k_beyond_first_box(self, cubic1):
-        # The first box holds 26 images of the lone atom; k=30 needs the
-        # next shell and breaks the distance-2 tie by offset.
+        # A window of one plane spacing holds 26 images of the lone atom;
+        # k=30 needs a wider one and breaks the distance-2 tie by offset.
         g = neighbor_list(cubic1, k=30)
         assert edge_tuples(g) == edge_tuples(brute_force_neighbors(cubic1,
                                                                    k=30))
@@ -324,14 +371,23 @@ class TestTableBlocks:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_blocks_match_one_block(self, monkeypatch, rows):
         rng = np.random.default_rng(21)
+        table = qcnet.periodic._candidate_table
         for n_atoms in (4, 7, 8, 11):  # none a multiple of 3
             s = random_structure(rng, n_atoms)
-            default = columns(neighbor_list(s, k=3))
-            # One block's (rows, n, n_off, 3) separations for that box.
-            monkeypatch.setattr(qcnet.periodic, "_TABLE_BLOCK_BYTES",
-                                rows * n_atoms * 27 * 3 * 8)
+            windows = []
+
+            def blocked(frac, lattice, lo, grid):
+                # One block's (rows, n_grid, n, 3) separations for this
+                # window, so every pass fills blocks of ``rows`` rows.
+                monkeypatch.setattr(qcnet.periodic, "_TABLE_BLOCK_BYTES",
+                                    rows * grid.shape[1] * n_atoms * 3 * 8)
+                windows.append(grid.shape[1])
+                return table(frac, lattice, lo, grid)
+
             calls = count_tables(monkeypatch)
+            default = columns(neighbor_list(s, k=3))
+            monkeypatch.setattr(qcnet.periodic, "_candidate_table", blocked)
             assert columns(neighbor_list(s, k=3)) == default
-            # One box of 27 offsets, so the block height is ``rows``.
-            assert [len(c[2]) for c in calls] == [27]
+            # The same windows as the default fill.
+            assert windows == [c[3].shape[1] for c in calls]
             monkeypatch.undo()

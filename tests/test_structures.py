@@ -356,6 +356,15 @@ class TestDataset:
         assert [r.target for r in result.records] == [1.0]
         assert result.errors == [(1, "invalid JSON: nested too deeply")]
 
+    def test_non_utf8_line_is_line_diagnostic(self, tmp_path, catio3):
+        path = tmp_path / "d.jsonl"
+        good = self._record_line(catio3, 1.0).encode()
+        path.write_bytes(good + b"\n\xff\n" + good + b"\r\n")
+        result = load_dataset(path)
+        assert [r.target for r in result.records] == [1.0, 1.0]
+        assert result.errors == [
+            (2, "not UTF-8 text: invalid start byte at byte 0")]
+
     def test_diagnostics_name_no_location(self, tmp_path, catio3):
         no_frac = structure_to_dict(catio3)
         del no_frac["frac"]
