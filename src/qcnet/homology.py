@@ -10,6 +10,17 @@ row v is reduced at its lowest index against the stored pivot row p as
 a*v - b*p, then divided by the gcd of its entries.  Betti numbers come
 from those ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
 
+Of the boundary ranks, only those of d_q with q >= 2 are eliminated, once
+per complex.  d_0 is zero.  d_1 is the incidence matrix of the
+1-skeleton; its image is the 0-chains whose coefficients sum to zero on
+each of the c connected components, so rank d_1 = n_0 - c over Q, with c
+an exact union-find count.  A gluing of K (below) adds only vertices and
+edges, so its d_q for q >= 3 is K's matrix and its d_2 is K's with the
+face columns renumbered (cone edges bound no triangle).  The ranks are
+equal, and the glued complex takes them from K when first asked:
+checking several gluings of K eliminates K's d_q once, and the gluings'
+none.
+
 Identifying groups of vertices is modeled by attaching a cone: for each
 class with at least two members, a fresh apex joined by an edge to every
 member (the "star" gluing).  The glued complex deformation-retracts onto
@@ -85,6 +96,8 @@ class SimplicialComplex:
             q: known[q] if q in known else {s: i for i, s in enumerate(lst)}
             for q, lst in by_dim.items()}
         self._ranks: dict[int, int] = {}
+        # A gluing's K: its d_q for q >= 2 have our ranks.
+        self._higher: SimplicialComplex | None = None
 
     @property
     def dim(self) -> int:
@@ -105,11 +118,34 @@ class SimplicialComplex:
                    for q, lst in other.by_dim.items() for s in lst)
 
     def boundary_rank(self, q: int) -> int:
-        """rank d_q, computed once per complex."""
+        """rank d_q, computed once per complex: d_0 is zero, d_1 is
+        n_0 minus the 1-skeleton's components, and a gluing takes d_q for
+        q >= 2 from the complex it glues (see the module docstring)."""
+        if q < 1:
+            return 0
+        if q >= 2 and self._higher is not None:
+            return self._higher.boundary_rank(q)
         if q not in self._ranks:
-            self._ranks[q] = matrix_rank(_boundary_rows(self, q),
-                                         self.n(q - 1))
+            self._ranks[q] = (self.n(0) - _components(self) if q == 1 else
+                              matrix_rank(_boundary_rows(self, q),
+                                          self.n(q - 1)))
         return self._ranks[q]
+
+
+def _components(K: SimplicialComplex) -> int:
+    """Connected components of K's 1-skeleton, by union-find with path
+    halving (iterative, so a long path cannot overflow the stack)."""
+    parent = {v: v for v in K.vertices}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in K.simplices(1):
+        parent[root(a)] = root(b)
+    return sum(v == p for v, p in parent.items())
 
 
 def _boundary_rows(K: SimplicialComplex, q: int,
@@ -250,7 +286,8 @@ def _cone_gluing(K: SimplicialComplex,
 
     Cone edges add only vertices and edges, so the glued complex shares
     K's higher face lists and their positions; only the vertex and edge
-    lists are rebuilt and numbered.
+    lists are rebuilt and numbered.  It also takes rank d_q for q >= 2
+    from K, when asked, so no rank is computed here.
     """
     by_dim = dict(K.by_dim)
     first = apex = max(K.vertices, default=-1) + 1
@@ -264,6 +301,7 @@ def _cone_gluing(K: SimplicialComplex,
         by_dim[1] = sorted(edges)
     glued = SimplicialComplex.__new__(SimplicialComplex)
     glued._index_faces(by_dim, {q: K.index[q] for q in by_dim if q > 1})
+    glued._higher = K
     return glued
 
 

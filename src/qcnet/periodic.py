@@ -29,12 +29,14 @@ distance of any target: its windows hold every member of each tie group
 that starts at or below a target's k-th smallest distance, so the
 untabulated images cannot change the picks.  Otherwise the next pass takes
 r = reach + TIE_TOL, which certifies: every candidate at or below reach
-lies within the new r, so reach cannot rise.  The first r is half the
-smallest plane spacing when the cell has more than k atoms (so every target
-already sees k other atoms), else the smallest plane spacing; a window with
-fewer than k candidates per target widens by one plane spacing without a
-table.  A search that needs r past ``_MAX_SHELL`` smallest plane spacings
-raises LatticeTooSkewedError.
+lies within the new r, so reach cannot rise.  A pass also stands when that
+next r gives the same windows (equal spans and starts): the next pass
+would rebuild the same table, with the same reach, and stand.  The first r
+is half the smallest plane spacing when the cell has more than k atoms (so
+every target already sees k other atoms), else the smallest plane spacing;
+a window with fewer than k candidates per target widens by one plane
+spacing without a table.  A search that needs r past ``_MAX_SHELL``
+smallest plane spacings raises LatticeTooSkewedError.
 
 The table is filled a block of target rows at a time, so the per-block
 separation arrays stay cache-sized.  Selection is array code: the near
@@ -168,7 +170,8 @@ def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
     can lie within the search radius r, ``floor(2 r / h_i) + 1`` offsets on
     axis i of plane spacing h_i.  A pass stands when
     ``r >= reach + TIE_TOL``, where reach is the largest k-th smallest
-    candidate distance; otherwise r becomes ``reach + TIE_TOL``.  An image
+    candidate distance; otherwise r becomes ``reach + TIE_TOL``, unless
+    that radius gives the same windows, whose table would stand.  An image
     outside its window is farther than r, so every member of a tie group
     that starts at or below the k-th smallest distance is tabulated, which
     certifies that no unseen image could enter the k nearest (or perturb a
@@ -189,19 +192,27 @@ def neighbor_list(s: CrystalStructure, k: int = 12) -> PeriodicGraph:
     h = _plane_spacings(lattice)
     h_min = h.min()
     cap = _MAX_SHELL * h_min
+    ft = frac.T
     r = h_min / 2 if n > k else h_min
+    reach, last_span, last_lo = np.inf, None, None
     while True:
+        # lo[i, v, u]: the first offset on axis i whose image of u can lie
+        # within r of v
         w = r / h
         span = (2 * w).astype(np.int64) + 1
-        reach = np.inf
+        lo = np.ceil(ft[:, :, None] - ft[:, None] - w[:, None, None])
+        # At r = reach + TIE_TOL, windows equal to the last table's would
+        # build that table again, with the same reach, and the pass would
+        # stand; so the last table stands now.
+        if (r == reach + TIE_TOL and np.array_equal(span, last_span)
+                and np.array_equal(lo, last_lo)):
+            break
+        last_span, last_lo, reach = span, lo, np.inf
         # Each target sees n * prod(span) images, one of them its own
         # zero-offset image; a window too small for k candidates widens
         # without a table.
         if n * span.prod() > k:
-            # lo[i, v, u]: the first offset on axis i whose image of u can
-            # lie within r of v; grid: the window's steps in lex order
-            ft = frac.T
-            lo = np.ceil(ft[:, :, None] - ft[:, None] - w[:, None, None])
+            # grid: the window's steps in lex order
             grid = np.indices(span, dtype=float).reshape(3, -1)
             dist = _candidate_table(frac, lattice, lo, grid)
             # The zero-offset self image (frac[v] + 0 - frac[v] is exactly 0)

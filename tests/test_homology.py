@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcnet.homology
 from qcnet.homology import (SimplicialComplex, SubcomplexError,
                             _boundary_rows, betti_numbers,
                             inclusion_induced_rank, matrix_rank,
@@ -88,6 +89,49 @@ class TestBoundaryOperators:
         assert [K.boundary_rank(q) for q in (1, 2, 3)] == [3, 3, 1]
         assert [matrix_rank(_boundary_rows(K, q), K.n(q - 1))
                 for q in (1, 2, 3)] == [3, 3, 1]
+
+
+def eliminated_d1(K):
+    return matrix_rank(_boundary_rows(K, 1), K.n(0))
+
+
+class TestComponentRank:
+    """rank d_1 = n_0 - components, against elimination of d_1."""
+
+    CASES = {
+        "two-paths-and-point": [[0, 1], [1, 2], [3, 4], [5]],
+        "triangle-and-square": [[0, 1], [1, 2], [0, 2], [10, 11], [11, 12],
+                                [12, 13], [10, 13]],
+        "negative-labels": [[-5, -1], [-1, 3], [-7, -6], [-9]],
+        "huge-labels": [[10 ** 30, -(10 ** 30)], [10 ** 30, 2 ** 70],
+                        [2 ** 64, 2 ** 64 + 1], [0]],
+        "filled": [[0, 1, 2, 3], [4, 5, 6], [6, 7]],
+        "edgeless": [[0], [-3], [10 ** 20]],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_elimination(self, case):
+        K = SimplicialComplex(self.CASES[case])
+        assert K.boundary_rank(1) == eliminated_d1(K)
+
+    def test_random_disconnected_graphs(self):
+        rng = np.random.default_rng(85)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            labels = [int(x) for x in
+                      rng.choice(np.arange(-10 ** 6, 10 ** 6), n,
+                                 replace=False)]
+            edges = [[labels[a], labels[b]]
+                     for a, b in rng.integers(0, n, size=(n // 2, 2))
+                     if a != b]
+            K = SimplicialComplex([[v] for v in labels] + edges)
+            assert K.boundary_rank(1) == eliminated_d1(K)
+
+    def test_long_path(self):
+        K = SimplicialComplex([[i, i + 1] for i in range(4999)])
+        assert K.n(0) == 5000
+        assert K.boundary_rank(1) == 4999 == eliminated_d1(K)
 
 
 class TestExactLinearAlgebra:
@@ -266,6 +310,42 @@ class TestGluings:
             assert glued.by_dim == ref.by_dim, classes
             assert glued.index == ref.index, classes
             assert glued.dim == ref.dim, classes
+            for q in range(1, 5):
+                assert glued.boundary_rank(q) == matrix_rank(
+                    _boundary_rows(ref, q), ref.n(q - 1)), (q, classes)
+
+    def test_gluing_eliminates_nothing(self, monkeypatch):
+        calls = []
+        rank = qcnet.homology.matrix_rank
+        monkeypatch.setattr(qcnet.homology, "matrix_rank",
+                            lambda *args: calls.append(args) or rank(*args))
+        K = random_flag_complex(8, 0.7, np.random.default_rng(87))
+        star = star_gluing(K, [[0, 1, 2], [3, 4]])
+        pair = pairwise_gluing(K, [[0, 1, 2], [3, 4]])
+        assert calls == []
+        # Once K knows its ranks, a gluing's d_q for q >= 2 are K's.
+        higher = [K.boundary_rank(q) for q in range(2, 5)]
+        assert len(calls) == 3
+        for glued in (star, pair):
+            assert [glued.boundary_rank(q) for q in range(2, 5)] == higher
+        assert len(calls) == 3
+
+    def test_pairwise_then_star_eliminates_k_once(self, monkeypatch):
+        K = random_flag_complex(9, 0.7, np.random.default_rng(88))
+        assert K.n(3) > 0
+        built = Counter()
+        rows = qcnet.homology._boundary_rows
+
+        def recording(L, q, faces=None):
+            if faces is None:  # a whole d_q, as boundary_rank builds it
+                built["K" if L is K else "glued", q] += 1
+            return rows(L, q, faces)
+
+        monkeypatch.setattr(qcnet.homology, "_boundary_rows", recording)
+        classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
+        verify_quotient_homology(K, classes, "pairwise")
+        verify_quotient_homology(K, classes, "star")
+        assert built == {("K", 2): 1, ("K", 3): 1, ("K", 4): 1}
 
     def test_gluing_shares_higher_faces(self):
         K = SimplicialComplex([[0, 1, 2, 3]])

@@ -352,6 +352,27 @@ class TestBoxSize:
             neighbor_list(skewed1, k=12)
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("case,k,offsets", [
+        ("cube", 6, 27), ("cube", 14, 27), ("layered", 4, 9)])
+    def test_equal_next_window_builds_one_table(self, monkeypatch, case, k,
+                                                offsets):
+        # The k-th distance equals the first radius, so the pass misses
+        # r >= reach + TIE_TOL by TIE_TOL alone, and r = reach + TIE_TOL
+        # gives the same windows: the first table stands.
+        s = {"cube": CrystalStructure(
+                 lattice=3.0 * np.eye(3), species=np.array([6]),
+                 frac=np.zeros((1, 3))),
+             "layered": CrystalStructure(
+                 lattice=np.diag([2.6, 2.6, 13.0]),
+                 species=np.array([6, 8, 6]),
+                 frac=np.array([[0.0, 0.0, 0.0], [0.5, 0.4, 0.1],
+                                [0.2, 0.7, 0.55]]))}[case]
+        calls = count_tables(monkeypatch)
+        g = neighbor_list(s, k=k)
+        assert [c[3].shape[1] for c in calls] == [offsets]
+        assert edge_tuples(g) == edge_tuples(
+            brute_force_neighbors(s, k=k, supercell_radius=3))
+
     def test_k_beyond_first_box(self, cubic1):
         # A window of one plane spacing holds 26 images of the lone atom;
         # k=30 needs a wider one and breaks the distance-2 tie by offset.
