@@ -1,18 +1,23 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor wraps an ndarray and records the op that produced it; ``backward()``
-walks the tape in reverse topological order and accumulates gradients into
-every tensor with ``requires_grad``.  The op set is exactly what the
-simplex-attention model needs: elementwise arithmetic, matmul, ``affine``,
-concat, row gather / segment sum (the scatter pair used for message
-aggregation), the two halves of an attention key or value (``project``,
-once per source row, then ``pair_silu``, gathered per pair, summed and
-activated), full reductions for the loss, the activations, and
-``normalize``.  Every scatter-add, forward or pullback, is
+walks the tape in reverse topological order, accumulates gradients into
+every tensor with ``requires_grad`` and releases each node once its pullback
+has run.  The op set is what the simplex-attention model needs: elementwise
+arithmetic, matmul, ``affine``, concat, segment sum and mean (the graph
+pooling), full reductions for the loss, the activations, ``normalize``,
+and the attention's three fused ops: ``project`` (one half of a key or value
+map, once per source row), ``gated_message`` (per pair, the key, the
+batch-norm gate on the query and the value) and ``message_sum`` (per pair,
+the message map, its layer norm and SiLU, summed per receiver).
+``gather_rows`` and ``sigmoid`` are the plain forms of the gathers and the
+gate inside them; with ``normalize`` they make the unfused chain that the
+tests hold the fused ops to.  Every scatter-add of a pullback is
 ``scatter_rows``: one ``np.bincount`` that adds each row's contributions in
-index order.  All accumulation
-happens in a fixed order determined by tape construction, so given
-identical inputs the gradients are bit-for-bit reproducible.
+index order; the fused ops sum pairs into their sorted receivers with
+``receiver_sum``, one ``np.add.reduceat``.  All accumulation happens in
+a fixed order determined by tape construction, so given identical inputs
+the gradients are bit-for-bit reproducible.
 
 Gradients are never broadcast.  A constant or scalar operand may broadcast
 against a tensor that requires a gradient, but a tensor that requires one
@@ -20,17 +25,20 @@ must have the shape of the op's result: a gradient whose shape differs
 from its tensor's raises ValueError in ``backward()``.  The first gradient
 a tensor receives is copied in; later ones are added in place.  The ops
 whose parameters are one row applied to every row carry their own row
-sums: ``affine`` is ``x @ w + b`` as one node, and
-``normalize`` is the one formula behind batch and layer normalization,
+sums: ``affine`` is ``x @ w + b`` as one node, ``project`` takes its bias,
+and ``normalize`` is the one formula behind batch and layer normalization,
 ``(x - mean) / sqrt(var + eps) * gamma + beta`` as one node, with the mean
 and variance taken along the normalized axis (its pullback carries the
-gradient through them) or given as constants.
+gradient through them) or given as constants.  ``gated_message`` and
+``message_sum`` carry the same formula inside.
 
 An op output joins the tape only when a gradient can reach it: some operand
 requires one and recording is on.  Anything else keeps neither its parents
 nor its pullback, whose closure would hold the operands and through them every
 intermediate array.  Inside ``no_grad()`` nothing records, so a forward-only
-pass frees each intermediate as soon as the next op has consumed it.
+pass frees each intermediate as soon as the next op has consumed it, and
+the fused per-pair ops evaluate in place on the buffers of a ``Workspace``
+(``gated_message`` when its statistics are given).
 """
 
 from __future__ import annotations
@@ -105,7 +113,12 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable grad-enabled leaf."""
+        """Accumulate d(self)/d(leaf) into every reachable grad-enabled leaf.
+
+        The tape is released as the walk goes: once a node's pullback has
+        run, the node drops its gradient, pullback and parents, so each
+        intermediate array is freed as soon as nothing upstream needs it.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -122,9 +135,13 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._pullback is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._pullback is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._pullback(node.grad)
+            node.grad, node._pullback, node._parents = None, None, ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -191,11 +208,11 @@ class Tensor:
         return _record(value, (self,), pullback)
 
     def silu(self):
-        sig = sigmoid_np(self.data)
+        value, sig = _silu_parts(self.data)
 
         def pullback(g):
-            self._accumulate(g * sig * (1.0 + self.data * (1.0 - sig)))
-        return _record(self.data * sig, (self,), pullback)
+            self._accumulate(_silu_grad(g, self.data, sig))
+        return _record(value, (self,), pullback)
 
     # -- reductions ---------------------------------------------------------
 
@@ -208,13 +225,19 @@ class Tensor:
         return self.sum() * (1.0 / self.data.size)
 
 
+def _records(parents: tuple) -> bool:
+    """Whether a gradient can reach an op's output: some operand requires
+    one and recording is on."""
+    return _RECORDING.get() and any(p.requires_grad for p in parents)
+
+
 def _record(value, parents: tuple, pullback) -> Tensor:
     """An op's output, on the tape only if a gradient can reach it.
 
     A recorded output requires a gradient, so a single-operand pullback can
     accumulate into its operand unconditionally.
     """
-    if _RECORDING.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(value, True, parents, pullback)
     return Tensor(value)
 
@@ -274,17 +297,25 @@ def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     return _record(t.data[index], (t,), pullback)
 
 
-def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice) -> Tensor:
-    """``x @ w_in @ w[rows]`` as one tape node: the per-source-row half of
-    an attention key or value map (see ``pair_silu``).
+def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice,
+            bias: Tensor | None = None) -> Tensor:
+    """``x @ w_in @ w[rows] + bias`` as one tape node: the per-source-row
+    half of an attention key or value map (see ``gated_message``).
 
     ``w``'s gradient is zero outside ``rows``, so the two halves of one map
-    each accumulate into their own rows of it.
+    each accumulate into their own rows of it.  ``bias``, one row, is added
+    to every row: given to one half of a map, it is added once per source
+    row instead of once per pair.
     """
     u = x.data @ w_in.data
     w_rows = w.data[rows]
+    out = u @ w_rows
+    if bias is not None:
+        out += bias.data
 
     def pullback(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
         if w.requires_grad:
             dw = np.zeros_like(w.data)
             dw[rows] = u.T @ g
@@ -295,37 +326,202 @@ def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice) -> Tensor:
                 w_in._accumulate(x.data.T @ du)
             if x.requires_grad:
                 x._accumulate(du @ w_in.data.T)
-    return _record(u @ w_rows, (x, w_in, w), pullback)
+    return _record(out, (x, w_in, w) + (() if bias is None else (bias,)),
+                   pullback)
 
 
-def pair_silu(a: Tensor, a_index: np.ndarray, b: Tensor, b_index: np.ndarray,
-              bias: Tensor) -> Tensor:
-    """``silu(a[a_index] + b[b_index] + bias)`` as one tape node, one row
-    per pair; ``bias`` is one row, added to every row.
-
-    An attention key or value map is linear before its SiLU, so
-    ``silu([h[tau] @ w_face, h_cof[coface] @ w_cof] @ w + b)`` is this op on
-    ``a = project(h, w_face, w, top)`` and ``b = project(h_cof, w_cof, w,
-    bottom)``, the row halves of ``w``: only the gathers, the sums and the
-    SiLU run per pair.  The pullback scatters the pair gradient back onto
-    the rows of ``a`` and ``b``.
-    """
-    a_index = np.asarray(a_index, dtype=np.int64)
-    b_index = np.asarray(b_index, dtype=np.int64)
-    z = a.data[a_index]
-    z += b.data[b_index]
-    z += bias.data
+def _silu_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(silu(z), sigmoid(z)), kept for a pullback."""
     sig = sigmoid_np(z)
+    return z * sig, sig
+
+
+def _silu_grad(g: np.ndarray, z: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return g * sig * (1.0 + z * (1.0 - sig))
+
+
+def _silu_(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """SiLU into ``out``: ``z / (1 + exp(-z))``; ``z`` is left as it is.
+    Where ``exp`` overflows, the quotient is the limit, a zero."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(z, out, out=out)
+
+
+def _gather_sum_(face: np.ndarray, cof: np.ndarray, tau: np.ndarray,
+                 coface: np.ndarray | slice, out: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """``face[tau] + cof[coface]`` into ``out``; ``spare`` holds the coface
+    rows unless ``coface`` is a slice.  The indices are in range, so
+    ``mode="clip"`` only skips the check and the buffering of
+    ``np.take``."""
+    np.take(face, tau, axis=0, out=out, mode="clip")
+    out += (cof[coface] if isinstance(coface, slice) else
+            np.take(cof, coface, axis=0, out=spare, mode="clip"))
+    return out
+
+
+class Workspace:
+    """Scratch arrays that in-place evaluations reuse from call to call,
+    one per name, grown as needed.  A fresh page of memory costs a fault
+    on first touch, so a reused buffer is much cheaper to write than a
+    new one.  An array handed out is valid until its name is asked for
+    again."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def gated_message(qq: Tensor, key_face: Tensor, key_cof: Tensor,
+                  val_face: Tensor, val_cof: Tensor, sigma: np.ndarray,
+                  tau: np.ndarray, coface: np.ndarray | slice,
+                  gamma: Tensor, beta: Tensor, eps: float,
+                  stats: tuple[np.ndarray, np.ndarray] | None = None,
+                  work: Workspace | None = None
+                  ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One gated message per pair (sigma, tau, coface) as one tape node:
+
+        k = SiLU(key_face[tau] + key_cof[coface])
+        m = sigmoid(BN(qq[sigma] * k)) * SiLU(val_face[tau] + val_cof[coface])
+
+    BN is ``normalize`` over the pairs (axis 0) with ``gamma`` and
+    ``beta``: on the batch statistics of these pairs, whose gradient the
+    pullback carries, or on a given constant ``(mean, var)``.  ``coface``
+    is an index array or a slice of the coface rows.  Returns the messages
+    and the mean and variance used.
+
+    When nothing records and the statistics are given, the messages are
+    computed in place on three pair-sized buffers of ``work`` (a new
+    ``Workspace`` if None), and the result is one of them: the norm is one
+    scale, taken on the receiver rows of ``qq``, and one shift; SiLU is
+    ``z / (1 + exp(-z))``, and the gate divides the value by ``1 +
+    exp(-y)``.
+    """
+    parents = (qq, key_face, key_cof, val_face, val_cof, gamma, beta)
+    if stats is not None and not _records(parents):
+        with np.errstate(over="ignore"):
+            return _gated_message_inplace(
+                qq.data, key_face.data, key_cof.data, val_face.data,
+                val_cof.data, np.asarray(sigma, dtype=np.int64), tau,
+                coface, gamma.data, beta.data, eps, stats,
+                work or Workspace())
+    if isinstance(coface, slice):
+        coface = np.arange(key_cof.shape[0])[coface]
+    k_pre = key_face.data[tau] + key_cof.data[coface]
+    k, k_sig = _silu_parts(k_pre)
+    q = qq.data[sigma]
+    xhat, inv_std, mean, var = _standardize(q * k, 0, eps, stats)
+    gate = sigmoid_np(xhat * gamma.data + beta.data)
+    v_pre = val_face.data[tau] + val_cof.data[coface]
+    v, v_sig = _silu_parts(v_pre)
+
+    def scatter(dz, face, cof):
+        if face.requires_grad:
+            face._accumulate(scatter_rows(dz, tau, face.data.shape[0]))
+        if cof.requires_grad:
+            cof._accumulate(scatter_rows(dz, coface, cof.data.shape[0]))
 
     def pullback(g):
-        dz = g * sig * (1.0 + z * (1.0 - sig))
-        if bias.requires_grad:
-            bias._accumulate(dz.sum(axis=0))
-        if a.requires_grad:
-            a._accumulate(scatter_rows(dz, a_index, a.data.shape[0]))
+        if val_face.requires_grad or val_cof.requires_grad:
+            scatter(_silu_grad(g * gate, v_pre, v_sig), val_face, val_cof)
+        dalpha = _standardize_pullback(g * v * gate * (1.0 - gate), xhat,
+                                       inv_std, gamma, beta, 0, stats is None)
+        if qq.requires_grad:
+            qq._accumulate(scatter_rows(dalpha * k, sigma, qq.data.shape[0]))
+        if key_face.requires_grad or key_cof.requires_grad:
+            scatter(_silu_grad(dalpha * q, k_pre, k_sig), key_face, key_cof)
+    return _record(gate * v, parents, pullback), mean, var
+
+
+def _gated_message_inplace(qq, key_face, key_cof, val_face, val_cof, sigma,
+                           tau, coface, gamma, beta, eps, stats, work):
+    """``gated_message``'s values on given statistics with no tape, in the
+    workspace's pair buffers ``a`` (which holds the result), ``b`` and
+    ``c``."""
+    shape = (len(tau), qq.shape[1])
+    a, b, c = work("a", shape), work("b", shape), work("c", shape)
+    k = _silu_(_gather_sum_(key_face, key_cof, tau, coface, a, b), b)
+    # The scale goes onto the block's few receiver rows of qq.
+    mean, var = stats
+    scale = gamma / np.sqrt(var + eps)
+    first, last = (sigma.min(), sigma.max()) if sigma.size else (0, -1)
+    scaled = qq[first:last + 1] * -scale
+    alpha = np.take(scaled, sigma - first, axis=0, out=a, mode="clip")
+    alpha *= k
+    # -BN(alpha) = alpha * -scale - shift; sigmoid(y) = 1 / (1 + exp(-y)).
+    alpha -= beta - mean * scale
+    denom = np.exp(alpha, out=a)
+    denom += 1.0
+    value = _silu_(_gather_sum_(val_face, val_cof, tau, coface, b, c), c)
+    return Tensor(np.divide(value, denom, out=a)), mean, var
+
+
+def receiver_sum(values: np.ndarray, segment: np.ndarray,
+                 n_rows: int) -> np.ndarray:
+    """``out[segment[i]] += values[i]`` for a sorted ``segment``: one
+    ``np.add.reduceat`` over its runs of equal rows.  An unsorted
+    ``segment`` raises ValueError: its runs would overwrite each other."""
+    out = np.zeros((n_rows,) + values.shape[1:])
+    if segment.size:
+        step = np.diff(segment)
+        if np.any(step < 0):
+            raise ValueError("segment must be sorted by receiver")
+        starts = np.concatenate(([0], np.flatnonzero(step) + 1))
+        out[segment[starts]] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+def message_sum(m: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                eps: float, segment: np.ndarray, n_rows: int,
+                work: Workspace | None = None) -> Tensor:
+    """``sum over pairs of receiver r of SiLU(LN(m @ w + b))`` into
+    ``n_rows`` rows, as one tape node.
+
+    LN is ``normalize`` over each row's features (axis 1) with ``gamma``
+    and ``beta``; ``segment`` gives each pair's receiver row, sorted, and
+    ``receiver_sum`` adds each receiver's pairs.  When nothing records,
+    the rows are normalized in place in the buffers ``b`` and ``c`` of
+    ``work``: the row statistics are two mat-vecs, and the SiLU is ``y /
+    (1 + exp(-y))``.
+    """
+    segment = np.asarray(segment, dtype=np.int64)
+    parents = (m, w, b, gamma, beta)
+    if not _records(parents):
+        work = work or Workspace()
+        shape = (m.shape[0], w.shape[1])
+        z, e = work("b", shape), work("c", shape)
+        np.matmul(m.data, w.data, out=z)
+        z += b.data
+        mean_of = np.full(shape[1], 1.0 / shape[1])
+        z -= (z @ mean_of)[:, None]
+        np.square(z, out=e)
+        z *= (1.0 / np.sqrt(e @ mean_of + eps))[:, None]
+        z *= gamma.data
+        z += beta.data
+        with np.errstate(over="ignore"):
+            return Tensor(receiver_sum(_silu_(z, e), segment, n_rows))
+    xhat, inv_std, _, _ = _standardize(m.data @ w.data + b.data, 1, eps, None)
+    y = xhat * gamma.data + beta.data
+    msg, sig = _silu_parts(y)
+
+    def pullback(g):
+        dz = _standardize_pullback(_silu_grad(g[segment], y, sig), xhat,
+                                   inv_std, gamma, beta, 1, True)
         if b.requires_grad:
-            b._accumulate(scatter_rows(dz, b_index, b.data.shape[0]))
-    return _record(z * sig, (a, b, bias), pullback)
+            b._accumulate(dz.sum(axis=0))
+        if w.requires_grad:
+            w._accumulate(m.data.T @ dz)
+        if m.requires_grad:
+            m._accumulate(dz @ w.data.T)
+    return Tensor(receiver_sum(msg, segment, n_rows), True, parents, pullback)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -353,31 +549,47 @@ def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
     ``(mean, var)``, with ``axis`` reduced away, is a constant, so the
     pullback is ``g * gamma / s``.  Also returns the mean and variance used.
     """
-    if stats is None:
-        mean = t.data.mean(axis=axis, keepdims=True)
-        centered = t.data - mean
-        var = np.square(centered).mean(axis=axis, keepdims=True)
-    else:
-        mean, var = (np.expand_dims(a, axis) for a in stats)
-        centered = t.data - mean
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered
-    xhat *= inv_std
+    xhat, inv_std, mean, var = _standardize(t.data, axis, eps, stats)
 
     def pullback(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
+        dx = _standardize_pullback(g, xhat, inv_std, gamma, beta, axis,
+                                   stats is None)
         if t.requires_grad:
-            g = g * gamma.data
-            t._accumulate(g * inv_std if stats is not None else inv_std * (
-                g - g.mean(axis=axis, keepdims=True)
-                - xhat * (g * xhat).mean(axis=axis, keepdims=True)))
+            t._accumulate(dx)
     out = xhat * gamma.data
     out += beta.data
-    return (_record(out, (t, gamma, beta), pullback),
-            np.squeeze(mean, axis), np.squeeze(var, axis))
+    return _record(out, (t, gamma, beta), pullback), mean, var
+
+
+def _standardize(x: np.ndarray, axis: int, eps: float,
+                 stats: tuple[np.ndarray, np.ndarray] | None):
+    """``(xhat, 1 / sqrt(var + eps), mean, var)`` of ``normalize``: the
+    statistics along ``axis``, or the given ones."""
+    if stats is None:
+        mean = x.mean(axis=axis, keepdims=True)
+        xhat = x - mean
+        var = np.square(xhat).mean(axis=axis, keepdims=True)
+    else:
+        mean, var = (np.expand_dims(a, axis) for a in stats)
+        xhat = x - mean
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return xhat, inv_std, np.squeeze(mean, axis), np.squeeze(var, axis)
+
+
+def _standardize_pullback(g, xhat, inv_std, gamma: Tensor, beta: Tensor,
+                          axis: int, batch_stats: bool) -> np.ndarray:
+    """Accumulate the gradients of ``gamma`` and ``beta`` in ``xhat * gamma
+    + beta`` and return the one of x."""
+    if gamma.requires_grad:
+        gamma._accumulate((g * xhat).sum(axis=0))
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=0))
+    g = g * gamma.data
+    if not batch_stats:
+        return g * inv_std
+    return inv_std * (g - g.mean(axis=axis, keepdims=True)
+                      - xhat * (g * xhat).mean(axis=axis, keepdims=True))
 
 
 def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:

@@ -19,9 +19,17 @@ W_k[H:])[c]``, and W_v the same way.  So every H-wide map runs once per
 simplex: [q, q] / sqrt(2H) on the receiver tier, then gathered to s; the
 face half of k and v on the receiver tier, gathered to t; the coface half
 on the coface tier, gathered to c.  Each half of a key or value path is
-one ``autodiff.project`` node; the gathers, the sum and the SiLU are one
-``autodiff.pair_silu`` node per block of pairs.  Only W_m runs once per
-pair.
+one ``autodiff.project`` node, and b_k and b_v ride on the face half, so
+they too are added once per simplex.  Per block of pairs, two nodes do the
+rest: ``autodiff.gated_message`` (the gathers and sums, both SiLUs, alpha,
+its BatchNorm and the gated value) and ``autodiff.message_sum`` (W_m, its
+LayerNorm and SiLU, the sum over receivers).  Only W_m runs once per pair.
+Edge layers carry most pairs: 88,668 each over the 48 predict benchmark
+cells of seed 0, against 6,192 per vertex layer.  On a 2-vCPU Xeon a
+forward-only block of 256 edge pairs at H = 64 spends ~350 us in
+``gated_message`` (the gathered sums, three ``exp`` and three divides over
+(pairs, 2H)) and ~220 us in ``message_sum``, ~90 us of it the W_m matmul;
+the per-simplex ``project`` matmuls take ~15% of the forward.
 
 Five vertex layers run first, then two blocks of (edge layer, vertex
 layer) so triangle information reaches edges before edges refresh the
@@ -33,12 +41,14 @@ The model carries no mode; the entry point picks the statistics.  The
 training step, ``loss_and_gradients``, uses batch statistics and updates
 the running statistics; ``predict`` (hence ``forward``) and ``batch_loss``
 use the running statistics, so they never change a model and their
-predictions are independent of batching.  Every norm, gamma and beta
-included, is one ``autodiff.normalize`` node: BatchNorm over the rows
-(axis 0), with the running statistics passed in as constants outside the
-training step, and LayerNorm over each row's features (axis 1).  Every
-biased map is one ``autodiff.affine`` node.  ``_attention_stage`` is the
-one implementation of the formula above.  Everything runs in float64 on
+predictions are independent of batching.  Every norm is one formula,
+gamma and beta included: BatchNorm over the rows (axis 0), with the running
+statistics passed in as constants outside the training step, and LayerNorm
+over each row's features (axis 1).  The two inside the attention are part of
+the fused per-pair nodes; the update's BatchNorm is one
+``autodiff.normalize`` node.  Every other biased map is one
+``autodiff.affine`` node.  ``_attention_stage`` is the one implementation
+of the formula above.  Everything runs in float64 on
 the autodiff tape; a layer whose update path is zero-initialized is an
 exact identity.  Only ``loss_and_gradients`` records the tape:
 ``predict`` and ``batch_loss`` run the same ops under ``autodiff.no_grad()``
@@ -53,7 +63,11 @@ does not grow with the number of structures.  Each block sums into its
 own range of receiver rows and the ranges are concatenated, so each
 receiver's messages add in the same order as in one block and the pass
 stays differentiable.  The training step is one block: its batch
-statistics need every pair.
+statistics need every pair.  A forward cuts the blocks once per tier
+(``_layer_blocks``) and every layer on that tier reuses them.  When
+nothing records, each block's two nodes evaluate in place on three
+pair-sized buffers that one ``autodiff.Workspace`` per layer hands from
+block to block, so no per-pair array is allocated anew.
 """
 
 from __future__ import annotations
@@ -67,8 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, affine, concat, constant, gather_rows, \
-    pair_silu, parameter, project, segment_mean, segment_sum
+from .autodiff import Tensor, affine, concat, constant, gated_message, \
+    message_sum, parameter, project, segment_mean
 from .complexes import MessagingPairs, QuotientComplex, edge_pairs, \
     vertex_pairs
 from .features import EDGE_DIM, TRIANGLE_DIM, VERTEX_DIM, FeatureSet
@@ -127,13 +141,17 @@ class BatchNorm:
             return ad.normalize(x, self.gamma, self.beta, 0, BN_EPS,
                                 (self.run_mean, self.run_var))[0]
         out, mean, var = ad.normalize(x, self.gamma, self.beta, 0, BN_EPS)
-        # Buffer updates are side effects outside the tape; biased
-        # variance feeds both normalization and the running estimate.
+        self.update(mean, var)
+        return out
+
+    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Move the running statistics toward one batch's.  Buffer updates
+        are side effects outside the tape; biased variance feeds both
+        normalization and the running estimate."""
         self.run_mean = ((1.0 - BN_MOMENTUM) * self.run_mean
                          + BN_MOMENTUM * mean)
         self.run_var = ((1.0 - BN_MOMENTUM) * self.run_var
                         + BN_MOMENTUM * var)
-        return out
 
 
 @dataclass
@@ -349,11 +367,12 @@ class SimplexTransformer:
 # -- attention core ---------------------------------------------------------
 
 # Pairs per block of a forward on running statistics.  At hidden 64 a
-# (block, 2H) float64 array is 256 KiB, so the few a block keeps alive fit
-# a 2 MiB L2 cache.  Forwards of the 48 predict_cells cells of seeds 0 and
-# 5 (blocks 0-2, one cell per call, 2-vCPU Xeon, 8 interleaved passes)
-# took a median 1.75 s and 1.70 s at 128 pairs, 1.64 s and 1.53 s at 256,
-# 1.71 s and 1.65 s at 512, and 1.71 s and 1.65 s at 1024.
+# (block, 2H) float64 array is 256 KiB, so the three buffers of the in-place
+# kernels fit a 2 MiB L2 cache.  Forwards of the 48 predict_cells cells of
+# seeds 0 and 5 (blocks 0-2, one cell per call, 2-vCPU Xeon, 8 interleaved
+# passes, CPU time) took a median 1.28 s and 1.25 s at 128 pairs, 1.18 s
+# and 1.14 s at 256, 1.16 s and 1.15 s at 512, and 1.27 s and 1.24 s at
+# 1024.  256 and 512 are level; 256 keeps the buffers half as large.
 _EVAL_BLOCK_PAIRS = 256
 
 
@@ -380,44 +399,65 @@ def _pair_blocks(sigma: np.ndarray, n_rows: int, limit: int):
         lo, first = hi, stop
 
 
+def _layer_blocks(pairs: MessagingPairs, n_rows: int, train: bool
+                  ) -> list[tuple]:
+    """A tier's pairs as the blocks every layer on that tier runs:
+    ``(sigma, tau, coface, segment, n_block_rows)`` per block, where the
+    block's pairs sum into receiver rows ``[first, first + n_block_rows)``
+    and ``segment`` is ``sigma - first``.  The training step is one block;
+    a forward on running statistics cuts ``_pair_blocks`` at
+    ``_EVAL_BLOCK_PAIRS``.  Cofaces that run ``0, 1, 2, ...`` (a vertex
+    tier's, one edge per pair) are slices."""
+    spans = ([(0, pairs.n_pairs, 0, n_rows)] if train else
+             _pair_blocks(pairs.sigma, n_rows, _EVAL_BLOCK_PAIRS))
+    ranged = np.array_equal(pairs.coface, np.arange(pairs.n_pairs))
+    return [(pairs.sigma[lo:hi], pairs.tau[lo:hi],
+             slice(lo, hi) if ranged else pairs.coface[lo:hi],
+             pairs.sigma[lo:hi] - first, stop - first)
+            for lo, hi, first, stop in spans]
+
+
 def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
-                     layer: AttentionLayer, train: bool) -> Tensor:
+                     layer: AttentionLayer, train: bool,
+                     blocks: list[tuple] | None = None) -> Tensor:
     """Each receiver's summed messages: (n, H) rows, n the rows of ``h``.
 
     q and the face and coface halves of k and v are projected once per
-    simplex.  The per-pair work, from the gathers to the message's
-    activation, runs one block of ``_EVAL_BLOCK_PAIRS`` pairs at a time,
-    and each block sums into its own range of receiver rows.  The training
-    step takes all pairs as one block: its batch statistics need them all.
+    simplex.  The per-pair work is two tape nodes per block of
+    ``_layer_blocks`` (computed here unless given): ``gated_message``, then
+    ``message_sum`` into the block's own range of receiver rows.
     """
     hidden = h.shape[1]
     top, bottom = slice(0, hidden), slice(hidden, 2 * hidden)
     qq = h @ concat([layer.q, layer.q]) * (1.0 / np.sqrt(2.0 * hidden))
-    key_face = project(h, layer.k_face, layer.key_w, top)
+    key_face = project(h, layer.k_face, layer.key_w, top, layer.key_b)
     key_cof = project(h_cof, layer.k_cof, layer.key_w, bottom)
-    val_face = project(h, layer.v_face, layer.val_w, top)
+    val_face = project(h, layer.v_face, layer.val_w, top, layer.val_b)
     val_cof = project(h_cof, layer.v_cof, layer.val_w, bottom)
-    blocks = ([(0, pairs.n_pairs, 0, h.shape[0])] if train else
-              _pair_blocks(pairs.sigma, h.shape[0], _EVAL_BLOCK_PAIRS))
+    bn, ln = layer.attn_bn, layer.msg_ln
+    stats = None if train else (bn.run_mean, bn.run_var)
+    if blocks is None:
+        blocks = _layer_blocks(pairs, h.shape[0], train)
+    work = ad.Workspace()
     sums = []
-    for lo, hi, first, stop in blocks:
-        sigma = pairs.sigma[lo:hi]
-        tau, coface = pairs.tau[lo:hi], pairs.coface[lo:hi]
-        k = pair_silu(key_face, tau, key_cof, coface, layer.key_b)
-        gate = layer.attn_bn.apply(gather_rows(qq, sigma) * k,
-                                   train).sigmoid()
-        m = gate * pair_silu(val_face, tau, val_cof, coface, layer.val_b)
-        msg = layer.msg_ln.apply(affine(m, layer.msg_w, layer.msg_b)).silu()
-        sums.append(segment_sum(msg, sigma - first, stop - first))
+    for sigma, tau, coface, segment, n_rows in blocks:
+        m, mean, var = gated_message(qq, key_face, key_cof, val_face,
+                                     val_cof, sigma, tau, coface, bn.gamma,
+                                     bn.beta, BN_EPS, stats, work)
+        sums.append(message_sum(m, layer.msg_w, layer.msg_b, ln.gamma,
+                                ln.beta, LN_EPS, segment, n_rows, work))
+    if train:
+        bn.update(mean, var)
     return sums[0] if len(sums) == 1 else concat(sums, axis=0)
 
 
 def _attention_update(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
-                      layer: AttentionLayer, train: bool) -> Tensor:
+                      layer: AttentionLayer, train: bool,
+                      blocks: list[tuple] | None = None) -> Tensor:
     if pairs.n_pairs == 0:
         agg: Tensor = constant(np.zeros(h.shape))
     else:
-        agg = _attention_stage(h, h_cof, pairs, layer, train)
+        agg = _attention_stage(h, h_cof, pairs, layer, train, blocks)
     upd = layer.upd_bn.apply(affine(agg, layer.upd_w, layer.upd_b),
                              train).silu()
     return h + upd
@@ -493,12 +533,14 @@ def _predict_tensor(model: SimplexTransformer, batch: MergedBatch,
     h0 = embed(0, [f.h0_raw for f in fs])
     h1 = embed(1, [f.h1_raw for f in fs])
     h2 = embed(2, [f.h2_raw for f in fs])
+    vb = _layer_blocks(batch.vp, h0.shape[0], train)
+    eb = _layer_blocks(batch.ep, h1.shape[0], train)
     for i, layer in enumerate(model.node_layers):
-        h0 = _attention_update(h0, h1, batch.vp, layer, train)
+        h0 = _attention_update(h0, h1, batch.vp, layer, train, vb)
         _check_finite(h0, f"node.{i}")
     for i, block in enumerate(model.edge_node_blocks):
-        h1 = _attention_update(h1, h2, batch.ep, block.edge, train)
-        h0 = _attention_update(h0, h1, batch.vp, block.node, train)
+        h1 = _attention_update(h1, h2, batch.ep, block.edge, train, eb)
+        h0 = _attention_update(h0, h1, batch.vp, block.node, train, vb)
         _check_finite(h1, f"edge_node.{i}.edge")
         _check_finite(h0, f"edge_node.{i}.node")
     pooled = concat([segment_mean(h0, batch.v_gid, batch.n_graphs),
@@ -558,7 +600,9 @@ def loss_and_gradients(model: SimplexTransformer,
     pred = _predict_tensor(model, merge_batch(items), True)
     out = _loss_tensor(pred, targets, loss)
     out.backward()
-    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+    # No copy: the next step's zero_grad drops these arrays, and the first
+    # gradient a tensor then receives is a new one.
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
              for _, t in model.parameters()]
     return float(out.item()), grads
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qcnet.autodiff import (affine, concat, constant, gather_rows, no_grad,
-                            normalize, pair_silu, parameter, project,
+from qcnet.autodiff import (Workspace, affine, concat, constant,
+                            gated_message, gather_rows, message_sum, no_grad,
+                            normalize, parameter, project, receiver_sum,
                             scatter_rows, segment_mean, segment_sum,
                             sigmoid_np, silu_np)
 
@@ -123,11 +124,13 @@ class TestAffine:
 
 def pair_affine_silu(h, w_face, h_cof, w_cof, w, b, tau, coface):
     """An attention key or value path as the model builds it: each row half
-    of ``w`` projected once per source row, then gathered per pair."""
+    of ``w`` projected once per source row, the bias on the face half,
+    then gathered per pair, summed and activated (which ``gated_message``
+    does inside its node)."""
     split = w_face.shape[1]
     top, bottom = slice(0, split), slice(split, 2 * split)
-    return pair_silu(project(h, w_face, w, top), tau,
-                     project(h_cof, w_cof, w, bottom), coface, b)
+    return (gather_rows(project(h, w_face, w, top, b), tau)
+            + gather_rows(project(h_cof, w_cof, w, bottom), coface)).silu()
 
 
 class TestProject:
@@ -153,6 +156,17 @@ class TestProject:
         fd_check(lambda x, w_in, w: (project(x, w_in, w, rows).silu()
                                      * c).sum(), self.operands())
 
+    def test_bias_every_row_and_gradient(self):
+        x, w_in, w = self.operands()
+        bias = self.rng.standard_normal(5)
+        out = project(constant(x), constant(w_in), constant(w),
+                      slice(3, 6), constant(bias))
+        assert out.data.tobytes() == (x @ w_in @ w[3:] + bias).tobytes()
+        c = self.rng.standard_normal((4, 5))
+        fd_check(lambda x, w_in, w, b: (project(x, w_in, w, slice(0, 3), b)
+                                        .silu() * c).sum(),
+                 [x, w_in, w, bias])
+
     def test_gradient_outside_rows_is_zero(self):
         x, w_in, w = (parameter(a) for a in self.operands())
         project(x, w_in, w, slice(3, 6)).sum().backward()
@@ -160,41 +174,8 @@ class TestProject:
         assert not w.grad[:3].any() and w.grad[3:].all()
 
 
-class TestPairSilu:
-    """Rows of ``a`` 1 and 4 and of ``b`` 2 and 4 are never referenced, and
-    both indices repeat unsorted."""
-
-    A_INDEX = np.array([3, 0, 3, 2, 0])
-    B_INDEX = np.array([5, 5, 0, 3, 1])
-
-    def setup_method(self):
-        self.rng = np.random.default_rng(35)
-
-    def operands(self):
-        rng = self.rng
-        return [rng.standard_normal((5, 3)), rng.standard_normal((6, 3)),
-                rng.standard_normal(3)]
-
-    def test_value_is_gathered_sum_then_silu(self):
-        a, b, bias = self.operands()
-        out = pair_silu(constant(a), self.A_INDEX, constant(b),
-                        self.B_INDEX, constant(bias))
-        z = a[self.A_INDEX] + b[self.B_INDEX] + bias
-        np.testing.assert_allclose(out.data, silu_np(z), rtol=1e-15,
-                                   atol=1e-15)
-
-    @pytest.mark.parametrize("a_index, b_index",
-                             [(A_INDEX, B_INDEX), ([4], [2]), ([], [])],
-                             ids=["repeated-and-unreferenced", "one-pair",
-                                  "no-pairs"])
-    def test_gradient_every_operand(self, a_index, b_index):
-        c = self.rng.standard_normal((len(a_index), 3))
-        fd_check(lambda a, b, bias: (pair_silu(a, a_index, b, b_index, bias)
-                                     * c).sum(), self.operands())
-
-
 class TestPairAffineSilu:
-    """The key or value path, ``project`` twice then ``pair_silu``, against
+    """The key or value path, ``project`` twice then the pair SiLU, against
     the unsplit map.  Face rows 1 and 4 and coface rows 2 and 4 are never
     referenced, tau and coface repeat unsorted, and h_cof is taller than
     h."""
@@ -245,6 +226,259 @@ class TestPairAffineSilu:
         assert out._parents == () and out._pullback is None
         assert not out.requires_grad
         assert out.data.tobytes() == recorded.data.tobytes()
+
+
+def gated_reference(qq, kf, kc, vf, vc, sigma, tau, coface, gamma, beta,
+                    eps, stats):
+    """``gated_message`` written out in plain numpy."""
+    k = silu_np(kf[tau] + kc[coface])
+    alpha = qq[sigma] * k
+    mean, var = ((alpha.mean(axis=0), alpha.var(axis=0)) if stats is None
+                 else stats)
+    y = (alpha - mean) / np.sqrt(var + eps) * gamma + beta
+    return sigmoid_np(y) * silu_np(vf[tau] + vc[coface]), mean, var
+
+
+class TestGatedMessage:
+    """Receiver rows 1 and 3 of ``qq``, face rows 1 and 4 and coface rows 2
+    and 4 are never referenced; every index repeats, tau and coface
+    unsorted.  A slice of cofaces stands for a vertex layer's."""
+
+    SIGMA = np.array([0, 0, 2, 2, 2])
+    TAU = np.array([3, 0, 3, 2, 0])
+    COFACE = np.array([5, 5, 0, 3, 1])
+    INDICES = {"repeated-and-unreferenced": (SIGMA, TAU, COFACE),
+               "slice-coface": (SIGMA, TAU, slice(1, 6)),
+               "one-pair": ([2], [4], [2]),
+               "no-pairs": ([], [], [])}
+    STATS = (np.array([0.1, -0.2, 0.3, 0.05]), np.array([1.0, 2.0, 0.5, 4.0]))
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(45)
+
+    def operands(self):
+        rng = self.rng
+        return [rng.standard_normal((4, 4)), rng.standard_normal((5, 4)),
+                rng.standard_normal((6, 4)), rng.standard_normal((5, 4)),
+                rng.standard_normal((6, 4)), rng.uniform(0.5, 1.5, 4),
+                rng.uniform(-0.5, 0.5, 4)]
+
+    @staticmethod
+    def call(tensors, indices, stats, work=None):
+        qq, kf, kc, vf, vc, gamma, beta = tensors
+        sigma, tau, coface = (i if isinstance(i, slice)
+                              else np.array(i, dtype=np.int64)
+                              for i in indices)
+        return gated_message(qq, kf, kc, vf, vc, sigma, tau, coface, gamma,
+                             beta, 1e-5, stats, work)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    @pytest.mark.parametrize("case", ["repeated-and-unreferenced",
+                                      "slice-coface"])
+    def test_values_recorded_and_in_place(self, case, given):
+        arrays = self.operands()
+        indices = self.INDICES[case]
+        stats = self.STATS if given else None
+        coface = indices[2] if isinstance(indices[2], slice) else \
+            np.asarray(indices[2])
+        want, mean, var = gated_reference(*arrays[:5], *indices[:2], coface,
+                                          *arrays[5:], 1e-5, stats)
+        recorded = self.call([parameter(a) for a in arrays], indices, stats)
+        with no_grad():
+            in_place = self.call([parameter(a) for a in arrays], indices,
+                                 stats)
+        assert recorded[0]._parents and in_place[0]._parents == ()
+        for out, got_mean, got_var in (recorded, in_place):
+            np.testing.assert_allclose(out.data, want, rtol=1e-12,
+                                       atol=1e-15)
+            np.testing.assert_allclose(got_mean, mean, rtol=1e-13)
+            np.testing.assert_allclose(got_var, var, rtol=1e-13)
+
+    @pytest.mark.parametrize("case, given", [
+        (case, given) for case in INDICES for given in (False, True)
+        # Batch statistics need a pair.
+        if given or case != "no-pairs"])
+    def test_gradient_every_operand(self, case, given):
+        indices = self.INDICES[case]
+        n = 5 if isinstance(indices[2], slice) else len(indices[0])
+        c = self.rng.standard_normal((n, 4))
+        stats = self.STATS if given else None
+        fd_check(lambda *t: (self.call(t, indices, stats)[0] * c).sum(),
+                 self.operands())
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    @pytest.mark.parametrize("case", ["repeated-and-unreferenced",
+                                      "slice-coface"])
+    def test_matches_unfused_chain(self, case, given):
+        # The chain of plain tape ops the node replaces: values and every
+        # gradient agree.
+        sigma, tau, coface = self.INDICES[case]
+        if isinstance(coface, slice):
+            coface_rows = np.arange(6)[coface]
+        else:
+            coface_rows = coface
+        stats = self.STATS if given else None
+        c = self.rng.standard_normal((len(sigma), 4))
+
+        def chain(qq, kf, kc, vf, vc, gamma, beta):
+            k = (gather_rows(kf, tau) + gather_rows(kc, coface_rows)).silu()
+            y = normalize(gather_rows(qq, sigma) * k, gamma, beta, 0, 1e-5,
+                          stats)[0]
+            return y.sigmoid() * (gather_rows(vf, tau)
+                                  + gather_rows(vc, coface_rows)).silu()
+        arrays = self.operands()
+        fused = [parameter(a) for a in arrays]
+        plain = [parameter(a) for a in arrays]
+        out = self.call(fused, (sigma, tau, coface), stats)[0]
+        want = chain(*plain)
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-13,
+                                   atol=1e-15)
+        (out * c).sum().backward()
+        (want * c).sum().backward()
+        for t, ref in zip(fused, plain):
+            np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-11,
+                                       atol=1e-14)
+
+    def test_workspace_reused_across_calls(self):
+        # The result is the workspace's buffer, so a later call overwrites
+        # it; each call's values are those of a fresh workspace.
+        tensors = [constant(a) for a in self.operands()]
+        work = Workspace()
+        for case in ("repeated-and-unreferenced", "one-pair",
+                     "slice-coface"):
+            indices = self.INDICES[case]
+            fresh = self.call(tensors, indices, self.STATS)[0].data.copy()
+            reused = self.call(tensors, indices, self.STATS, work)[0].data
+            assert reused.tobytes() == fresh.tobytes()
+
+
+def message_reference(m, w, b, gamma, beta, segment, n_rows):
+    """``message_sum`` written out in plain numpy."""
+    z = m @ w + b
+    z = (z - z.mean(axis=1, keepdims=True)) / np.sqrt(
+        z.var(axis=1, keepdims=True) + 1e-5)
+    out = np.zeros((n_rows, w.shape[1]))
+    np.add.at(out, segment, silu_np(z * gamma + beta))
+    return out
+
+
+class TestMessageSum:
+    """Receiver rows 1 and 4 hear nothing."""
+
+    SEGMENTS = {"gaps": ([0, 0, 2, 2, 3], 5), "one-pair": ([3], 4),
+                "no-pairs": ([], 2)}
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(46)
+
+    def operands(self, n_pairs):
+        rng = self.rng
+        return [rng.standard_normal((n_pairs, 4)),
+                rng.standard_normal((4, 3)), rng.standard_normal(3),
+                rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)]
+
+    @staticmethod
+    def call(tensors, segment, n_rows):
+        return message_sum(*tensors, 1e-5, np.array(segment, dtype=np.int64),
+                           n_rows)
+
+    @pytest.mark.parametrize("case", list(SEGMENTS))
+    def test_values_recorded_and_in_place(self, case):
+        segment, n_rows = self.SEGMENTS[case]
+        arrays = self.operands(len(segment))
+        want = message_reference(*arrays, segment, n_rows)
+        recorded = self.call([parameter(a) for a in arrays], segment, n_rows)
+        with no_grad():
+            in_place = self.call([parameter(a) for a in arrays], segment,
+                                 n_rows)
+        assert recorded._parents and in_place._parents == ()
+        for out in (recorded, in_place):
+            np.testing.assert_allclose(out.data, want, rtol=1e-12,
+                                       atol=1e-15)
+
+    @pytest.mark.parametrize("case", list(SEGMENTS))
+    def test_gradient_every_operand(self, case):
+        segment, n_rows = self.SEGMENTS[case]
+        c = self.rng.standard_normal((n_rows, 3))
+        fd_check(lambda *t: (self.call(t, segment, n_rows) * c).sum(),
+                 self.operands(len(segment)))
+
+    def test_matches_unfused_chain(self):
+        # The chain of plain tape ops the node replaces: values and every
+        # gradient agree.
+        segment, n_rows = self.SEGMENTS["gaps"]
+        segment = np.array(segment)
+        arrays = self.operands(len(segment))
+        c = self.rng.standard_normal((n_rows, 3))
+        fused = [parameter(a) for a in arrays]
+        plain = [parameter(a) for a in arrays]
+        m, w, b, gamma, beta = plain
+        want = segment_sum(normalize(affine(m, w, b), gamma, beta, 1,
+                                     1e-5)[0].silu(), segment, n_rows)
+        out = self.call(fused, segment, n_rows)
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-13,
+                                   atol=1e-15)
+        (out * c).sum().backward()
+        (want * c).sum().backward()
+        for t, ref in zip(fused, plain):
+            np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-11,
+                                       atol=1e-14)
+
+    def test_receiver_sum(self):
+        # Rows 1, 4, 5 and 7 receive nothing and stay exactly zero.
+        rng = np.random.default_rng(47)
+        values = rng.standard_normal((30, 2))
+        segment = np.sort(rng.choice([0, 2, 3, 6], size=30))
+        want = np.zeros((8, 2))
+        np.add.at(want, segment, values)
+        got = receiver_sum(values, segment, 8)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert not got[[1, 4, 5, 7]].any()
+
+    def test_receiver_sum_rejects_unsorted_segment(self):
+        # Its runs would overwrite each other's sums.
+        with pytest.raises(ValueError, match="sorted by receiver"):
+            receiver_sum(np.ones((3, 2)), np.array([0, 2, 0]), 3)
+
+
+class TestBlocks:
+    """The model's per-pair chain on receiver-sorted pairs cut into blocks:
+    one ``gated_message`` and one ``message_sum`` per block, each block
+    summing into its own receiver rows, the sums concatenated."""
+
+    SIGMA = np.array([0, 0, 1, 1, 1, 3, 4])
+    TAU = np.array([2, 4, 0, 3, 3, 1, 0])
+    COFACE = np.array([1, 0, 2, 2, 5, 4, 3])
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    def test_gradient_through_three_blocks(self, given):
+        rng = np.random.default_rng(48)
+        arrays = [rng.standard_normal((5, 4)), rng.standard_normal((5, 4)),
+                  rng.standard_normal((6, 4)), rng.standard_normal((5, 4)),
+                  rng.standard_normal((6, 4)), rng.uniform(0.5, 1.5, 4),
+                  rng.uniform(-0.5, 0.5, 4), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3), rng.uniform(0.5, 1.5, 3),
+                  rng.uniform(-0.5, 0.5, 3)]
+        stats = TestGatedMessage.STATS if given else None
+        # Pairs [0, 2) -> rows [0, 1), [2, 5) -> [1, 3), [5, 7) -> [3, 5).
+        spans = [(0, 2, 0, 1), (2, 5, 1, 3), (5, 7, 3, 5)]
+        c = rng.standard_normal((5, 3))
+
+        def chain(qq, kf, kc, vf, vc, bn_g, bn_b, w, b, ln_g, ln_b):
+            sums = []
+            for lo, hi, first, stop in spans:
+                m = gated_message(qq, kf, kc, vf, vc, self.SIGMA[lo:hi],
+                                  self.TAU[lo:hi], self.COFACE[lo:hi], bn_g,
+                                  bn_b, 1e-5, stats)[0]
+                sums.append(message_sum(m, w, b, ln_g, ln_b, 1e-5,
+                                        self.SIGMA[lo:hi] - first,
+                                        stop - first))
+            return (concat(sums, axis=0) * c).sum()
+        fd_check(chain, arrays)
+        recorded = chain(*map(parameter, arrays))
+        with no_grad():
+            in_place = chain(*map(parameter, arrays))
+        np.testing.assert_allclose(in_place.data, recorded.data, rtol=1e-12)
 
 
 class TestScatterRows:
@@ -439,6 +673,43 @@ class TestGraphMechanics:
         (x * y).sum().backward()
         assert x.grad is None
         assert y.grad is not None
+
+    def test_backward_releases_the_tape(self):
+        def graph():
+            rng = np.random.default_rng(36)
+            x = parameter(rng.standard_normal((4, 3)))
+            w = parameter(rng.standard_normal((3, 3)))
+            b = parameter(rng.standard_normal(3))
+            hidden = affine(x, w, b).silu()
+            out = concat([hidden, x * 0.5]).mean() + hidden.square().sum()
+            return out, hidden, (x, w, b)
+
+        def keep_tape_backward(out):
+            # The same walk without the release.
+            topo, seen, stack = [], set(), [(out, False)]
+            while stack:
+                node, done = stack.pop()
+                if done:
+                    topo.append(node)
+                elif id(node) not in seen:
+                    seen.add(id(node))
+                    stack.append((node, True))
+                    stack += [(p, False) for p in node._parents
+                              if id(p) not in seen]
+            out._accumulate(np.ones_like(out.data))
+            for node in reversed(topo):
+                if node._pullback is not None and node.grad is not None:
+                    node._pullback(node.grad)
+
+        out, hidden, leaves = graph()
+        out.backward()
+        assert hidden.grad is None and hidden._pullback is None
+        assert hidden._parents == () and out._parents == ()
+        kept_out, kept_hidden, kept_leaves = graph()
+        keep_tape_backward(kept_out)
+        assert kept_hidden.grad is not None
+        for leaf, kept in zip(leaves, kept_leaves):
+            assert leaf.grad.tobytes() == kept.grad.tobytes()
 
     def test_backward_deterministic(self):
         def run():

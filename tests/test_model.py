@@ -139,12 +139,10 @@ class TestNormalization:
         assert all(t.requires_grad and len(t._parents) == 3 for t in created)
 
     def test_training_attention_stage_node_count(self, monkeypatch):
-        # One node each: the doubled q map, its matmul, the 1/sqrt(2H)
-        # scale and the gather to the pairs; the face and coface
-        # projections and the per-pair SiLU of the key and of the value;
-        # alpha, the batch norm and its gate; the gated value, the message
-        # map, its layer norm and activation; the sum over receivers.  The
-        # training step is one block, so nothing repeats.
+        # One node each: the doubled q map, its matmul and the 1/sqrt(2H)
+        # scale; the face and coface projections of the key and of the
+        # value; the gated message and the message sum.  The training step
+        # is one block, so nothing repeats.
         rng = np.random.default_rng(1)
         layer = AttentionLayer.init(3, rng)
         pairs = MessagingPairs(np.array([0, 1, 1]), np.array([1, 0, 2]),
@@ -160,7 +158,7 @@ class TestNormalization:
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         _attention_stage(h, h_cof, pairs, layer, True)
         monkeypatch.undo()
-        assert sum(t._pullback is not None for t in created) == 18
+        assert sum(t._pullback is not None for t in created) == 9
 
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
@@ -437,9 +435,51 @@ class TestGradients:
         np.testing.assert_allclose(grads[head_slot][idx],
                                    (fp - fm) / (2 * eps), rtol=1e-4)
 
+    def test_gradients_kept_after_next_call(self, cubic1):
+        # The returned arrays are the tensors' own; the next step's
+        # zero_grad drops them instead of writing into them.
+        items = [featurized(cubic1, k=12)]
+        model = tiny_model(hidden=4, seed=7)
+        _, grads = loss_and_gradients(model, items, np.array([0.5]))
+        before = [g.copy() for g in grads]
+        _, again = loss_and_gradients(model, items, np.array([-2.0]))
+        assert all(g is not h for g, h in zip(grads, again))
+        for g, kept in zip(grads, before):
+            assert g.tobytes() == kept.tobytes()
+
 
 class TestTapeFreeEval:
     """predict, batch_loss and evaluate run without recording a tape."""
+
+    def test_in_place_matches_recorded_on_bench_cells(self):
+        # The forward-only pass evaluates each fused node in place; the
+        # recorded pass keeps every intermediate.  Both on running
+        # statistics away from their defaults, blocks of 256 pairs.
+        items = bench_style_cells(8, 3)
+        batch = merge_batch(items)
+        m = tiny_model(hidden=16, seed=12)
+        for _, bn in m.batch_norms():
+            bn.run_mean = np.full_like(bn.run_mean, 0.05)
+            bn.run_var = np.full_like(bn.run_var, 1.7)
+        rng = np.random.default_rng(13)
+        h0, h1, h2 = (parameter(rng.standard_normal((sum(n), 16))) for n in
+                      zip(*[(c.n_vertices, c.n_edges, c.n_triangles)
+                            for c, _ in items]))
+        assert batch.ep.n_pairs > 2 * model_mod._EVAL_BLOCK_PAIRS
+        # An edge stage (index cofaces) and a vertex stage (slice cofaces).
+        for h, h_cof, pairs, layer in (
+                (h1, h2, batch.ep, m.edge_node_blocks[0].edge),
+                (h0, h1, batch.vp, m.node_layers[0])):
+            recorded = _attention_stage(h, h_cof, pairs, layer, False)
+            with ad.no_grad():
+                in_place = _attention_stage(h, h_cof, pairs, layer, False)
+            assert recorded._parents and in_place._parents == ()
+            np.testing.assert_allclose(in_place.data, recorded.data,
+                                       rtol=1e-12, atol=1e-14)
+        recorded = _predict_tensor(m, batch, False)
+        assert recorded._parents
+        np.testing.assert_allclose(predict(m, items), recorded.data[:, 0],
+                                   rtol=1e-12, atol=0.0)
 
     def test_eval_leaves_no_gradients_or_parents(self, catio3):
         items = [featurized(catio3, k=4)]
@@ -592,6 +632,21 @@ class TestPairBlocks:
     def test_unsorted_pairs_rejected(self):
         with pytest.raises(ValueError, match="sorted by receiver"):
             self.blocks([0, 2, 1], 3, 7)
+
+    def test_unsorted_pairs_rejected_in_training_step(self, catio3):
+        # The training step is one block and never cuts blocks, so the
+        # per-pair sum itself must refuse pairs out of receiver order.
+        c, _ = featurized(catio3)
+        pairs = edge_pairs(c)
+        order = np.random.default_rng(52).permutation(pairs.n_pairs)
+        shuffled = MessagingPairs(pairs.sigma[order], pairs.tau[order],
+                                  pairs.coface[order])
+        rng = np.random.default_rng(53)
+        h = parameter(rng.standard_normal((c.n_edges, 4)))
+        h_cof = parameter(rng.standard_normal((c.n_triangles, 4)))
+        layer = AttentionLayer.init(4, np.random.default_rng(54))
+        with pytest.raises(ValueError, match="sorted by receiver"):
+            _attention_stage(h, h_cof, shuffled, layer, True)
 
     @pytest.mark.parametrize("case", ["catio3", "merged"])
     def test_blocked_predict_equals_one_block(self, case, catio3,
