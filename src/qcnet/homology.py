@@ -1,14 +1,16 @@
 """Exact simplicial homology over the rationals, and vertex-gluing checks.
 
 Complexes are finite abstract simplicial complexes on integer vertices,
-stored closed under taking faces.  Boundary matrices use the alternating
-sign convention on sorted vertex tuples (the boundary of an edge (a, b) is
-(b) - (a)).  Ranks are exact over Q, by fraction-free sparse elimination
-on Python ints.  Rows have one format, a {column: int} dict: rank d_q =
-rank d_q^T, so each q-simplex contributes one row {face index: +-1}.  A
-row v is reduced at its lowest index against the stored pivot row p as
-a*v - b*p, then divided by the gcd of its entries.  Betti numbers come
-from those ranks: beta_q = n_q - rank d_q - rank d_{q+1}.
+stored closed under taking faces: from the top dimension down, each
+dimension adds the facets of its simplices to the one below.  Boundary
+matrices use the alternating sign convention on sorted vertex tuples
+(the boundary of an edge (a, b) is (b) - (a)).  Ranks are exact over Q,
+by fraction-free sparse elimination on Python ints.  Rows have one
+format, a {column: int} dict: rank d_q = rank d_q^T, so each q-simplex
+contributes one row {face index: +-1}.  A row v is reduced at its lowest
+index against the stored pivot row p as a*v - b*p, then divided by the
+gcd of its entries.  Betti numbers come from those ranks:
+beta_q = n_q - rank d_q - rank d_{q+1}.
 
 Of the boundary ranks, only those of d_q with q >= 2 are eliminated, once
 per complex.  d_0 is zero.  d_1 is the incidence matrix of the
@@ -19,7 +21,9 @@ edges, so its d_q for q >= 3 is K's matrix and its d_2 is K's with the
 face columns renumbered (cone edges bound no triangle).  The ranks are
 equal, and the glued complex takes them from K when first asked:
 checking several gluings of K eliminates K's d_q once, and the gluings'
-none.
+none.  Its components are K's joined by the cone edges, so its
+union-find starts from K's component representatives and joins only
+those edges.
 
 Identifying groups of vertices is modeled by attaching a cone: for each
 class with at least two members, a fresh apex joined by an edge to every
@@ -37,6 +41,15 @@ H_q(K) -> H_q(K') from ranks alone:
 
 The image is Z_q(K) / (Z_q(K) & B_q(K')), and B_q(K') lies in Z_q(K'), so
 Z_q(K) & B_q(K') = C_q(K) & B_q(K'): the kernel of the restriction above.
+
+The restriction is built from what K' adds to K alone.  A (q+1)-simplex
+of K has all its faces in K, so its restricted row is empty: only the new
+(q+1)-simplices of K' give rows, over the new q-simplices, and an empty
+row set needs no elimination.  The new simplices are found once per pair
+(K', K), by the rule ``contains`` uses too: K lies in K' when each of its
+face lists does.  A list K' shares with K (a gluing's lists above
+dimension 1) is contained and adds nothing, by identity; any other list
+is scanned once, so a gluing's check costs O(vertices + edges).
 
 An alternative "pairwise" gluing cones every *pair* inside a class instead.
 For classes of size >= 3 it is not a deformation retract onto the quotient:
@@ -61,6 +74,8 @@ class SubcomplexError(ValueError):
 
 def _vertex(label) -> int:
     """An integral vertex label as an int; bools and non-integers raise."""
+    if type(label) is int:
+        return label
     if not isinstance(label, bool):
         try:
             return operator.index(label)
@@ -73,19 +88,19 @@ class SimplicialComplex:
     """Face-closed set of simplices, each a sorted tuple of int vertices."""
 
     def __init__(self, simplices):
-        faces: set[tuple[int, ...]] = set()
+        faces: dict[int, set[tuple[int, ...]]] = {}
         for simplex in simplices:
             vs = tuple(sorted(_vertex(v) for v in simplex))
             if not vs:
                 raise ValueError("empty simplex")
             if len(set(vs)) != len(vs):
                 raise ValueError(f"repeated vertex in simplex {vs}")
-            for size in range(1, len(vs) + 1):
-                faces.update(itertools.combinations(vs, size))
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for face in sorted(faces):
-            by_dim.setdefault(len(face) - 1, []).append(face)
-        self._index_faces(by_dim, {})
+            faces.setdefault(len(vs) - 1, set()).add(vs)
+        # Closed top-down: each dimension adds its facets to the one below.
+        for q in range(max(faces, default=0), 0, -1):
+            faces.setdefault(q - 1, set()).update(
+                s[:i] + s[i + 1:] for s in faces[q] for i in range(q + 1))
+        self._index_faces({q: sorted(faces[q]) for q in sorted(faces)}, {})
 
     def _index_faces(self, by_dim: dict[int, list[tuple[int, ...]]],
                      known: dict[int, dict[tuple[int, ...], int]]) -> None:
@@ -96,8 +111,11 @@ class SimplicialComplex:
             q: known[q] if q in known else {s: i for i, s in enumerate(lst)}
             for q, lst in by_dim.items()}
         self._ranks: dict[int, int] = {}
-        # A gluing's K: its d_q for q >= 2 have our ranks.
-        self._higher: SimplicialComplex | None = None
+        self._roots: dict[int, int] | None = None
+        # The last complex asked about by _added_over, and the answer.
+        self._added: tuple[SimplicialComplex, dict | None] | None = None
+        # A gluing's K, to which it adds only vertices and cone edges.
+        self._base: SimplicialComplex | None = None
 
     @property
     def dim(self) -> int:
@@ -114,8 +132,25 @@ class SimplicialComplex:
         return len(self.by_dim.get(q, []))
 
     def contains(self, other: "SimplicialComplex") -> bool:
-        return all(s in self.index.get(q, {})
-                   for q, lst in other.by_dim.items() for s in lst)
+        return self._added_over(other) is not None
+
+    def _added_over(self, K: "SimplicialComplex"
+                    ) -> dict[int, list[tuple[int, ...]]] | None:
+        """Our simplices not in K, by dimension, or None when K is not a
+        subcomplex.  A face list we share with K (a gluing's lists above
+        dimension 1) is contained and adds nothing, by identity; any other
+        list is scanned once.  The answer for the last K is kept."""
+        if self._added is None or self._added[0] is not K:
+            added: dict | None = {}
+            for q in self.by_dim.keys() | K.by_dim.keys():
+                mine, inside = self.simplices(q), K.index.get(q, {})
+                added[q] = [] if mine is K.simplices(q) else [
+                    s for s in mine if s not in inside]
+                if len(mine) - len(added[q]) != len(inside):
+                    added = None
+                    break
+            self._added = (K, added)
+        return self._added[1]
 
     def boundary_rank(self, q: int) -> int:
         """rank d_q, computed once per complex: d_0 is zero, d_1 is
@@ -123,43 +158,52 @@ class SimplicialComplex:
         q >= 2 from the complex it glues (see the module docstring)."""
         if q < 1:
             return 0
-        if q >= 2 and self._higher is not None:
-            return self._higher.boundary_rank(q)
+        if q >= 2 and self._base is not None:
+            return self._base.boundary_rank(q)
         if q not in self._ranks:
-            self._ranks[q] = (self.n(0) - _components(self) if q == 1 else
-                              matrix_rank(_boundary_rows(self, q),
-                                          self.n(q - 1)))
+            self._ranks[q] = (
+                self.n(0) - len(set(self._component_roots().values()))
+                if q == 1 else
+                matrix_rank(_boundary_rows(self, q), self.n(q - 1)))
         return self._ranks[q]
 
+    def _component_roots(self) -> dict[int, int]:
+        """Each vertex's representative in its 1-skeleton component, by
+        union-find with path halving (iterative, so a long path cannot
+        overflow the stack).  A gluing starts from K's representatives and
+        joins only its cone edges."""
+        if self._roots is None:
+            base = self._base
+            start, edges = ({}, self.simplices(1)) if base is None else (
+                base._component_roots(), self._added_over(base).get(1, []))
+            parent = {v: start.get(v, v) for v in self.vertices}
 
-def _components(K: SimplicialComplex) -> int:
-    """Connected components of K's 1-skeleton, by union-find with path
-    halving (iterative, so a long path cannot overflow the stack)."""
-    parent = {v: v for v in K.vertices}
+            def root(v: int) -> int:
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                return v
 
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in K.simplices(1):
-        parent[root(a)] = root(b)
-    return sum(v == p for v, p in parent.items())
+            for a, b in edges:
+                parent[root(a)] = root(b)
+            self._roots = {v: root(v) for v in parent}
+        return self._roots
 
 
 def _boundary_rows(K: SimplicialComplex, q: int,
-                   faces: dict[tuple[int, ...], int] | None = None
+                   faces: dict[tuple[int, ...], int] | None = None,
+                   simplices: list[tuple[int, ...]] | None = None
                    ) -> list[dict[int, int]]:
     """d_q transposed: one {face position: +-1} row per q-simplex.
 
-    ``faces`` maps (q-1)-simplices to positions (default: all of K's);
-    faces it lacks are dropped, which restricts d_q to those rows.
+    ``simplices`` are the q-simplices that give rows (default: all of
+    K's).  ``faces`` maps (q-1)-simplices to positions (default: all of
+    K's); faces it lacks are dropped, which restricts d_q to those rows.
     """
     if faces is None:
         faces = K.index.get(q - 1, {})
     rows = []
-    for simplex in K.simplices(q):
+    for simplex in K.simplices(q) if simplices is None else simplices:
         row = {}
         for i in range(len(simplex)):
             pos = faces.get(simplex[:i] + simplex[i + 1:])
@@ -287,7 +331,8 @@ def _cone_gluing(K: SimplicialComplex,
     Cone edges add only vertices and edges, so the glued complex shares
     K's higher face lists and their positions; only the vertex and edge
     lists are rebuilt and numbered.  It also takes rank d_q for q >= 2
-    from K, when asked, so no rank is computed here.
+    from K, and starts its components from K's, when asked, so no rank is
+    computed here.
     """
     by_dim = dict(K.by_dim)
     first = apex = max(K.vertices, default=-1) + 1
@@ -301,7 +346,7 @@ def _cone_gluing(K: SimplicialComplex,
         by_dim[1] = sorted(edges)
     glued = SimplicialComplex.__new__(SimplicialComplex)
     glued._index_faces(by_dim, {q: K.index[q] for q in by_dim if q > 1})
-    glued._higher = K
+    glued._base = K
     return glued
 
 
@@ -333,13 +378,13 @@ def inclusion_induced_rank(K: SimplicialComplex, K_big: SimplicialComplex,
     d_{q+1}(K_big) minus the rank of d_{q+1}(K_big) restricted to the
     q-simplices of K_big not in K (see the module docstring).
     """
-    if not K_big.contains(K):
+    added = K_big._added_over(K)
+    if added is None:
         raise SubcomplexError("first complex is not contained in the second")
-    inside = K.index.get(q, {})
-    outside = {s: i for i, s in enumerate(
-        s for s in K_big.simplices(q) if s not in inside)}
-    restricted = matrix_rank(_boundary_rows(K_big, q + 1, outside),
-                             len(outside))
+    # A (q+1)-simplex of K has all its faces in K: only new ones give rows.
+    outside = {s: i for i, s in enumerate(added.get(q, []))}
+    rows = _boundary_rows(K_big, q + 1, outside, added.get(q + 1, []))
+    restricted = matrix_rank(rows, len(outside)) if outside and rows else 0
     return (K.n(q) - K.boundary_rank(q) - K_big.boundary_rank(q + 1)
             + restricted)
 

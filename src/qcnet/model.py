@@ -165,9 +165,6 @@ class LayerNorm:
     def init(cls, dim: int) -> "LayerNorm":
         return cls(parameter(np.ones(dim)), parameter(np.zeros(dim)))
 
-    def apply(self, x: Tensor) -> Tensor:
-        return ad.normalize(x, self.gamma, self.beta, 1, LN_EPS)[0]
-
 
 @dataclass
 class AttentionLayer:

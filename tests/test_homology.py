@@ -51,6 +51,69 @@ class TestSimplicialComplex:
         assert K.simplices(1) == [(0, 1)]
         assert all(type(v) is int for v in K.vertices)
 
+    @staticmethod
+    def brute_closure(simplices):
+        """Every nonempty vertex subset of every input simplex, sorted
+        and grouped by dimension."""
+        faces = set()
+        for simplex in simplices:
+            vs = tuple(sorted(int(v) for v in simplex))
+            for size in range(1, len(vs) + 1):
+                faces.update(itertools.combinations(vs, size))
+        by_dim = {}
+        for face in sorted(faces):
+            by_dim.setdefault(len(face) - 1, []).append(face)
+        return by_dim
+
+    @staticmethod
+    def random_inputs(rng):
+        """Simplex lists in random order, with duplicates, only top
+        simplices, or numpy integer labels."""
+        labels = [int(x) for x in rng.choice(np.arange(-40, 40), 9,
+                                             replace=False)]
+        simplices = [list(rng.choice(labels, int(rng.integers(1, 6)),
+                                     replace=False))
+                     for _ in range(int(rng.integers(0, 12)))]
+        kind = int(rng.integers(4))
+        if kind == 0:  # faces listed too, the whole list shuffled
+            simplices += [s[:-1] for s in simplices if len(s) > 1]
+            rng.shuffle(simplices)
+        elif kind == 1:  # duplicates, reversed vertex order
+            simplices += [s[::-1] for s in simplices[:3]]
+        elif kind == 2:  # top simplices only: drop faces of other inputs
+            sets = [set(s) for s in simplices]
+            simplices = [s for s, a in zip(simplices, sets)
+                         if not any(a < b for b in sets)]
+        if kind != 3:  # kind 3 keeps numpy integer labels
+            simplices = [[int(v) for v in s] for s in simplices]
+        return simplices
+
+    def test_closure_matches_brute_force(self):
+        rng = np.random.default_rng(89)
+        for _ in range(200):
+            simplices = self.random_inputs(rng)
+            ref = self.brute_closure(simplices)
+            K = SimplicialComplex(simplices)
+            assert K.by_dim == ref
+            assert list(K.by_dim) == list(ref)  # dimensions ascending
+            assert K.index == {q: {s: i for i, s in enumerate(lst)}
+                               for q, lst in ref.items()}
+            assert all(type(v) is int for q in K.by_dim
+                       for s in K.simplices(q) for v in s)
+
+    @pytest.mark.parametrize("simplices, message", [
+        ([[0, 1], []], "empty simplex"),
+        ([[0, 1], [2, 1, 2]], "repeated vertex in simplex (1, 2, 2)"),
+        ([[0, 1], [1, True]], "vertex label True is not an integer"),
+        ([[0, 1], [1.0, 2]], "vertex label 1.0 is not an integer"),
+        ([[0, 1], [np.float64(2.5)]],
+         f"vertex label {np.float64(2.5)!r} is not an integer"),
+    ], ids=["empty", "repeated", "bool", "float", "numpy-float"])
+    def test_invalid_simplex_messages(self, simplices, message):
+        with pytest.raises(ValueError) as err:
+            SimplicialComplex(simplices)
+        assert str(err.value) == message
+
 
 def integer_row(row):
     """A dense rational row as a {column: int} dict, scaled by the lcm of
@@ -336,10 +399,10 @@ class TestGluings:
         built = Counter()
         rows = qcnet.homology._boundary_rows
 
-        def recording(L, q, faces=None):
+        def recording(L, q, faces=None, simplices=None):
             if faces is None:  # a whole d_q, as boundary_rank builds it
                 built["K" if L is K else "glued", q] += 1
-            return rows(L, q, faces)
+            return rows(L, q, faces, simplices)
 
         monkeypatch.setattr(qcnet.homology, "_boundary_rows", recording)
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
@@ -404,6 +467,34 @@ class TestInducedMaps:
         other = SimplicialComplex([[0, 2]])
         with pytest.raises(SubcomplexError):
             inclusion_induced_rank(K, other, 0)
+
+    def test_subcomplex_check_above_the_edges(self):
+        # Same vertices and edges; only K has the triangle.
+        K = SimplicialComplex([[0, 1, 2]])
+        hollow = SimplicialComplex([[0, 1], [1, 2], [0, 2]])
+        assert not hollow.contains(K) and K.contains(hollow)
+        for q in range(4):
+            with pytest.raises(SubcomplexError):
+                inclusion_induced_rank(K, hollow, q)
+
+    def test_gluing_eliminates_only_rows_of_new_simplices(self,
+                                                          monkeypatch):
+        K = random_flag_complex(8, 0.7, np.random.default_rng(90))
+        for glue in (star_gluing, pairwise_gluing):
+            glued = glue(K, [[0, 1, 2], [3, 4]])
+            betti_numbers(K, up_to=4)
+            betti_numbers(glued, up_to=4)
+            calls = []
+            rank = qcnet.homology.matrix_rank
+            monkeypatch.setattr(qcnet.homology, "matrix_rank",
+                                lambda *a: calls.append(a) or rank(*a))
+            theta = [inclusion_induced_rank(K, glued, q) for q in range(4)]
+            monkeypatch.undo()
+            assert theta == [oracle_theta(K, glued, q) for q in range(4)]
+            # Only d_1 restricted to the apexes: one row per cone edge.
+            [(rows, n_cols)] = calls
+            assert n_cols == glued.n(0) - K.n(0)
+            assert len(rows) == glued.n(1) - K.n(1)
 
 
 class TestTheoremFuzz:
@@ -499,6 +590,14 @@ def oracle_theta(K, K_big, q):
             - oracle_rank(b_rows, b_cols))
 
 
+def clique_simplices(n, edges, max_dim=3):
+    """Vertex lists of the clique complex of the graph ``edges`` on
+    range(n), up to dimension max_dim."""
+    return [list(combo) for size in range(1, max_dim + 2)
+            for combo in itertools.combinations(range(n), size)
+            if all(p in edges for p in itertools.combinations(combo, 2))]
+
+
 def fuzzed_instances(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -531,6 +630,41 @@ class TestAgainstOracle:
             for q in range(4):
                 assert inclusion_induced_rank(K, glued, q) == \
                     oracle_theta(K, glued, q), (q, classes)
+
+    def test_induced_ranks_of_flag_supercomplexes(self):
+        # K_big is the clique complex of a supergraph of K's graph, on
+        # more vertices; K keeps a random part of its own clique complex.
+        # So K_big adds edges, triangles and tetrahedra, and the rows for
+        # q >= 1 come from new simplices.
+        rng = np.random.default_rng(91)
+        added = Counter()
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            pairs = list(itertools.combinations(range(n + 2), 2))
+            small = {p for p in pairs if max(p) < n and rng.random() < 0.5}
+            big = small | {p for p in pairs if rng.random() < 0.3}
+            own = clique_simplices(n, small)
+            K = SimplicialComplex([[v] for v in range(n)] + [
+                s for s in own if rng.random() < 0.6])
+            K_big = SimplicialComplex(clique_simplices(n + 2, big))
+            assert K_big.contains(K)
+            for q in range(4):
+                added[q] += K_big.n(q) - K.n(q)
+                assert inclusion_induced_rank(K, K_big, q) == \
+                    oracle_theta(K, K_big, q), (q, small, big)
+        assert all(added[q] > 0 for q in range(4))
+
+    @pytest.mark.parametrize("construction", sorted(GLUINGS))
+    @pytest.mark.parametrize("k_first", [True, False],
+                             ids=["K-first", "gluing-first"])
+    def test_gluing_betti_either_order(self, construction, k_first):
+        for K, classes in fuzzed_instances(92, 25):
+            glued = GLUINGS[construction](K, classes)
+            first, second = (K, glued) if k_first else (glued, K)
+            betti = {id(L): betti_numbers(L, up_to=3)
+                     for L in (first, second)}
+            assert betti[id(K)] == oracle_betti(K, 3)
+            assert betti[id(glued)] == oracle_betti(glued, 3), classes
 
     def test_induced_ranks_identity_inclusion(self):
         for K, _ in fuzzed_instances(83, 25):
