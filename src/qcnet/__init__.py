@@ -40,13 +40,13 @@ _MODULE_NAMES = {
     "structures": (
         "CrystalStructure", "DatasetRecord", "DatasetLoadResult",
         "DegenerateLatticeError", "ParseError", "UnknownSpeciesError",
-        "load_dataset", "parse_poscar", "parse_structure", "save_dataset",
-        "structure_from_dict", "structure_to_dict", "write_structure"),
+        "load_dataset", "parse_poscar", "parse_structure",
+        "structure_from_dict"),
     "training": (
         "AdamW", "MetricsReport", "NonFiniteLossError", "TrainConfig",
         "TrainResult", "TooFewSamplesError", "evaluate", "finetune",
-        "kfold_split", "metrics_report", "one_cycle_lr",
-        "synthetic_overfit_dataset", "train"),
+        "metrics_report", "one_cycle_lr", "synthetic_overfit_dataset",
+        "train"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items()
               for name in names}

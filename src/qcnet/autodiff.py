@@ -5,19 +5,16 @@ walks the tape in reverse topological order, accumulates gradients into
 every tensor with ``requires_grad`` and releases each node once its pullback
 has run.  The op set is what the simplex-attention model needs: elementwise
 arithmetic, matmul, ``affine``, concat, segment sum and mean (the graph
-pooling), full reductions for the loss, the activations, ``normalize``,
-and the attention's three fused ops: ``project`` (one half of a key or value
-map, once per source row), ``gated_message`` (per pair, the key, the
-batch-norm gate on the query and the value) and ``message_sum`` (per pair,
-the message map, its layer norm and SiLU, summed per receiver).
-``gather_rows`` and ``sigmoid`` are the plain forms of the gathers and the
-gate inside them; with ``normalize`` they make the unfused chain that the
-tests hold the fused ops to.  Every scatter-add of a pullback is
-``scatter_rows``: one ``np.bincount`` that adds each row's contributions in
-index order; the fused ops sum pairs into their sorted receivers with
-``receiver_sum``, one ``np.add.reduceat``.  All accumulation happens in
-a fixed order determined by tape construction, so given identical inputs
-the gradients are bit-for-bit reproducible.
+pooling), full reductions for the loss, SiLU, ``normalize``, and the
+attention's three fused ops: ``project`` (one half of a key or value map,
+once per source row), ``gated_message`` (per pair, the key, the batch-norm
+gate on the query and the value) and ``message_sum`` (per pair, the
+message map, its layer norm and SiLU, summed per receiver).  Every
+scatter-add of a pullback is ``scatter_rows``: one ``np.bincount`` that
+adds each row's contributions in index order; the fused ops sum pairs into
+their sorted receivers with ``receiver_sum``, one ``np.add.reduceat``.  All
+accumulation happens in a fixed order determined by tape construction, so
+given identical inputs the gradients are bit-for-bit reproducible.
 
 Gradients are never broadcast.  A constant or scalar operand may broadcast
 against a tensor that requires a gradient, but a tensor that requires one
@@ -72,10 +69,6 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def silu_np(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid_np(x)
 
 
 class Tensor:
@@ -200,13 +193,6 @@ class Tensor:
             self._accumulate(g * np.sign(self.data))
         return _record(np.abs(self.data), (self,), pullback)
 
-    def sigmoid(self):
-        value = sigmoid_np(self.data)
-
-        def pullback(g):
-            self._accumulate(g * value * (1.0 - value))
-        return _record(value, (self,), pullback)
-
     def silu(self):
         value, sig = _silu_parts(self.data)
 
@@ -286,15 +272,6 @@ def scatter_rows(values: np.ndarray, index: np.ndarray,
     out = np.bincount(keys.ravel(), weights=values.ravel(),
                       minlength=n_rows * width)
     return out.reshape((n_rows,) + tail)
-
-
-def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows; the pullback scatter-adds back into the source rows."""
-    index = np.asarray(index, dtype=np.int64)
-
-    def pullback(g):
-        t._accumulate(scatter_rows(g, index, t.data.shape[0]))
-    return _record(t.data[index], (t,), pullback)
 
 
 def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice,

@@ -68,9 +68,13 @@ class AtomFeatureTable:
         self.rows = np.full((MAX_Z + 1, VERTEX_DIM), np.nan)
         for z, vec in vectors.items():
             z = int(z)
-            vec = np.asarray(vec, dtype=np.float64)
+            vec = np.asarray(vec)
             if not 1 <= z <= MAX_Z:
                 raise ValueError(f"atomic number {z} outside 1..{MAX_Z}")
+            # Strings, bools, nulls, objects and ints beyond float range
+            # are refused, not coerced.
+            if vec.dtype.kind not in "iuf":
+                raise ValueError(f"feature vector for Z={z} is not numeric")
             if vec.shape != (VERTEX_DIM,):
                 raise ValueError(
                     f"feature vector for Z={z} has shape {vec.shape}, "
@@ -94,14 +98,6 @@ class AtomFeatureTable:
         rng = np.random.default_rng(seed)
         draws = rng.uniform(0.0, 1.0, (max_z, VERTEX_DIM))
         return cls(dict(enumerate(draws, start=1)))
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Write ``{"<Z>": [92 floats], ...}``; the file is replaced
-        atomically."""
-        present = np.flatnonzero(~np.isnan(self.rows[:, 0]))
-        obj = {str(z): self.rows[z].tolist() for z in present}
-        replace_files([(os.fspath(path), [
-            (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")])])
 
     def features_for(self, species: np.ndarray) -> np.ndarray:
         """(n, 92) per-atom vectors in structure order."""

@@ -13,17 +13,17 @@ gcd of its entries.  Betti numbers come from those ranks:
 beta_q = n_q - rank d_q - rank d_{q+1}.
 
 Of the boundary ranks, only those of d_q with q >= 2 are eliminated, once
-per complex.  d_0 is zero.  d_1 is the incidence matrix of the
-1-skeleton; its image is the 0-chains whose coefficients sum to zero on
-each of the c connected components, so rank d_1 = n_0 - c over Q, with c
-an exact union-find count.  A gluing of K (below) adds only vertices and
-edges, so its d_q for q >= 3 is K's matrix and its d_2 is K's with the
-face columns renumbered (cone edges bound no triangle).  The ranks are
-equal, and the glued complex takes them from K when first asked:
-checking several gluings of K eliminates K's d_q once, and the gluings'
-none.  Its components are K's joined by the cone edges, so its
-union-find starts from K's component representatives and joins only
-those edges.
+per complex, and only when there are q-simplices: d_0 and an empty d_q
+are zero.  d_1 is the incidence matrix of the 1-skeleton; its image is
+the 0-chains whose coefficients sum to zero on each of the c connected
+components, so rank d_1 = n_0 - c over Q, with c an exact union-find
+count.  A gluing of K (below) adds only vertices and edges, so its d_q
+for q >= 3 is K's matrix and its d_2 is K's with the face columns
+renumbered (cone edges bound no triangle).  The ranks are equal, and the
+glued complex takes them from K when first asked: checking several
+gluings of K eliminates K's d_q once, and the gluings' none.  Its
+components are K's joined by the cone edges, so its union-find starts
+from K's component representatives and joins only those edges.
 
 Identifying groups of vertices is modeled by attaching a cone: for each
 class with at least two members, a fresh apex joined by an edge to every
@@ -64,8 +64,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 class SubcomplexError(ValueError):
@@ -153,10 +151,11 @@ class SimplicialComplex:
         return self._added[1]
 
     def boundary_rank(self, q: int) -> int:
-        """rank d_q, computed once per complex: d_0 is zero, d_1 is
-        n_0 minus the 1-skeleton's components, and a gluing takes d_q for
-        q >= 2 from the complex it glues (see the module docstring)."""
-        if q < 1:
+        """rank d_q, computed once per complex: d_0 and a d_q with no
+        q-simplices are zero, d_1 is n_0 minus the 1-skeleton's components,
+        and a gluing takes d_q for q >= 2 from the complex it glues (see the
+        module docstring)."""
+        if q < 1 or not self.n(q):
             return 0
         if q >= 2 and self._base is not None:
             return self._base.boundary_rank(q)
@@ -433,35 +432,3 @@ def verify_quotient_homology(K: SimplicialComplex, classes: list[list[int]],
         h1_injective=theta[1] == betti_base[1],
         h2_isomorphism=(theta[2] == betti_base[2] == betti_glued[2]),
         h3_isomorphism=(theta[3] == betti_base[3] == betti_glued[3]))
-
-
-# -- random instances for fuzzing and demos ---------------------------------
-
-def random_flag_complex(n_vertices: int, edge_prob: float,
-                        rng: np.random.Generator,
-                        max_dim: int = 3) -> SimplicialComplex:
-    """Clique complex of an Erdos-Renyi graph, truncated at max_dim."""
-    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
-    for i in range(n_vertices):
-        for j in range(i + 1, n_vertices):
-            if rng.random() < edge_prob:
-                adj[i, j] = adj[j, i] = True
-    simplices = [[v] for v in range(n_vertices)]
-    for size in range(2, max_dim + 2):
-        for combo in itertools.combinations(range(n_vertices), size):
-            if all(adj[a, b] for a, b in itertools.combinations(combo, 2)):
-                simplices.append(list(combo))
-    return SimplicialComplex(simplices)
-
-
-def random_partition(vertices: list[int],
-                     rng: np.random.Generator) -> list[list[int]]:
-    """Shuffle vertices and cut into classes of random size 1..4."""
-    order = [int(v) for v in rng.permutation(vertices)]
-    classes = []
-    i = 0
-    while i < len(order):
-        size = int(rng.integers(1, 5))
-        classes.append(sorted(order[i:i + size]))
-        i += size
-    return classes

@@ -2,18 +2,17 @@
 
 A structure is a parallelepiped unit cell (three lattice row vectors, in
 angstroms), a list of atomic numbers, and fractional coordinates.  Two file
-formats are supported:
+formats are read:
 
 * JSON: ``{"lattice": [[..3..]]*3, "species": [..], "frac": [[..3..]]*n,
-  "id": optional string}``.  Written deterministically (sorted keys, repr
-  floats) so equal structures serialize to equal bytes and floats round-trip
-  exactly.
+  "id": optional string}``.
 * POSCAR (VASP 5, ``Direct`` coordinates only) for interchange with other
   crystal tools.
 
 Datasets are JSONL files, one record per line:
 ``{"id", "structure", "target", "split"?}``.  Malformed lines are collected
 as diagnostics with line numbers instead of aborting the whole load.
+``replace_files`` is the atomic writer every output file goes through.
 """
 
 from __future__ import annotations
@@ -123,14 +122,6 @@ class CrystalStructure:
     def n_atoms(self) -> int:
         return int(self.species.size)
 
-    @property
-    def volume(self) -> float:
-        return float(abs(np.linalg.det(self.lattice)))
-
-    def cartesian(self) -> np.ndarray:
-        """Cartesian positions, ``frac @ lattice`` (n x 3)."""
-        return self.frac @ self.lattice
-
     def canonicalize(self) -> "CrystalStructure":
         """Wrap fractional coordinates into [0, 1).
 
@@ -141,12 +132,6 @@ class CrystalStructure:
         wrapped = self.frac - np.floor(self.frac)
         wrapped = np.where(wrapped >= 1.0, 0.0, wrapped)
         return dataclasses.replace(self, frac=wrapped)
-
-
-def validate_finite(s: CrystalStructure) -> None:
-    """Refuse structures whose arrays were mutated into non-finite values."""
-    if not (np.all(np.isfinite(s.lattice)) and np.all(np.isfinite(s.frac))):
-        raise ValueError("structure contains non-finite values")
 
 
 def structure_from_dict(obj: dict) -> CrystalStructure:
@@ -181,17 +166,6 @@ def structure_from_dict(obj: dict) -> CrystalStructure:
             raise ParseError(f"field '{key}' is not numeric: {exc}")
     return CrystalStructure(arrays["lattice"], arrays["species"],
                             arrays["frac"], id=sid)
-
-
-def structure_to_dict(s: CrystalStructure) -> dict:
-    obj = {
-        "lattice": [[float(x) for x in row] for row in s.lattice],
-        "species": [int(z) for z in s.species],
-        "frac": [[float(x) for x in row] for row in s.frac],
-    }
-    if s.id is not None:
-        obj["id"] = s.id
-    return obj
 
 
 def parse_poscar(text: str, path: str | None = None) -> CrystalStructure:
@@ -260,38 +234,6 @@ def parse_poscar(text: str, path: str | None = None) -> CrystalStructure:
                             id=comment or None)
 
 
-def poscar_text(s: CrystalStructure) -> str:
-    """Serialize as VASP 5 POSCAR (Direct), preserving atom order.
-
-    Consecutive runs of equal species become one symbol/count column, so a
-    parse round-trip reproduces species and coordinates exactly (floats are
-    written with repr).  The id is the comment line, so an id that spans
-    lines raises ValueError.
-    """
-    validate_finite(s)
-    if s.id and s.id.splitlines() != [s.id]:
-        raise ValueError(f"id {s.id!r} does not fit the one-line comment")
-    runs: list[tuple[int, int]] = []
-    for z in s.species:
-        if runs and runs[-1][0] == int(z):
-            runs[-1] = (int(z), runs[-1][1] + 1)
-        else:
-            runs.append((int(z), 1))
-    out = [s.id or "qcnet structure", "1.0"]
-    out += [" ".join(repr(float(x)) for x in row) for row in s.lattice]
-    out.append(" ".join(ELEMENT_SYMBOLS[z - 1] for z, _ in runs))
-    out.append(" ".join(str(c) for _, c in runs))
-    out.append("Direct")
-    out += [" ".join(repr(float(x)) for x in row) for row in s.frac]
-    return "\n".join(out) + "\n"
-
-
-def structure_json_text(s: CrystalStructure) -> str:
-    """Deterministic JSON serialization (sorted keys, repr floats)."""
-    validate_finite(s)
-    return json.dumps(structure_to_dict(s), sort_keys=True) + "\n"
-
-
 def _sniff_format(text: str) -> str:
     for ch in text:
         if not ch.isspace():
@@ -345,17 +287,6 @@ def parse_structure(path: str | os.PathLike,
     raise ValueError(f"unknown structure format '{fmt}'")
 
 
-def write_structure(s: CrystalStructure, path: str | os.PathLike,
-                    fmt: str = "json") -> None:
-    if fmt == "json":
-        text = structure_json_text(s)
-    elif fmt == "poscar":
-        text = poscar_text(s)
-    else:
-        raise ValueError(f"unknown structure format '{fmt}'")
-    replace_files([(os.fspath(path), [text.encode("utf-8")])])
-
-
 @dataclass(frozen=True)
 class DatasetRecord:
     """One labeled example: a structure and its scalar target."""
@@ -385,10 +316,6 @@ class DatasetLoadResult:
     records: list[DatasetRecord]
     errors: list[tuple[int, str]]
 
-    @property
-    def n_skipped(self) -> int:
-        return len(self.errors)
-
 
 def record_from_obj(obj: dict) -> DatasetRecord:
     """Build a record from a dataset line's object; errors carry no
@@ -407,16 +334,6 @@ def record_from_obj(obj: dict) -> DatasetRecord:
         structure = dataclasses.replace(structure, id=rid)
     # The record checks the target and the split tag itself.
     return DatasetRecord(structure, obj["target"], obj.get("split"))
-
-
-def record_to_obj(record: DatasetRecord) -> dict:
-    obj = {"structure": structure_to_dict(record.structure),
-           "target": record.target}
-    if record.structure.id is not None:
-        obj["id"] = record.structure.id
-    if record.split_tag is not None:
-        obj["split"] = record.split_tag
-    return obj
 
 
 def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
@@ -438,16 +355,6 @@ def load_dataset(path: str | os.PathLike) -> DatasetLoadResult:
                 UnknownSpeciesError) as exc:
             errors.append((lineno, str(exc)))
     return DatasetLoadResult(records, errors)
-
-
-def save_dataset(records: list[DatasetRecord],
-                 path: str | os.PathLike) -> None:
-    """Write JSONL, one compact deterministic line per record; the file is
-    replaced atomically."""
-    replace_files([(os.fspath(path), [
-        (json.dumps(record_to_obj(record), sort_keys=True,
-                    separators=(",", ":")) + "\n").encode("utf-8")
-        for record in records])])
 
 
 def replace_files(files: list[tuple[str, list[bytes]]]) -> None:

@@ -1,4 +1,4 @@
-"""Training loop, optimizer, schedule, metrics, and dataset splitting.
+"""Training loop, optimizer, schedule, and metrics.
 
 Runs are deterministic down to the byte: model init and epoch shuffling use
 independent seeded streams spawned from the config seed, batches keep their
@@ -175,23 +175,6 @@ def metrics_report(y_true: np.ndarray, y_pred: np.ndarray) -> MetricsReport:
     ratio = (mad / mae) if mae > 0.0 else None
     return MetricsReport(n=int(y.size), mae=mae, mse=mse, rmse=rmse, mad=mad,
                          cod=cod, pcc=pcc, mad_mae_ratio=ratio, status=status)
-
-
-def kfold_split(n_samples: int, folds: int,
-                seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded disjoint (train, test) index folds with sizes differing by <= 1."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if n_samples < folds:
-        raise TooFewSamplesError(
-            f"{n_samples} samples cannot fill {folds} folds")
-    perm = np.random.default_rng(seed).permutation(n_samples)
-    parts = np.array_split(perm, folds)
-    out = []
-    for i in range(folds):
-        train_idx = np.concatenate(parts[:i] + parts[i + 1:])
-        out.append((train_idx, parts[i]))
-    return out
 
 
 # -- data preparation -------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Shared helpers: random structure generators and small fixed cells."""
+"""Shared helpers: random structure and complex generators, small fixed
+cells, and the plain tape ops the fused ones are checked against."""
 
 import builtins
 import errno
+import itertools
 import pathlib
 
 import numpy as np
 import pytest
 
+from qcnet.autodiff import Tensor, _record, scatter_rows, sigmoid_np
+from qcnet.homology import SimplicialComplex
 from qcnet.structures import CrystalStructure
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -57,6 +61,12 @@ def random_structure(rng: np.random.Generator,
     return CrystalStructure(lattice=lattice, species=species, frac=frac)
 
 
+def structure_obj(s: CrystalStructure) -> dict:
+    """The JSON object of a structure file, for ``json.dumps``."""
+    return {"lattice": s.lattice.tolist(), "species": s.species.tolist(),
+            "frac": s.frac.tolist(), "id": s.id}
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Proper rotation from the QR of a gaussian matrix."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -64,6 +74,62 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def random_flag_complex(n_vertices: int, edge_prob: float,
+                        rng: np.random.Generator,
+                        max_dim: int = 3) -> SimplicialComplex:
+    """Clique complex of an Erdos-Renyi graph, truncated at max_dim."""
+    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
+    for i in range(n_vertices):
+        for j in range(i + 1, n_vertices):
+            if rng.random() < edge_prob:
+                adj[i, j] = adj[j, i] = True
+    simplices = [[v] for v in range(n_vertices)]
+    for size in range(2, max_dim + 2):
+        for combo in itertools.combinations(range(n_vertices), size):
+            if all(adj[a, b] for a, b in itertools.combinations(combo, 2)):
+                simplices.append(list(combo))
+    return SimplicialComplex(simplices)
+
+
+def random_partition(vertices: list[int],
+                     rng: np.random.Generator) -> list[list[int]]:
+    """Shuffle vertices and cut into classes of random size 1..4."""
+    order = [int(v) for v in rng.permutation(vertices)]
+    classes = []
+    i = 0
+    while i < len(order):
+        size = int(rng.integers(1, 5))
+        classes.append(sorted(order[i:i + size]))
+        i += size
+    return classes
+
+
+# -- the unfused reference chain --------------------------------------------
+# The model runs only the fused ops; these plain ones spell out, node by
+# node, what ``gated_message`` and ``message_sum`` compute.
+
+def silu_np(x: np.ndarray) -> np.ndarray:
+    return x * sigmoid_np(x)
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    """The logistic function as a tape node."""
+    value = sigmoid_np(t.data)
+
+    def pullback(g):
+        t._accumulate(g * value * (1.0 - value))
+    return _record(value, (t,), pullback)
+
+
+def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
+    """Select rows; the pullback scatter-adds back into the source rows."""
+    index = np.asarray(index, dtype=np.int64)
+
+    def pullback(g):
+        t._accumulate(scatter_rows(g, index, t.data.shape[0]))
+    return _record(t.data[index], (t,), pullback)
 
 
 @pytest.fixture

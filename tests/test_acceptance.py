@@ -16,8 +16,7 @@ from qcnet.complexes import build_complex, edge_pairs, vertex_pairs
 from qcnet.autodiff import constant
 from qcnet.features import (EDGE_CENTERS, RBF_SIGMAS, TRIANGLE_CENTERS,
                             AtomFeatureTable, raw_features, rbf)
-from qcnet.homology import SimplicialComplex, random_flag_complex, \
-    random_partition, verify_quotient_homology
+from qcnet.homology import SimplicialComplex, verify_quotient_homology
 from qcnet.model import (AttentionLayer, ModelConfig, SimplexTransformer,
                          _attention_update, _loss_tensor, _predict_tensor,
                          forward, loss_and_gradients, merge_batch)
@@ -26,7 +25,8 @@ from qcnet.structures import CrystalStructure
 from qcnet.training import (TrainConfig, evaluate, metrics_report,
                             synthetic_overfit_dataset, train)
 
-from conftest import random_rotation, random_structure
+from conftest import random_flag_complex, random_partition, \
+    random_rotation, random_structure
 
 
 def verdict(ok: bool, name: str) -> None:

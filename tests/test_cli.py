@@ -1,5 +1,6 @@
 """Command line surface: exit codes, outputs, and seed precedence."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -17,22 +18,29 @@ import qcnet.training
 from qcnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_INPUT, EXIT_NUMERIC,
                        EXIT_OK, build_parser, main)
 from qcnet.model import ModelConfig, SimplexTransformer, save_checkpoint
-from qcnet.structures import record_to_obj, save_dataset, \
-    write_structure
 from qcnet.training import synthetic_overfit_dataset
 
-from conftest import DATA_DIR, open_failing_at
+from conftest import DATA_DIR, open_failing_at, structure_obj
 
 POSCAR = str(DATA_DIR / "catio3.poscar")
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # Valid JSON syntax nested deeper than the decoder recurses.
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
+def write_jsonl(records, path):
+    """One ``json.dumps`` dataset line per record."""
+    path.write_text("".join(
+        json.dumps({"structure": structure_obj(r.structure),
+                    "target": r.target, "split": r.split_tag}) + "\n"
+        for r in records))
+
+
 @pytest.fixture
 def dataset(tmp_path):
     path = tmp_path / "train.jsonl"
-    save_dataset(synthetic_overfit_dataset(n_samples=6, seed=7), path)
+    write_jsonl(synthetic_overfit_dataset(n_samples=6, seed=7), path)
     return path
 
 
@@ -108,6 +116,24 @@ print(code, loaded, "numpy" in sys.modules)
 
     def test_package_exports_resolve(self):
         assert all(hasattr(qcnet, name) for name in qcnet.__all__)
+
+    def test_every_export_is_used(self):
+        # An export is dead unless the package, a demo or the benchmark
+        # names it: as a variable, an attribute or an import.
+        used = set()
+        for path in [*(REPO / "src" / "qcnet").glob("*.py"),
+                     *(REPO / "demos").glob("*.py"),
+                     *(REPO / "bench").glob("*.py")]:
+            if path.name == "__init__.py" and path.parent.name == "qcnet":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        assert sorted(set(qcnet.__all__) - used) == []
 
     FLAGS = {
         "build": ["--out", "--format", "--k"],
@@ -229,7 +255,7 @@ class TestBuild:
                                         skewed1):
         monkeypatch.setattr(qcnet.periodic, "_MAX_SHELL", 3)
         structure = tmp_path / "skewed.json"
-        write_structure(skewed1, structure)
+        structure.write_text(json.dumps(structure_obj(skewed1)))
         assert main(["build", str(structure), "-o",
                      str(tmp_path / "x.json")]) == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
@@ -265,6 +291,31 @@ class TestFeaturize:
             f"error: bad atom table {table}: invalid JSON: "
             "nested too deeply\n")
         assert list(tmp_path.iterdir()) == [table]
+
+    @pytest.mark.parametrize("command",
+                             ["featurize", "train", "eval", "predict"])
+    def test_non_numeric_atom_table_exits_data(self, tmp_path, dataset,
+                                               capsys, command):
+        table = tmp_path / "t.json"
+        table.write_text('{"1": {"a": 1}}')
+        checkpoint = tmp_path / "m.ckpt"
+        save_checkpoint(SimplexTransformer.init(ModelConfig(4, 4)),
+                        checkpoint, extra={"k_neighbors": 4})
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[data]\ntrain = {dataset}\natom_table = {table}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        argv = {"featurize": ["featurize", POSCAR, "-o", str(tmp_path / "f"),
+                              "--atom-table", str(table)],
+                "train": ["train", str(cfg)],
+                "eval": ["eval", "--checkpoint", str(checkpoint),
+                         "--dataset", str(dataset), "--atom-table",
+                         str(table)],
+                "predict": ["predict", "--checkpoint", str(checkpoint),
+                            "--atom-table", str(table), POSCAR]}[command]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: bad atom table {table}: feature vector for Z=1 is not "
+            "numeric\n")
 
 
 class TestInterruptedWrites:
@@ -370,8 +421,9 @@ class TestTrain:
 
     def test_unrepresentable_target_skipped(self, tmp_path, capsys):
         # A target of 10**400 parses as JSON but has no float value.
-        line = json.dumps({**record_to_obj(synthetic_overfit_dataset(
-            n_samples=1, seed=7)[0]), "target": 10 ** 400})
+        line = json.dumps({"structure": structure_obj(
+            synthetic_overfit_dataset(n_samples=1, seed=7)[0].structure),
+            "target": 10 ** 400})
         data = tmp_path / "huge.jsonl"
         data.write_text(line + "\n")
         cfg = tmp_path / "c.ini"
@@ -426,7 +478,7 @@ class TestTrain:
         # record's complex is built a second time.
         records = [dataclasses.replace(r, split_tag="val") if i < 2 else r
                    for i, r in enumerate(synthetic_overfit_dataset(6, seed=7))]
-        save_dataset(records, dataset)
+        write_jsonl(records, dataset)
         built = []
         real = qcnet.training.neighbor_list
 

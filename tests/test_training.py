@@ -12,8 +12,8 @@ from qcnet.model import SimplexTransformer, ModelConfig, \
     NonFiniteActivationError, load_checkpoint, predict, save_checkpoint
 from qcnet.structures import DatasetRecord
 from qcnet.training import (AdamW, NonFiniteLossError, TooFewSamplesError,
-                            TrainConfig, evaluate, finetune, kfold_split,
-                            metrics_report, one_cycle_lr, prepare_items,
+                            TrainConfig, evaluate, finetune, metrics_report,
+                            one_cycle_lr, prepare_items,
                             synthetic_overfit_dataset, train)
 
 TABLE = AtomFeatureTable.random(0)
@@ -139,31 +139,6 @@ class TestMetrics:
         d = rep.to_dict()
         assert d["cod"] is None
         assert d["status"] == "zero_variance"
-
-
-class TestKfold:
-    def test_partition_properties(self):
-        folds = kfold_split(23, 5, seed=1)
-        test_parts = [test for _, test in folds]
-        all_idx = np.concatenate(test_parts)
-        assert sorted(all_idx.tolist()) == list(range(23))
-        sizes = [len(t) for t in test_parts]
-        assert max(sizes) - min(sizes) <= 1
-        for train_idx, test_idx in folds:
-            assert set(train_idx).isdisjoint(set(test_idx))
-            assert sorted(np.concatenate([train_idx, test_idx]).tolist()) \
-                == list(range(23))
-
-    def test_deterministic(self):
-        a = kfold_split(20, 4, seed=2)
-        b = kfold_split(20, 4, seed=2)
-        for (tr_a, te_a), (tr_b, te_b) in zip(a, b):
-            np.testing.assert_array_equal(tr_a, tr_b)
-            np.testing.assert_array_equal(te_a, te_b)
-
-    def test_too_few(self):
-        with pytest.raises(TooFewSamplesError):
-            kfold_split(3, 5, seed=0)
 
 
 class TestSyntheticDataset:
