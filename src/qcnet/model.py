@@ -68,6 +68,20 @@ statistics need every pair.  A forward cuts the blocks once per tier
 nothing records, each block's two nodes evaluate in place on three
 pair-sized buffers that one ``autodiff.Workspace`` per layer hands from
 block to block, so no per-pair array is allocated anew.
+
+The model's state is one float64 array, ``state()``, in checkpoint order:
+every parameter in ``parameters()`` order, then every BatchNorm's running
+mean and variance in ``buffers()`` order (654,337 parameter floats and
+3,456 running statistics at H = 64).  Each parameter's ``data`` and each
+``run_mean`` and ``run_var`` is a view of it, bound once when the model is
+built.  Nothing rebinds a parameter or a buffer afterwards:
+``BatchNorm.update`` and ``load_state`` write in place, so writing the
+array writes the model.  ``zero_grad`` gives the model a fresh zero array
+``grad`` laid out as the parameter part of the state, and each parameter's
+``grad`` is a view of it, into which the tape adds.  So AdamW, the best
+epoch's snapshot and a checkpoint (its header, then the state's bytes) each
+work on one array.  The array is little-endian, the checkpoint's byte
+order, so a save writes it as it is and a load reads the file into it.
 """
 
 from __future__ import annotations
@@ -145,13 +159,13 @@ class BatchNorm:
         return out
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        """Move the running statistics toward one batch's.  Buffer updates
-        are side effects outside the tape; biased variance feeds both
-        normalization and the running estimate."""
-        self.run_mean = ((1.0 - BN_MOMENTUM) * self.run_mean
-                         + BN_MOMENTUM * mean)
-        self.run_var = ((1.0 - BN_MOMENTUM) * self.run_var
-                        + BN_MOMENTUM * var)
+        """Move the running statistics toward one batch's, in place (in a
+        model they are views of its state).  Buffer updates are side
+        effects outside the tape; biased variance feeds both normalization
+        and the running estimate."""
+        for buf, batch in ((self.run_mean, mean), (self.run_var, var)):
+            buf *= 1.0 - BN_MOMENTUM
+            buf += BN_MOMENTUM * batch
 
 
 @dataclass
@@ -275,6 +289,17 @@ class SimplexTransformer:
         self.node_layers = node_layers
         self.edge_node_blocks = edge_node_blocks
         self.head = head
+        # From here on every parameter's data and every running statistic
+        # is a view of one array in checkpoint order and byte order (so a
+        # checkpoint's bytes are the state's); nothing rebinds them.
+        arrays = ([t.data for _, t in self.parameters()]
+                  + [b for _, b in self.buffers()])
+        self._state = np.concatenate([a.ravel() for a in arrays], dtype="<f8")
+        views = iter(_views(self._state, arrays))
+        for _, t in self.parameters():
+            t.data = next(views)
+        for _, bn in self.batch_norms():
+            bn.run_mean, bn.run_var = next(views), next(views)
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "SimplexTransformer":
@@ -334,31 +359,33 @@ class SimplexTransformer:
         return sum(t.data.size for _, t in self.parameters())
 
     def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.zero_grad()
+        """Set ``grad`` to a fresh zero array laid out as the parameter part
+        of ``state()``; every parameter's ``grad`` is a view of it."""
+        tensors = [t for _, t in self.parameters()]
+        self.grad = np.zeros(self.n_parameters())
+        for t, g in zip(tensors, _views(self.grad, [t.data for t in tensors])):
+            t.grad = g
 
-    def state(self) -> list[np.ndarray]:
-        """Parameter data then buffers, in the declared (checkpoint) order."""
-        return ([t.data for _, t in self.parameters()]
-                + [buf for _, buf in self.buffers()])
+    def state(self) -> np.ndarray:
+        """The model's one float64 array: parameter data then buffers, in
+        the declared (checkpoint) order.  Every parameter and buffer is a
+        view of it, so writing it writes the model."""
+        return self._state
 
-    def load_state(self, arrays: list[np.ndarray]) -> None:
-        """Copy arrays in ``state()`` order into this model.  Parameters are
-        written in place, so optimizers holding them stay valid."""
-        it = iter(arrays)
-        for _, t in self.parameters():
-            t.data[...] = next(it)
-        for _, bn in self.batch_norms():
-            bn.run_mean = np.array(next(it))
-            bn.run_var = np.array(next(it))
-
-    def copy_state_from(self, other: "SimplexTransformer") -> None:
-        self.load_state(other.state())
+    def load_state(self, state: np.ndarray) -> None:
+        """Copy an array in ``state()`` layout into this model, in place."""
+        self._state[...] = state
 
     def clone(self) -> "SimplexTransformer":
         fresh = SimplexTransformer.init(self.config, seed=0)
-        fresh.copy_state_from(self)
+        fresh.load_state(self._state)
         return fresh
+
+
+def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped like ``arrays``, laid end to end."""
+    ends = np.cumsum([a.size for a in arrays])
+    return [flat[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
 
 
 # -- attention core ---------------------------------------------------------
@@ -597,11 +624,8 @@ def loss_and_gradients(model: SimplexTransformer,
     pred = _predict_tensor(model, merge_batch(items), True)
     out = _loss_tensor(pred, targets, loss)
     out.backward()
-    # No copy: the next step's zero_grad drops these arrays, and the first
-    # gradient a tensor then receives is a new one.
-    grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-             for _, t in model.parameters()]
-    return float(out.item()), grads
+    # Views of ``model.grad``; the next step's zero_grad allocates anew.
+    return float(out.item()), [t.grad for _, t in model.parameters()]
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -630,17 +654,17 @@ def _checkpoint_layout(hidden: int, head_hidden: int) -> tuple[int, int]:
 
 def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
                     extra: dict | None = None) -> None:
-    """Binary header + float64 tensors in declared order + JSON sidecar.
+    """Binary header + ``model.state()`` (little-endian float64) + JSON
+    sidecar; the header counts the state's tensors and buffers.
 
     Both files are replaced atomically: an interrupted save leaves the
     previous checkpoint and sidecar intact.
     """
     path = os.fspath(path)
-    arrays = model.state()
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-        model.config.hidden_dim, model.config.head_hidden,
-        N_NODE_LAYERS, N_EDGE_NODE_LAYERS, len(arrays))
+        model.config.hidden_dim, model.config.head_hidden, N_NODE_LAYERS,
+        N_EDGE_NODE_LAYERS, len(model.parameters()) + len(model.buffers()))
     sidecar = {
         "format": "qcnet-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -653,8 +677,7 @@ def save_checkpoint(model: SimplexTransformer, path: str | os.PathLike,
     if extra:
         sidecar["extra"] = extra
     replace_files([
-        (path, [header] + [np.ascontiguousarray(arr, dtype="<f8").tobytes("C")
-                           for arr in arrays]),
+        (path, [header, model.state()]),
         (path + ".json",
          [(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
           .encode("utf-8")]),
@@ -673,15 +696,24 @@ def load_checkpoint(path: str | os.PathLike,
 
     With ``config`` given, any architecture disagreement raises
     CheckpointMismatchError naming the offending field.  The header is
-    checked against the file size before anything is allocated.
+    checked against the file size before anything is allocated; the
+    state's bytes are then read straight into the new model's state.
     """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
+    with open(os.fspath(path), "rb") as fh:
+        model = SimplexTransformer.init(_read_header(fh, config), seed=0)
+        fh.readinto(model.state())
+    return model
+
+
+def _read_header(fh, config: ModelConfig | None) -> ModelConfig:
+    """Check the header of an open checkpoint against ``config`` and the
+    file's size; the architecture it declares."""
+    head = fh.read(_HEADER.size)
+    size = os.fstat(fh.fileno()).st_size
+    if len(head) < _HEADER.size:
         raise CheckpointMismatchError("file too short for a checkpoint header")
     magic, version, hidden, head_hidden, n_node, n_edge_node, n_arrays = \
-        _HEADER.unpack_from(blob)
+        _HEADER.unpack(head)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatchError("magic: not a qcnet checkpoint")
     if version != CHECKPOINT_VERSION:
@@ -709,20 +741,10 @@ def load_checkpoint(path: str | os.PathLike,
         raise CheckpointMismatchError(
             f"tensor count: checkpoint has {n_arrays}, "
             f"expected {expected_arrays}")
-    if len(blob) < expected_size:
+    if size < expected_size:
         raise CheckpointMismatchError(
-            f"file truncated: {len(blob)} bytes, header implies "
-            f"{expected_size}")
-    if len(blob) > expected_size:
+            f"file truncated: {size} bytes, header implies {expected_size}")
+    if size > expected_size:
         raise CheckpointMismatchError(
-            f"trailing bytes: {len(blob) - expected_size} unread")
-    model = SimplexTransformer.init(
-        ModelConfig(hidden_dim=hidden, head_hidden=head_hidden), seed=0)
-    arrays = []
-    offset = _HEADER.size
-    for arr in model.state():
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=arr.size,
-                                    offset=offset).reshape(arr.shape))
-        offset += arr.nbytes
-    model.load_state(arrays)
-    return model
+            f"trailing bytes: {size - expected_size} unread")
+    return ModelConfig(hidden_dim=hidden, head_hidden=head_hidden)

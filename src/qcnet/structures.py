@@ -217,7 +217,13 @@ def parse_poscar(text: str, path: str | None = None) -> CrystalStructure:
         raise ParseError(
             f"only Direct coordinates are supported, got '{mode}'", path, 8)
     n = sum(counts)
-    frac = np.array([floats(8 + a, 3, "coordinate row") for a in range(n)])
+    try:  # one pass; on a fault the row-by-row parse names the first bad row
+        frac = np.array([float(x) for line in lines[8:8 + n]
+                         for x in line.split()[:3]]).reshape(n, 3)
+        if not np.isfinite(frac).all():
+            raise ValueError("non-finite coordinate")
+    except ValueError:
+        frac = np.array([floats(8 + a, 3, "coordinate row") for a in range(n)])
     if scale <= 0.0:
         if scale == 0.0:
             raise ParseError("scale factor must be nonzero", path, 2)

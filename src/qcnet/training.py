@@ -2,9 +2,14 @@
 
 Runs are deterministic down to the byte: model init and epoch shuffling use
 independent seeded streams spawned from the config seed, batches keep their
-slice order (the last partial batch included), and the optimizer touches
-parameters in declared order.  Two runs with the same config, data, and
-thread settings produce identical histories and checkpoints.
+slice order (the last partial batch included), and the optimizer updates
+each element of the model's state array by the same formula whatever chunk
+it falls in.  Two runs with the same config, data, and thread settings
+produce identical histories and checkpoints.
+
+``AdamW`` works on the parameter part of ``SimplexTransformer.state()`` and
+the model's gradient array ``grad``, both flat, in chunks of ``ADAM_CHUNK``
+elements, and ``train`` keeps its best epoch as a copy of the state array.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .complexes import QuotientComplex, build_complex
 from .features import AtomFeatureTable, FeatureSet, raw_features
 from .model import ModelConfig, SimplexTransformer, batch_loss, \
@@ -97,33 +101,47 @@ def one_cycle_lr(step: int, total_steps: int, peak_lr: float) -> float:
     return final + (peak_lr - final) * (1.0 + math.cos(math.pi * frac)) / 2.0
 
 
-class AdamW:
-    """Adam with decoupled weight decay and bias correction.
+# Elements per chunk of an AdamW step.  A chunk's parameter, gradient and
+# moment slices and its temporaries, 128 KiB each, stay in a 2 MiB L2 cache.
+# One step over the 654,337 parameters at hidden 64 (2-vCPU Xeon, one
+# thread, CPU time, median of 7 rounds of 40 steps, two interleaved runs)
+# took 7.4-8.7 ms at 4,096, 6.3-6.9 ms at 8,192, 5.6-5.9 ms at 16,384,
+# 5.5-6.3 ms at 32,768 and 65,536, and 6.4-7.0 ms at 131,072; the loop over
+# per-tensor arrays it replaced took 8.1-10.1 ms.  Whole-state temporaries
+# (5.2 MB each) made train() slower.
+ADAM_CHUNK = 16384
 
-    With zero gradients and zero decay a step is an exact no-op: the moment
-    estimates stay zero and bias correction divides zero by a positive
-    number.
+
+class AdamW:
+    """Adam with decoupled weight decay and bias correction, over one flat
+    float64 array (a model's parameter state) updated in place.
+
+    A step runs the update on ``ADAM_CHUNK`` elements at a time, so no
+    temporary spans the whole state.  With zero gradients and zero decay a
+    step is an exact no-op: the moment estimates stay zero and bias
+    correction divides zero by a positive number.
     """
 
-    def __init__(self, tensors: list[Tensor], weight_decay: float = 1e-5):
-        self.tensors = tensors
+    def __init__(self, params: np.ndarray, weight_decay: float = 1e-5):
+        self.params = params
         self.weight_decay = weight_decay
-        self.m = [np.zeros_like(t.data) for t in tensors]
-        self.v = [np.zeros_like(t.data) for t in tensors]
+        self.m, self.v = np.zeros((2, params.size))
         self.t = 0
 
-    def step(self, lr: float, grads: list[np.ndarray]) -> None:
-        """One update; ``grads`` align with the tensors given at init."""
+    def step(self, lr: float, grad: np.ndarray) -> None:
+        """One update; ``grad`` has the layout of the params given at init."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, (p, g) in enumerate(zip(self.tensors, grads, strict=True)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for lo in range(0, self.params.size, ADAM_CHUNK):
+            p, g, m, v = (a[lo:lo + ADAM_CHUNK]
+                          for a in (self.params, grad, self.m, self.v))
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= lr * self.weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -209,7 +227,8 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     """Train, tracking the best model by validation loss.
 
     Without a validation set the training loss selects the best epoch.  The
-    best state is kept in memory and the returned model carries it.  Every
+    best epoch's state array is kept in memory as a copy and the returned
+    model carries it.  Every
     run ends with a forward-only pass over the training and validation
     items, which scores the returned model; a model that pass rejects
     (NonFiniteActivationError) raises there.  With
@@ -237,15 +256,14 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
     val_items = prepare_items(list(val_records), table, config.k_neighbors)
     val_targets = np.array([r.target for r in val_records], dtype=np.float64)
 
-    opt = AdamW([t for _, t in model.parameters()],
-                weight_decay=config.weight_decay)
+    opt = AdamW(model.state()[:model.n_parameters()], config.weight_decay)
     n = len(items)
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     history: list[dict] = []
     best_loss = math.inf
     best_epoch: int | None = None
-    best = model.clone()
+    best = np.empty_like(model.state())
     global_step = 0
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -257,13 +275,13 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
             # A diverging step overflows; the loss check below names the
             # epoch and batch, so numpy's warnings would only repeat it.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_gradients(model, batch, targets[idx],
-                                                 config.loss)
+                loss, _ = loss_and_gradients(model, batch, targets[idx],
+                                             config.loss)
                 if not math.isfinite(loss):
                     raise NonFiniteLossError(
                         f"loss became {loss} at epoch {epoch}, batch {b}")
                 lr = one_cycle_lr(global_step, total_steps, config.peak_lr)
-                opt.step(lr, grads)
+                opt.step(lr, model.grad)
             loss_sum += loss * len(idx)
             global_step += 1
         train_loss = loss_sum / n
@@ -276,9 +294,9 @@ def train(config: TrainConfig, train_records: list[DatasetRecord],
         if selection < best_loss:
             best_loss = selection
             best_epoch = epoch
-            best.copy_state_from(model)
+            best[...] = model.state()
     if best_epoch is not None:
-        model.copy_state_from(best)
+        model.load_state(best)
     # A model whose forward overflows raises here, so no checkpoint is
     # written that every later evaluation would reject.
     train_metrics = metrics_report(targets, predict(model, items))

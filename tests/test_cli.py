@@ -112,7 +112,7 @@ print(code, loaded, "numpy" in sys.modules)
                               capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src_dir))
         assert proc.stdout.splitlines()[-1] == \
-            "0 [False, False, False, False] True"
+            "0 [False, False, False, False, False] True"
 
     def test_package_exports_resolve(self):
         assert all(hasattr(qcnet, name) for name in qcnet.__all__)

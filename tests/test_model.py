@@ -79,6 +79,18 @@ class TestNormalization:
                                    0.9 * 1.0 + 0.1 * x.var(axis=0),
                                    atol=1e-12)
 
+    def test_batchnorm_update_writes_in_place(self):
+        # In a model the running statistics are views of its state array,
+        # so an update must write into them, not rebind them.
+        m = tiny_model()
+        bn = m.node_layers[0].attn_bn
+        mean, var = bn.run_mean, bn.run_var
+        bn.update(np.full(mean.shape, 2.0), np.full(var.shape, 3.0))
+        assert bn.run_mean is mean and bn.run_var is var
+        np.testing.assert_array_equal(mean, 0.1 * 2.0)
+        np.testing.assert_array_equal(var, 0.9 + 0.1 * 3.0)
+        assert np.shares_memory(mean, m.state())
+
     def test_batchnorm_eval_frozen(self):
         bn = BatchNorm.init(2)
         bn.run_mean[:] = [1.0, 2.0]
@@ -750,6 +762,33 @@ class TestParameterBookkeeping:
         assert all(a is not b for (_, a), (_, b) in zip(src.buffers(),
                                                       dst.buffers()))
 
+    def test_state_is_the_model(self, catio3):
+        m = tiny_model(seed=5)
+        item = featurized(catio3)
+        before = forward(m, *item)
+        state = m.state()
+        n = m.n_parameters()
+        assert state.dtype == np.float64 and state.ndim == 1
+        assert state.size == n + sum(b.size for _, b in m.buffers())
+        np.testing.assert_array_equal(
+            state, np.concatenate([t.data.ravel() for _, t in m.parameters()]
+                                  + [b for _, b in m.buffers()]))
+        # Writing the array writes the parameters and the buffers.
+        state[:n] *= 1.5
+        state[n:] = 2.0
+        assert m.head.b3.data[0] == state[n - 1]
+        assert all((b == 2.0).all() for _, b in m.buffers())
+        assert forward(m, *item) != before
+
+    def test_gradients_are_views_of_one_array(self, catio3):
+        m = tiny_model(seed=6)
+        _, grads = loss_and_gradients(m, [featurized(catio3)],
+                                      np.array([0.3]))
+        assert m.grad.shape == (m.n_parameters(),)
+        np.testing.assert_array_equal(
+            m.grad, np.concatenate([g.ravel() for g in grads]))
+        assert all(np.shares_memory(g, m.grad) for g in grads)
+
     def test_layer_structure_fixed(self):
         m = tiny_model()
         assert len(m.node_layers) == 5
@@ -797,6 +836,17 @@ class TestCheckpoint:
         assert forward(loaded, *item) == expected
         for (_, a), (_, b) in zip(m.buffers(), loaded.buffers()):
             np.testing.assert_array_equal(a, b)
+
+    def test_file_is_header_then_state(self, tmp_path, catio3):
+        m = tiny_model(hidden=4, seed=13)
+        loss_and_gradients(m, [featurized(catio3)], np.array([0.0]))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        header = model_mod._HEADER.pack(
+            model_mod.CHECKPOINT_MAGIC, model_mod.CHECKPOINT_VERSION, 4, 4,
+            5, 2, _checkpoint_layout(4, 4)[0])
+        assert path.read_bytes() == \
+            header + m.state().astype("<f8").tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         m = tiny_model(hidden=4, seed=12)

@@ -133,6 +133,23 @@ class TestPoscar:
         assert "line" in str(err.value)
         assert str(bad) in str(err.value)
 
+    @pytest.mark.parametrize("rows, line, message", [
+        (["0 0 0", "0.5 0.5"], 10, "expected 3 numbers for coordinate row"),
+        (["0 0 0", "0.5 x 0.5", "nan 0 0"], 10, "non-numeric coordinate row"),
+        (["0 0 0", "0 0 0", "0.5 inf 0.5"], 11, "non-finite coordinate row"),
+        (["0 0 0", "nan 0 0 0"], 10, "non-finite coordinate row"),
+        (["0 0 0", "0 0 0"], 11, "file ends before coordinate row"),
+    ], ids=["short", "non-numeric", "non-finite", "extra-column", "ends"])
+    def test_coordinate_fault_names_first_bad_line(self, rows, line,
+                                                   message):
+        # Three atoms, so coordinate rows are lines 9-11; the first bad row
+        # is named even when a later one is also bad.
+        text = "t\n1.0\n1 0 0\n0 1 0\n0 0 1\nH\n3\nDirect\n"
+        with pytest.raises(ParseError) as err:
+            parse_poscar(text + "\n".join(rows) + "\n", "x.poscar")
+        assert err.value.line == line
+        assert str(err.value) == f"x.poscar, line {line}: {message}"
+
     def test_empty_file(self, tmp_path):
         empty = tmp_path / "empty.poscar"
         empty.write_text("")

@@ -6,15 +6,14 @@ import pytest
 import qcnet.complexes
 import qcnet.periodic
 import qcnet.training
-from qcnet.autodiff import parameter
 from qcnet.features import AtomFeatureTable
 from qcnet.model import SimplexTransformer, ModelConfig, \
     NonFiniteActivationError, load_checkpoint, predict, save_checkpoint
 from qcnet.structures import DatasetRecord
-from qcnet.training import (AdamW, NonFiniteLossError, TooFewSamplesError,
-                            TrainConfig, evaluate, finetune, metrics_report,
-                            one_cycle_lr, prepare_items,
-                            synthetic_overfit_dataset, train)
+from qcnet.training import (ADAM_CHUNK, AdamW, NonFiniteLossError,
+                            TooFewSamplesError, TrainConfig, evaluate,
+                            finetune, metrics_report, one_cycle_lr,
+                            prepare_items, synthetic_overfit_dataset, train)
 
 TABLE = AtomFeatureTable.random(0)
 
@@ -69,28 +68,45 @@ class TestOneCycle:
 
 class TestAdamW:
     def test_first_step_hand_computed(self):
-        p = parameter(np.array([[1.0]]))
-        opt = AdamW([p], weight_decay=0.0)
-        opt.step(lr=0.1, grads=[np.array([[1.0]])])
+        p = np.array([1.0])
+        opt = AdamW(p, weight_decay=0.0)
+        opt.step(lr=0.1, grad=np.array([1.0]))
         # Bias-corrected m^ = 1, v^ = 1: step = lr / (1 + eps)
-        assert p.data[0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8),
-                                             abs=1e-15)
+        assert p[0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-15)
 
     def test_zero_grad_zero_decay_is_identity(self):
-        p = parameter(np.array([[2.0, -3.0]]))
-        opt = AdamW([p], weight_decay=0.0)
-        before = p.data.copy()
+        p = np.array([2.0, -3.0])
+        opt = AdamW(p, weight_decay=0.0)
+        before = p.copy()
         for _ in range(3):
-            opt.step(lr=0.5, grads=[np.zeros((1, 2))])
-        np.testing.assert_array_equal(p.data, before)
+            opt.step(lr=0.5, grad=np.zeros(2))
+        np.testing.assert_array_equal(p, before)
 
     def test_decay_is_decoupled(self):
-        p = parameter(np.array([[4.0]]))
-        opt = AdamW([p], weight_decay=0.01)
-        opt.step(lr=0.1, grads=[np.zeros((1, 1))])
+        p = np.array([4.0])
+        opt = AdamW(p, weight_decay=0.01)
+        opt.step(lr=0.1, grad=np.zeros(1))
         # Zero gradient: only the decay term fires.
-        assert p.data[0, 0] == pytest.approx(4.0 * (1 - 0.1 * 0.01),
-                                             abs=1e-15)
+        assert p[0] == pytest.approx(4.0 * (1 - 0.1 * 0.01), abs=1e-15)
+
+    def test_chunked_step_is_the_elementwise_formula(self):
+        # A length two chunks and a remainder long; each element follows
+        # the per-element update bit for bit, whatever chunk it is in.
+        rng = np.random.default_rng(3)
+        n = 2 * ADAM_CHUNK + 37
+        p = rng.standard_normal(n)
+        m, v, want = np.zeros(n), np.zeros(n), p.copy()
+        opt = AdamW(p, weight_decay=0.01)
+        for t in range(1, 4):
+            g = rng.standard_normal(n)
+            lr = 0.01 * t
+            opt.step(lr, g)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            want -= lr * 0.01 * want
+            want -= lr * (m / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        assert p.tobytes() == want.tobytes()
 
 
 class TestMetrics:
