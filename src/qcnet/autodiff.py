@@ -6,15 +6,16 @@ every tensor with ``requires_grad`` and releases each node once its pullback
 has run.  The op set is what the simplex-attention model needs: elementwise
 arithmetic, matmul, ``affine``, concat, segment sum and mean (the graph
 pooling), full reductions for the loss, SiLU, ``normalize``, and the
-attention's three fused ops: ``project`` (one half of a key or value map,
-once per source row), ``gated_message`` (per pair, the key, the batch-norm
-gate on the query and the value) and ``message_sum`` (per pair, the
-message map, its layer norm and SiLU, summed per receiver).  Every
-scatter-add of a pullback is ``scatter_rows``: one ``np.bincount`` that
-adds each row's contributions in index order; the fused ops sum pairs into
-their sorted receivers with ``receiver_sum``, one ``np.add.reduceat``.  All
-accumulation happens in a fixed order determined by tape construction, so
-given identical inputs the gradients are bit-for-bit reproducible.
+attention's three fused ops: ``project`` (a key or value map, once per
+source row: the face rows, then the coface rows), ``gated_message`` (per
+pair, the key, the batch-norm gate on the scaled query and the value) and
+``message_sum`` (per pair, the message map, its layer norm and SiLU,
+summed per receiver).  Every scatter-add of a pullback is
+``scatter_rows``: one ``np.bincount`` that adds each row's contributions
+in index order; the fused ops sum pairs into their sorted receivers with
+``receiver_sum``, one ``np.add.reduceat``.  All accumulation happens in a
+fixed order determined by tape construction, so given identical inputs
+the gradients are bit-for-bit reproducible.
 
 Gradients are never broadcast.  A constant or scalar operand may broadcast
 against a tensor that requires a gradient, but a tensor that requires one
@@ -22,12 +23,12 @@ must have the shape of the op's result: a gradient whose shape differs
 from its tensor's raises ValueError in ``backward()``.  The first gradient
 a tensor receives is copied in; later ones are added in place.  The ops
 whose parameters are one row applied to every row carry their own row
-sums: ``affine`` is ``x @ w + b`` as one node, ``project`` takes its bias,
-and ``normalize`` is the one formula behind batch and layer normalization,
-``(x - mean) / sqrt(var + eps) * gamma + beta`` as one node, with the mean
-and variance taken along the normalized axis (its pullback carries the
-gradient through them) or given as constants.  ``gated_message`` and
-``message_sum`` carry the same formula inside.
+sums: ``affine`` is ``x @ w + b`` as one node, ``project`` adds its bias
+to the face rows, and ``normalize`` is the one formula behind batch and
+layer normalization, ``(x - mean) / sqrt(var + eps) * gamma + beta`` as
+one node, with the mean and variance taken along the normalized axis (its
+pullback carries the gradient through them) or given as constants.
+``gated_message`` and ``message_sum`` carry the same formula inside.
 
 An op output joins the tape only when a gradient can reach it: some operand
 requires one and recording is on.  Anything else keeps neither its parents
@@ -101,9 +102,6 @@ class Tensor:
             self.grad = np.array(grad, dtype=np.float64)
         else:
             self.grad += grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable grad-enabled leaf.
@@ -274,37 +272,40 @@ def scatter_rows(values: np.ndarray, index: np.ndarray,
     return out.reshape((n_rows,) + tail)
 
 
-def project(x: Tensor, w_in: Tensor, w: Tensor, rows: slice,
-            bias: Tensor | None = None) -> Tensor:
-    """``x @ w_in @ w[rows] + bias`` as one tape node: the per-source-row
-    half of an attention key or value map (see ``gated_message``).
+def project(x: Tensor, x_cof: Tensor, w_face: Tensor, w_cof: Tensor,
+            w: Tensor, bias: Tensor) -> Tensor:
+    """One attention key or value map, once per source row, as one tape
+    node (see ``gated_message``): with ``H`` the rows of ``w_face``, rows
+    ``[0, n)`` of the result are ``x @ w_face @ w[:H] + bias`` for the ``n``
+    rows of ``x``, and the rows after them ``x_cof @ w_cof @ w[H:]``.
 
-    ``w``'s gradient is zero outside ``rows``, so the two halves of one map
-    each accumulate into their own rows of it.  ``bias``, one row, is added
-    to every row: given to one half of a map, it is added once per source
-    row instead of once per pair.
+    ``w``'s gradient is the two halves' stacked; ``bias``, one row, is
+    added to every face row, so once per source row instead of once per
+    pair.
     """
-    u = x.data @ w_in.data
-    w_rows = w.data[rows]
-    out = u @ w_rows
-    if bias is not None:
-        out += bias.data
+    hidden, n = w_face.shape[1], x.shape[0]
+    u, u_cof = x.data @ w_face.data, x_cof.data @ w_cof.data
+    w_top, w_bottom = w.data[:hidden], w.data[hidden:]
+    out = np.empty((n + x_cof.shape[0], w.shape[1]))
+    np.matmul(u, w_top, out=out[:n])
+    out[:n] += bias.data
+    np.matmul(u_cof, w_bottom, out=out[n:])
 
     def pullback(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+        g_face, g_cof = g[:n], g[n:]
+        if bias.requires_grad:
+            bias._accumulate(g_face.sum(axis=0))
         if w.requires_grad:
-            dw = np.zeros_like(w.data)
-            dw[rows] = u.T @ g
-            w._accumulate(dw)
-        if x.requires_grad or w_in.requires_grad:
-            du = g @ w_rows.T
-            if w_in.requires_grad:
-                w_in._accumulate(x.data.T @ du)
-            if x.requires_grad:
-                x._accumulate(du @ w_in.data.T)
-    return _record(out, (x, w_in, w) + (() if bias is None else (bias,)),
-                   pullback)
+            w._accumulate(np.concatenate([u.T @ g_face, u_cof.T @ g_cof]))
+        for src, w_in, w_rows, g_half in ((x, w_face, w_top, g_face),
+                                          (x_cof, w_cof, w_bottom, g_cof)):
+            if src.requires_grad or w_in.requires_grad:
+                du = g_half @ w_rows.T
+                if w_in.requires_grad:
+                    w_in._accumulate(src.data.T @ du)
+                if src.requires_grad:
+                    src._accumulate(du @ w_in.data.T)
+    return _record(out, (x, x_cof, w_face, w_cof, w, bias), pullback)
 
 
 def _silu_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +327,13 @@ def _silu_(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(z, out, out=out)
 
 
-def _gather_sum_(face: np.ndarray, cof: np.ndarray, tau: np.ndarray,
-                 coface: np.ndarray | slice, out: np.ndarray,
-                 spare: np.ndarray) -> np.ndarray:
-    """``face[tau] + cof[coface]`` into ``out``; ``spare`` holds the coface
-    rows unless ``coface`` is a slice.  The indices are in range, so
-    ``mode="clip"`` only skips the check and the buffering of
-    ``np.take``."""
-    np.take(face, tau, axis=0, out=out, mode="clip")
-    out += (cof[coface] if isinstance(coface, slice) else
-            np.take(cof, coface, axis=0, out=spare, mode="clip"))
+def _gather_sum_(rows: np.ndarray, tau: np.ndarray, coface: np.ndarray,
+                 out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """``rows[tau] + rows[coface]`` into ``out``; ``spare`` holds the coface
+    rows.  The indices are in range, so ``mode="clip"`` only skips the
+    check and the buffering of ``np.take``."""
+    np.take(rows, tau, axis=0, out=out, mode="clip")
+    out += np.take(rows, coface, axis=0, out=spare, mode="clip")
     return out
 
 
@@ -357,87 +355,89 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def gated_message(qq: Tensor, key_face: Tensor, key_cof: Tensor,
-                  val_face: Tensor, val_cof: Tensor, sigma: np.ndarray,
-                  tau: np.ndarray, coface: np.ndarray | slice,
-                  gamma: Tensor, beta: Tensor, eps: float,
+def gated_message(q: Tensor, key: Tensor, val: Tensor, sigma: np.ndarray,
+                  tau: np.ndarray, coface: np.ndarray, gamma: Tensor,
+                  beta: Tensor, eps: float,
                   stats: tuple[np.ndarray, np.ndarray] | None = None,
                   work: Workspace | None = None
                   ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One gated message per pair (sigma, tau, coface) as one tape node:
 
-        k = SiLU(key_face[tau] + key_cof[coface])
-        m = sigmoid(BN(qq[sigma] * k)) * SiLU(val_face[tau] + val_cof[coface])
+        k     = SiLU(key[tau] + key[coface])
+        alpha = [q, q][sigma] * k / sqrt(2H)
+        m     = sigmoid(BN(alpha)) * SiLU(val[tau] + val[coface])
 
-    BN is ``normalize`` over the pairs (axis 0) with ``gamma`` and
+    ``q`` is H wide and ``key`` and ``val`` 2H wide; ``tau`` and ``coface``
+    index the rows of both (``project``'s face rows, then its coface
+    rows).  BN is ``normalize`` over the pairs (axis 0) with ``gamma`` and
     ``beta``: on the batch statistics of these pairs, whose gradient the
-    pullback carries, or on a given constant ``(mean, var)``.  ``coface``
-    is an index array or a slice of the coface rows.  Returns the messages
-    and the mean and variance used.
+    pullback carries, or on a given constant ``(mean, var)``.  Returns the
+    messages and the mean and variance used.
 
     When nothing records and the statistics are given, the messages are
     computed in place on three pair-sized buffers of ``work`` (a new
-    ``Workspace`` if None), and the result is one of them: the norm is one
-    scale, taken on the receiver rows of ``qq``, and one shift; SiLU is
-    ``z / (1 + exp(-z))``, and the gate divides the value by ``1 +
-    exp(-y)``.
+    ``Workspace`` if None), and the result is one of them: the doubling,
+    the 1 / sqrt(2H) and the norm's scale are taken on the receiver rows
+    of ``q``, the norm's shift is one subtraction; SiLU is ``z / (1 +
+    exp(-z))``, and the gate divides the value by ``1 + exp(-y)``.
     """
-    parents = (qq, key_face, key_cof, val_face, val_cof, gamma, beta)
+    parents = (q, key, val, gamma, beta)
+    sigma = np.asarray(sigma, dtype=np.int64)
+    scale = 1.0 / np.sqrt(key.shape[1])
     if stats is not None and not _records(parents):
         with np.errstate(over="ignore"):
             return _gated_message_inplace(
-                qq.data, key_face.data, key_cof.data, val_face.data,
-                val_cof.data, np.asarray(sigma, dtype=np.int64), tau,
-                coface, gamma.data, beta.data, eps, stats,
-                work or Workspace())
-    if isinstance(coface, slice):
-        coface = np.arange(key_cof.shape[0])[coface]
-    k_pre = key_face.data[tau] + key_cof.data[coface]
+                q.data, key.data, val.data, sigma, tau, coface, scale,
+                gamma.data, beta.data, eps, stats, work or Workspace())
+    k_pre = key.data[tau] + key.data[coface]
     k, k_sig = _silu_parts(k_pre)
-    q = qq.data[sigma]
-    xhat, inv_std, mean, var = _standardize(q * k, 0, eps, stats)
+    qq = np.tile(q.data[sigma] * scale, 2)
+    xhat, inv_std, mean, var = _standardize(qq * k, 0, eps, stats)
     gate = sigmoid_np(xhat * gamma.data + beta.data)
-    v_pre = val_face.data[tau] + val_cof.data[coface]
+    v_pre = val.data[tau] + val.data[coface]
     v, v_sig = _silu_parts(v_pre)
+    both = np.concatenate([tau, coface])
 
-    def scatter(dz, face, cof):
-        if face.requires_grad:
-            face._accumulate(scatter_rows(dz, tau, face.data.shape[0]))
-        if cof.requires_grad:
-            cof._accumulate(scatter_rows(dz, coface, cof.data.shape[0]))
+    def scatter(dz, rows):
+        rows._accumulate(scatter_rows(np.concatenate([dz, dz]), both,
+                                      rows.shape[0]))
 
     def pullback(g):
-        if val_face.requires_grad or val_cof.requires_grad:
-            scatter(_silu_grad(g * gate, v_pre, v_sig), val_face, val_cof)
+        if val.requires_grad:
+            scatter(_silu_grad(g * gate, v_pre, v_sig), val)
         dalpha = _standardize_pullback(g * v * gate * (1.0 - gate), xhat,
                                        inv_std, gamma, beta, 0, stats is None)
-        if qq.requires_grad:
-            qq._accumulate(scatter_rows(dalpha * k, sigma, qq.data.shape[0]))
-        if key_face.requires_grad or key_cof.requires_grad:
-            scatter(_silu_grad(dalpha * q, k_pre, k_sig), key_face, key_cof)
+        if q.requires_grad:
+            dq = dalpha * k
+            half = q.shape[1]
+            q._accumulate(scatter_rows((dq[:, :half] + dq[:, half:]) * scale,
+                                       sigma, q.shape[0]))
+        if key.requires_grad:
+            scatter(_silu_grad(dalpha * qq, k_pre, k_sig), key)
     return _record(gate * v, parents, pullback), mean, var
 
 
-def _gated_message_inplace(qq, key_face, key_cof, val_face, val_cof, sigma,
-                           tau, coface, gamma, beta, eps, stats, work):
+def _gated_message_inplace(q, key, val, sigma, tau, coface, scale, gamma,
+                           beta, eps, stats, work):
     """``gated_message``'s values on given statistics with no tape, in the
     workspace's pair buffers ``a`` (which holds the result), ``b`` and
     ``c``."""
-    shape = (len(tau), qq.shape[1])
+    shape = (len(tau), key.shape[1])
     a, b, c = work("a", shape), work("b", shape), work("c", shape)
-    k = _silu_(_gather_sum_(key_face, key_cof, tau, coface, a, b), b)
-    # The scale goes onto the block's few receiver rows of qq.
+    k = _silu_(_gather_sum_(key, tau, coface, a, b), b)
+    # The doubling and both scales go onto the block's few receiver rows.
     mean, var = stats
-    scale = gamma / np.sqrt(var + eps)
+    norm = gamma / np.sqrt(var + eps)
     first, last = (sigma.min(), sigma.max()) if sigma.size else (0, -1)
-    scaled = qq[first:last + 1] * -scale
+    scaled = np.tile(q[first:last + 1] * scale, 2)
+    scaled *= -norm
     alpha = np.take(scaled, sigma - first, axis=0, out=a, mode="clip")
     alpha *= k
-    # -BN(alpha) = alpha * -scale - shift; sigmoid(y) = 1 / (1 + exp(-y)).
-    alpha -= beta - mean * scale
+    # -BN(alpha) = alpha * -norm - shift; sigmoid(y) = 1 / (1 + exp(-y)).
+    alpha -= beta - mean * norm
     denom = np.exp(alpha, out=a)
     denom += 1.0
-    value = _silu_(_gather_sum_(val_face, val_cof, tau, coface, b, c), c)
+    value = _silu_(_gather_sum_(val, tau, coface, b, c), c)
     return Tensor(np.divide(value, denom, out=a)), mean, var
 
 

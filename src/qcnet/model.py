@@ -16,20 +16,24 @@ where q, k, v come from per-tier H x H maps of the hidden states.  The
 maps inside both SiLUs are linear, so W_k splits by rows before the
 gather, ``W_k [k_t, k_c] = (h W_kface W_k[:H])[t] + (h_cof W_kcof
 W_k[H:])[c]``, and W_v the same way.  So every H-wide map runs once per
-simplex: [q, q] / sqrt(2H) on the receiver tier, then gathered to s; the
-face half of k and v on the receiver tier, gathered to t; the coface half
-on the coface tier, gathered to c.  Each half of a key or value path is
-one ``autodiff.project`` node, and b_k and b_v ride on the face half, so
-they too are added once per simplex.  Per block of pairs, two nodes do the
-rest: ``autodiff.gated_message`` (the gathers and sums, both SiLUs, alpha,
-its BatchNorm and the gated value) and ``autodiff.message_sum`` (W_m, its
-LayerNorm and SiLU, the sum over receivers).  Only W_m runs once per pair.
-Edge layers carry most pairs: 88,668 each over the 48 predict benchmark
-cells of seed 0, against 6,192 per vertex layer.  On a 2-vCPU Xeon a
-forward-only block of 256 edge pairs at H = 64 spends ~350 us in
-``gated_message`` (the gathered sums, three ``exp`` and three divides over
-(pairs, 2H)) and ~220 us in ``message_sum``, ~90 us of it the W_m matmul;
-the per-simplex ``project`` matmuls take ~15% of the forward.
+simplex: q on the receiver tier, gathered to s; the face half of k and v
+on the receiver tier, gathered to t; the coface half on the coface tier,
+gathered to c.  The key map is one ``autodiff.project`` node whose rows
+are the face half, b_k included (so the bias too is added once per
+simplex), then the coface half, and the value map is another;
+``_layer_blocks`` shifts each coface past the face rows.  Per block of
+pairs, two nodes do the rest: ``autodiff.gated_message`` (the gathers and
+sums, both SiLUs, [q, q] / sqrt(2H), alpha, its BatchNorm and the gated
+value) and ``autodiff.message_sum`` (W_m, its LayerNorm and SiLU, the sum
+over receivers).  Only W_m runs once per pair, and a training stage
+records five nodes: q, the key and value maps, and those two.  Edge
+layers carry most pairs: 88,668 each over the 48 predict benchmark cells
+of seed 0, against 6,192 per vertex layer.  With those cells merged into
+one batch, on a 2-vCPU Xeon (CPU time, best of 7), a forward-only block
+of 256 edge pairs at H = 64 spends ~300 us in ``gated_message`` (the
+gathered sums, three ``exp`` and three divides over (pairs, 2H)) and
+~210 us in ``message_sum``, ~70 us of it the W_m matmul; the per-simplex
+maps take ~20-25% of an edge stage.
 
 Five vertex layers run first, then two blocks of (edge layer, vertex
 layer) so triangle information reaches edges before edges refresh the
@@ -428,15 +432,14 @@ def _layer_blocks(pairs: MessagingPairs, n_rows: int, train: bool
     """A tier's pairs as the blocks every layer on that tier runs:
     ``(sigma, tau, coface, segment, n_block_rows)`` per block, where the
     block's pairs sum into receiver rows ``[first, first + n_block_rows)``
-    and ``segment`` is ``sigma - first``.  The training step is one block;
-    a forward on running statistics cuts ``_pair_blocks`` at
-    ``_EVAL_BLOCK_PAIRS``.  Cofaces that run ``0, 1, 2, ...`` (a vertex
-    tier's, one edge per pair) are slices."""
+    and ``segment`` is ``sigma - first``.  The cofaces are shifted by
+    ``n_rows``, the receiver tier's rows, to index the coface rows of a
+    ``project``.  The training step is one block; a forward on running
+    statistics cuts ``_pair_blocks`` at ``_EVAL_BLOCK_PAIRS``."""
     spans = ([(0, pairs.n_pairs, 0, n_rows)] if train else
              _pair_blocks(pairs.sigma, n_rows, _EVAL_BLOCK_PAIRS))
-    ranged = np.array_equal(pairs.coface, np.arange(pairs.n_pairs))
-    return [(pairs.sigma[lo:hi], pairs.tau[lo:hi],
-             slice(lo, hi) if ranged else pairs.coface[lo:hi],
+    coface = pairs.coface + n_rows
+    return [(pairs.sigma[lo:hi], pairs.tau[lo:hi], coface[lo:hi],
              pairs.sigma[lo:hi] - first, stop - first)
             for lo, hi, first, stop in spans]
 
@@ -446,18 +449,16 @@ def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
                      blocks: list[tuple] | None = None) -> Tensor:
     """Each receiver's summed messages: (n, H) rows, n the rows of ``h``.
 
-    q and the face and coface halves of k and v are projected once per
-    simplex.  The per-pair work is two tape nodes per block of
+    q and the key and value maps are projected once per simplex, one tape
+    node each.  The per-pair work is two nodes per block of
     ``_layer_blocks`` (computed here unless given): ``gated_message``, then
     ``message_sum`` into the block's own range of receiver rows.
     """
-    hidden = h.shape[1]
-    top, bottom = slice(0, hidden), slice(hidden, 2 * hidden)
-    qq = h @ concat([layer.q, layer.q]) * (1.0 / np.sqrt(2.0 * hidden))
-    key_face = project(h, layer.k_face, layer.key_w, top, layer.key_b)
-    key_cof = project(h_cof, layer.k_cof, layer.key_w, bottom)
-    val_face = project(h, layer.v_face, layer.val_w, top, layer.val_b)
-    val_cof = project(h_cof, layer.v_cof, layer.val_w, bottom)
+    q = h @ layer.q
+    key = project(h, h_cof, layer.k_face, layer.k_cof, layer.key_w,
+                  layer.key_b)
+    val = project(h, h_cof, layer.v_face, layer.v_cof, layer.val_w,
+                  layer.val_b)
     bn, ln = layer.attn_bn, layer.msg_ln
     stats = None if train else (bn.run_mean, bn.run_var)
     if blocks is None:
@@ -465,9 +466,8 @@ def _attention_stage(h: Tensor, h_cof: Tensor, pairs: MessagingPairs,
     work = ad.Workspace()
     sums = []
     for sigma, tau, coface, segment, n_rows in blocks:
-        m, mean, var = gated_message(qq, key_face, key_cof, val_face,
-                                     val_cof, sigma, tau, coface, bn.gamma,
-                                     bn.beta, BN_EPS, stats, work)
+        m, mean, var = gated_message(q, key, val, sigma, tau, coface,
+                                     bn.gamma, bn.beta, BN_EPS, stats, work)
         sums.append(message_sum(m, layer.msg_w, layer.msg_b, ln.gamma,
                                 ln.beta, LN_EPS, segment, n_rows, work))
     if train:

@@ -153,10 +153,9 @@ class TestNormalization:
         assert all(t.requires_grad and len(t._parents) == 3 for t in created)
 
     def test_training_attention_stage_node_count(self, monkeypatch):
-        # One node each: the doubled q map, its matmul and the 1/sqrt(2H)
-        # scale; the face and coface projections of the key and of the
-        # value; the gated message and the message sum.  The training step
-        # is one block, so nothing repeats.
+        # One node each: the q map, the key map and the value map (each
+        # with its face and coface rows), the gated message and the message
+        # sum.  The training step is one block, so nothing repeats.
         rng = np.random.default_rng(1)
         layer = AttentionLayer.init(3, rng)
         pairs = MessagingPairs(np.array([0, 1, 1]), np.array([1, 0, 2]),
@@ -172,7 +171,7 @@ class TestNormalization:
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         _attention_stage(h, h_cof, pairs, layer, True)
         monkeypatch.undo()
-        assert sum(t._pullback is not None for t in created) == 9
+        assert sum(t._pullback is not None for t in created) == 5
 
     def test_layernorm_rows(self):
         ln = LayerNorm.init(4)
@@ -480,7 +479,7 @@ class TestTapeFreeEval:
                       zip(*[(c.n_vertices, c.n_edges, c.n_triangles)
                             for c, _ in items]))
         assert batch.ep.n_pairs > 2 * model_mod._EVAL_BLOCK_PAIRS
-        # An edge stage (index cofaces) and a vertex stage (slice cofaces).
+        # An edge stage and a vertex stage.
         for h, h_cof, pairs, layer in (
                 (h1, h2, batch.ep, m.edge_node_blocks[0].edge),
                 (h0, h1, batch.vp, m.node_layers[0])):

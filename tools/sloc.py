@@ -2,7 +2,9 @@
 
 A line counts when some token of code lies on it; blank lines, comments
 and docstrings (the leading string of a module, class or function body) do
-not.  A statement that spans lines counts every line it spans.
+not.  A statement that spans lines counts every line it spans that holds
+a token: a blank line inside brackets does not count, one inside a string
+does.
 
 Run from anywhere, with no options:
 
