@@ -112,10 +112,11 @@ def build_complex(g: PeriodicGraph) -> QuotientComplex:
 
     keys = pack(g.src, g.dst, g.offset)
     order = np.argsort(keys)
+    keys = keys[order]
     wanted = pack(g.src[e1], g.dst[e2], g.offset[e1] + g.offset[e2])
-    e3 = order[np.minimum(np.searchsorted(keys, wanted, sorter=order),
-                          g.n_edges - 1)]
-    found = keys[e3] == wanted
+    at = np.minimum(np.searchsorted(keys, wanted), g.n_edges - 1)
+    e3 = order[at]
+    found = keys[at] == wanted
     return QuotientComplex(g, np.stack([e1, e2, e3], axis=1)[found])
 
 

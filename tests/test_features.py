@@ -7,7 +7,7 @@ import pytest
 
 from qcnet.autodiff import constant
 from qcnet.complexes import QuotientComplex, build_complex
-from qcnet.features import (EDGE_CENTERS, EDGE_DIM, RBF_SIGMAS,
+from qcnet.features import (EDGE_CENTERS, EDGE_DIM, RBF_CHUNK, RBF_SIGMAS,
                             TRIANGLE_CENTERS, TRIANGLE_DIM, VERTEX_DIM,
                             AtomFeatureTable, MissingSpeciesError,
                             NonPositiveDistanceError, edge_features,
@@ -106,6 +106,56 @@ class TestRbfBanks:
                 rbf(x[:, v], TRIANGLE_CENTERS).reshape(24))
 
 
+class TestRbfExact:
+    """``rbf`` equals ``np.exp(-(x - c)**2 / sigma)`` byte for byte,
+    whichever way it routes an argument to ``exp``."""
+
+    @staticmethod
+    def assert_bytes_equal(x, centers):
+        got = rbf(x, centers).reshape(len(x), 3 * len(centers))
+        want = reference_rbf(x, centers)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target", [-707.0, -745.1332191019411,
+                                        -745.1332191019412, -746.0])
+    def test_arguments_around_the_thresholds(self, target):
+        # 129 neighbouring doubles around sqrt(-target * sigma) for each
+        # width, so each width sees arguments on both sides of the target
+        # and at least one width hits it exactly.
+        roots = np.sqrt(-target * RBF_SIGMAS)
+        x = np.concatenate([r + np.arange(-64, 65) * np.spacing(r)
+                            for r in roots])
+        assert np.any(-(x[:, None] ** 2) / RBF_SIGMAS == target)
+        self.assert_bytes_equal(x, np.array([0.0]))
+
+    def test_argument_sweep(self):
+        # Arguments spread over [-760, -690] at every width: the clamp,
+        # the subnormal band and the zeros.
+        args = np.linspace(690.0, 760.0, 200_001)
+        x = np.concatenate([np.sqrt(args * s) for s in RBF_SIGMAS])
+        self.assert_bytes_equal(x, np.array([0.0]))
+
+    def test_non_finite_inputs(self):
+        x = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, 30.0])
+        for centers in (EDGE_CENTERS, TRIANGLE_CENTERS):
+            self.assert_bytes_equal(x, centers)
+
+    @pytest.mark.parametrize("centers", [EDGE_CENTERS, TRIANGLE_CENTERS])
+    def test_sizes_around_a_chunk(self, centers):
+        chunk = RBF_CHUNK // (len(RBF_SIGMAS) * len(centers))
+        rng = np.random.default_rng(3)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            self.assert_bytes_equal(rng.uniform(-40.0, 40.0, n), centers)
+
+    def test_strided_out(self):
+        x = np.random.default_rng(4).uniform(0.0, 20.0, (300, 3))
+        rows = np.full((300, 3, 3, 24), -1.0)
+        rbf(x, TRIANGLE_CENTERS, rows[:, 1].reshape(300, 3, 3, 8))
+        np.testing.assert_array_equal(rows[:, [0, 2]], -1.0)
+        assert (rows[:, 1].tobytes()
+                == rbf(x, TRIANGLE_CENTERS).tobytes())
+
+
 class TestReferenceIdentity:
     """Features equal, byte for byte, the block-by-block construction."""
 
@@ -149,6 +199,13 @@ class TestReferenceIdentity:
             triangles += c.n_triangles
             assert_bitwise_reference(c, s.species, table)
         assert triangles > 0
+
+    def test_cell_spanning_several_chunks(self, table):
+        s = random_structure(np.random.default_rng(40), n_atoms=40)
+        c = complex_for(s, k=12)
+        assert c.n_triangles * 72 > 2 * RBF_CHUNK
+        assert c.n_edges * 192 > RBF_CHUNK
+        assert_bitwise_reference(c, s.species, table)
 
 
 class TestVertexFeatures:
