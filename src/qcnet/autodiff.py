@@ -34,9 +34,11 @@ An op output joins the tape only when a gradient can reach it: some operand
 requires one and recording is on.  Anything else keeps neither its parents
 nor its pullback, whose closure would hold the operands and through them every
 intermediate array.  Inside ``no_grad()`` nothing records, so a forward-only
-pass frees each intermediate as soon as the next op has consumed it, and
-the fused per-pair ops evaluate in place on the buffers of a ``Workspace``
-(``gated_message`` when its statistics are given).
+pass frees each intermediate as soon as the next op has consumed it.  The
+fused per-pair ops have one kernel each, which asks for every array it
+writes by name: unrecorded, it gets the reused buffers of a ``Workspace``;
+recorded, a new array per request, so nothing its pullback keeps can be
+overwritten.  Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -192,11 +194,11 @@ class Tensor:
         return _record(np.abs(self.data), (self,), pullback)
 
     def silu(self):
-        value, sig = _silu_parts(self.data)
+        sig = sigmoid_np(self.data)
 
         def pullback(g):
             self._accumulate(_silu_grad(g, self.data, sig))
-        return _record(value, (self,), pullback)
+        return _record(self.data * sig, (self,), pullback)
 
     # -- reductions ---------------------------------------------------------
 
@@ -308,23 +310,18 @@ def project(x: Tensor, x_cof: Tensor, w_face: Tensor, w_cof: Tensor,
     return _record(out, (x, x_cof, w_face, w_cof, w, bias), pullback)
 
 
-def _silu_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(silu(z), sigmoid(z)), kept for a pullback."""
-    sig = sigmoid_np(z)
-    return z * sig, sig
-
-
 def _silu_grad(g: np.ndarray, z: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return g * sig * (1.0 + z * (1.0 - sig))
 
 
-def _silu_(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """SiLU into ``out``: ``z / (1 + exp(-z))``; ``z`` is left as it is.
-    Where ``exp`` overflows, the quotient is the limit, a zero."""
+def _exp_neg_plus_one(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 + exp(-z)`` into ``out``, the denominator of ``sigmoid(z)`` and
+    of SiLU, ``z / (1 + exp(-z))``; where ``exp`` overflows it is inf, so
+    the quotient is the limit, a zero."""
     np.negative(z, out=out)
     np.exp(out, out=out)
     out += 1.0
-    return np.divide(z, out, out=out)
+    return out
 
 
 def _gather_sum_(rows: np.ndarray, tau: np.ndarray, coface: np.ndarray,
@@ -338,7 +335,7 @@ def _gather_sum_(rows: np.ndarray, tau: np.ndarray, coface: np.ndarray,
 
 
 class Workspace:
-    """Scratch arrays that in-place evaluations reuse from call to call,
+    """Scratch arrays that unrecorded kernels reuse from call to call,
     one per name, grown as needed.  A fresh page of memory costs a fault
     on first touch, so a reused buffer is much cheaper to write than a
     new one.  An array handed out is valid until its name is asked for
@@ -353,6 +350,12 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self._arrays[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A new array per request: a recorded op's buffers, kept by its
+    pullback, are its own."""
+    return np.empty(shape)
 
 
 def gated_message(q: Tensor, key: Tensor, val: Tensor, sigma: np.ndarray,
@@ -374,71 +377,76 @@ def gated_message(q: Tensor, key: Tensor, val: Tensor, sigma: np.ndarray,
     pullback carries, or on a given constant ``(mean, var)``.  Returns the
     messages and the mean and variance used.
 
-    When nothing records and the statistics are given, the messages are
-    computed in place on three pair-sized buffers of ``work`` (a new
-    ``Workspace`` if None), and the result is one of them: the doubling,
-    the 1 / sqrt(2H) and the norm's scale are taken on the receiver rows
-    of ``q``, the norm's shift is one subtraction; SiLU is ``z / (1 +
-    exp(-z))``, and the gate divides the value by ``1 + exp(-y)``.
+    One kernel computes the messages, recorded or not, into pair-sized
+    arrays asked for by name: ``a``, ``b`` and ``c`` (which holds the
+    result).  The doubling, the 1 / sqrt(2H) and the norm's scale are taken
+    on the receiver rows of ``q``, the norm's shift is one subtraction;
+    SiLU is ``z / (1 + exp(-z))``, and the gate divides the value by ``1 +
+    exp(-y)``.  When nothing records, the names are the three reused
+    buffers of ``work`` (a new ``Workspace`` if None).  A recorded call
+    gets a new array per request; its pullback keeps the pre-activations
+    and the three denominators and recomputes k, alpha and the
+    standardized alpha from them.
     """
     parents = (q, key, val, gamma, beta)
+    work = _fresh if _records(parents) else work or Workspace()
     sigma = np.asarray(sigma, dtype=np.int64)
     scale = 1.0 / np.sqrt(key.shape[1])
-    if stats is not None and not _records(parents):
-        with np.errstate(over="ignore"):
-            return _gated_message_inplace(
-                q.data, key.data, val.data, sigma, tau, coface, scale,
-                gamma.data, beta.data, eps, stats, work or Workspace())
-    k_pre = key.data[tau] + key.data[coface]
-    k, k_sig = _silu_parts(k_pre)
-    qq = np.tile(q.data[sigma] * scale, 2)
-    xhat, inv_std, mean, var = _standardize(qq * k, 0, eps, stats)
-    gate = sigmoid_np(xhat * gamma.data + beta.data)
-    v_pre = val.data[tau] + val.data[coface]
-    v, v_sig = _silu_parts(v_pre)
-    both = np.concatenate([tau, coface])
+    shape = (len(tau), key.shape[1])
+    with np.errstate(over="ignore"):
+        k_den = work("b", shape)  # the gather's spare, then 1 + exp(-k_pre)
+        k_pre = _gather_sum_(key.data, tau, coface, work("a", shape), k_den)
+        _exp_neg_plus_one(k_pre, k_den)
+        k = np.divide(k_pre, k_den, out=work("c", shape))
+        # The doubling and both scales go onto the block's few receiver
+        # rows.
+        first, last = (sigma.min(), sigma.max()) if sigma.size else (0, -1)
+        scaled = np.tile(q.data[first:last + 1] * scale, 2)
+        if stats is None:
+            alpha = scaled[sigma - first] * k
+            mean = alpha.mean(axis=0)
+            var = np.square(alpha - mean).mean(axis=0)
+        else:
+            mean, var = stats
+        norm = gamma.data / np.sqrt(var + eps)
+        scaled *= -norm
+        y_neg = np.take(scaled, sigma - first, axis=0, out=work("a", shape),
+                        mode="clip")
+        y_neg *= k
+        # -BN(alpha) = alpha * -norm - shift; sigmoid(y) = 1 / (1 + exp(-y)).
+        y_neg -= beta.data - mean * norm
+        gate_den = np.exp(y_neg, out=y_neg)
+        gate_den += 1.0
+        v_den = work("c", shape)
+        v_pre = _gather_sum_(val.data, tau, coface, work("b", shape), v_den)
+        _exp_neg_plus_one(v_pre, v_den)
+        out = np.divide(v_pre, v_den, out=work("c", shape))
+        out /= gate_den
 
     def scatter(dz, rows):
+        both = np.concatenate([tau, coface])
         rows._accumulate(scatter_rows(np.concatenate([dz, dz]), both,
                                       rows.shape[0]))
 
     def pullback(g):
+        gate = 1.0 / gate_den
         if val.requires_grad:
-            scatter(_silu_grad(g * gate, v_pre, v_sig), val)
-        dalpha = _standardize_pullback(g * v * gate * (1.0 - gate), xhat,
+            scatter(_silu_grad(g * gate, v_pre, 1.0 / v_den), val)
+        # d/dy sigmoid(y) = gate * (1 - gate), into the gate's array.
+        gate *= 1.0 - gate
+        gate *= g * (v_pre / v_den)
+        qq = np.tile(q.data[sigma] * scale, 2)
+        k = k_pre / k_den
+        inv_std = 1.0 / np.sqrt(var + eps)
+        dalpha = _standardize_pullback(gate, (qq * k - mean) * inv_std,
                                        inv_std, gamma, beta, 0, stats is None)
-        if q.requires_grad:
-            dq = dalpha * k
-            half = q.shape[1]
-            q._accumulate(scatter_rows((dq[:, :half] + dq[:, half:]) * scale,
-                                       sigma, q.shape[0]))
+        del gate  # freed before the scatters, the largest temporaries
+        if q.requires_grad:  # the two halves of [q, q] added
+            dq = (dalpha * k).reshape(len(sigma), 2, q.shape[1]).sum(axis=1)
+            q._accumulate(scatter_rows(dq * scale, sigma, q.shape[0]))
         if key.requires_grad:
-            scatter(_silu_grad(dalpha * qq, k_pre, k_sig), key)
-    return _record(gate * v, parents, pullback), mean, var
-
-
-def _gated_message_inplace(q, key, val, sigma, tau, coface, scale, gamma,
-                           beta, eps, stats, work):
-    """``gated_message``'s values on given statistics with no tape, in the
-    workspace's pair buffers ``a`` (which holds the result), ``b`` and
-    ``c``."""
-    shape = (len(tau), key.shape[1])
-    a, b, c = work("a", shape), work("b", shape), work("c", shape)
-    k = _silu_(_gather_sum_(key, tau, coface, a, b), b)
-    # The doubling and both scales go onto the block's few receiver rows.
-    mean, var = stats
-    norm = gamma / np.sqrt(var + eps)
-    first, last = (sigma.min(), sigma.max()) if sigma.size else (0, -1)
-    scaled = np.tile(q[first:last + 1] * scale, 2)
-    scaled *= -norm
-    alpha = np.take(scaled, sigma - first, axis=0, out=a, mode="clip")
-    alpha *= k
-    # -BN(alpha) = alpha * -norm - shift; sigmoid(y) = 1 / (1 + exp(-y)).
-    alpha -= beta - mean * norm
-    denom = np.exp(alpha, out=a)
-    denom += 1.0
-    value = _silu_(_gather_sum_(val, tau, coface, b, c), c)
-    return Tensor(np.divide(value, denom, out=a)), mean, var
+            scatter(_silu_grad(dalpha * qq, k_pre, 1.0 / k_den), key)
+    return _record(out, parents, pullback), mean, var
 
 
 def receiver_sum(values: np.ndarray, segment: np.ndarray,
@@ -464,41 +472,41 @@ def message_sum(m: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
 
     LN is ``normalize`` over each row's features (axis 1) with ``gamma``
     and ``beta``; ``segment`` gives each pair's receiver row, sorted, and
-    ``receiver_sum`` adds each receiver's pairs.  When nothing records,
-    the rows are normalized in place in the buffers ``b`` and ``c`` of
-    ``work``: the row statistics are two mat-vecs, and the SiLU is ``y /
-    (1 + exp(-y))``.
+    ``receiver_sum`` adds each receiver's pairs.  One kernel normalizes
+    the rows, recorded or not, in arrays asked for by name, ``a`` and
+    ``b`` (the message ``m`` may sit in ``gated_message``'s ``c``): the
+    row statistics are two mat-vecs, and the SiLU is ``y / (1 +
+    exp(-y))``.  As in ``gated_message``, the names are the buffers of
+    ``work`` when nothing records and new arrays when something does; the
+    pullback keeps the standardized rows and the SiLU's denominator.
     """
     segment = np.asarray(segment, dtype=np.int64)
     parents = (m, w, b, gamma, beta)
-    if not _records(parents):
-        work = work or Workspace()
-        shape = (m.shape[0], w.shape[1])
-        z, e = work("b", shape), work("c", shape)
-        np.matmul(m.data, w.data, out=z)
-        z += b.data
-        mean_of = np.full(shape[1], 1.0 / shape[1])
-        z -= (z @ mean_of)[:, None]
-        np.square(z, out=e)
-        z *= (1.0 / np.sqrt(e @ mean_of + eps))[:, None]
-        z *= gamma.data
-        z += beta.data
-        with np.errstate(over="ignore"):
-            return Tensor(receiver_sum(_silu_(z, e), segment, n_rows))
-    xhat, inv_std, _, _ = _standardize(m.data @ w.data + b.data, 1, eps, None)
-    y = xhat * gamma.data + beta.data
-    msg, sig = _silu_parts(y)
+    work = _fresh if _records(parents) else work or Workspace()
+    shape = (m.shape[0], w.shape[1])
+    xhat = np.matmul(m.data, w.data, out=work("a", shape))
+    xhat += b.data
+    mean_of = np.full(shape[1], 1.0 / shape[1])
+    xhat -= (xhat @ mean_of)[:, None]
+    den = np.square(xhat, out=work("b", shape))  # then 1 + exp(-y)
+    inv_std = (1.0 / np.sqrt(den @ mean_of + eps))[:, None]
+    xhat *= inv_std
+    y = np.multiply(xhat, gamma.data, out=work("a", shape))
+    y += beta.data
+    with np.errstate(over="ignore"):
+        msg = np.divide(y, _exp_neg_plus_one(y, den), out=y)
 
     def pullback(g):
-        dz = _standardize_pullback(_silu_grad(g[segment], y, sig), xhat,
-                                   inv_std, gamma, beta, 1, True)
+        y = xhat * gamma.data + beta.data
+        dz = _standardize_pullback(_silu_grad(g[segment], y, 1.0 / den),
+                                   xhat, inv_std, gamma, beta, 1, True)
         if b.requires_grad:
             b._accumulate(dz.sum(axis=0))
         if w.requires_grad:
             w._accumulate(m.data.T @ dz)
         if m.requires_grad:
             m._accumulate(dz @ w.data.T)
-    return Tensor(receiver_sum(msg, segment, n_rows), True, parents, pullback)
+    return _record(receiver_sum(msg, segment, n_rows), parents, pullback)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -526,7 +534,15 @@ def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
     ``(mean, var)``, with ``axis`` reduced away, is a constant, so the
     pullback is ``g * gamma / s``.  Also returns the mean and variance used.
     """
-    xhat, inv_std, mean, var = _standardize(t.data, axis, eps, stats)
+    if stats is None:
+        mean = t.data.mean(axis=axis, keepdims=True)
+        xhat = t.data - mean
+        var = np.square(xhat).mean(axis=axis, keepdims=True)
+    else:
+        mean, var = (np.expand_dims(a, axis) for a in stats)
+        xhat = t.data - mean
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
 
     def pullback(g):
         dx = _standardize_pullback(g, xhat, inv_std, gamma, beta, axis,
@@ -535,23 +551,8 @@ def normalize(t: Tensor, gamma: Tensor, beta: Tensor, axis: int, eps: float,
             t._accumulate(dx)
     out = xhat * gamma.data
     out += beta.data
-    return _record(out, (t, gamma, beta), pullback), mean, var
-
-
-def _standardize(x: np.ndarray, axis: int, eps: float,
-                 stats: tuple[np.ndarray, np.ndarray] | None):
-    """``(xhat, 1 / sqrt(var + eps), mean, var)`` of ``normalize``: the
-    statistics along ``axis``, or the given ones."""
-    if stats is None:
-        mean = x.mean(axis=axis, keepdims=True)
-        xhat = x - mean
-        var = np.square(xhat).mean(axis=axis, keepdims=True)
-    else:
-        mean, var = (np.expand_dims(a, axis) for a in stats)
-        xhat = x - mean
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
-    return xhat, inv_std, np.squeeze(mean, axis), np.squeeze(var, axis)
+    return (_record(out, (t, gamma, beta), pullback),
+            np.squeeze(mean, axis), np.squeeze(var, axis))
 
 
 def _standardize_pullback(g, xhat, inv_std, gamma: Tensor, beta: Tensor,

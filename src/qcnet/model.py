@@ -69,9 +69,10 @@ receiver's messages add in the same order as in one block and the pass
 stays differentiable.  The training step is one block: its batch
 statistics need every pair.  A forward cuts the blocks once per tier
 (``_layer_blocks``) and every layer on that tier reuses them.  When
-nothing records, each block's two nodes evaluate in place on three
+nothing records, each block's two nodes run their kernels on three
 pair-sized buffers that one ``autodiff.Workspace`` per layer hands from
-block to block, so no per-pair array is allocated anew.
+block to block, so no per-pair array is allocated anew; a recorded pass
+runs the same kernels on arrays of its own, and gives the same bytes.
 
 The model's state is one float64 array, ``state()``, in checkpoint order:
 every parameter in ``parameters()`` order, then every BatchNorm's running
@@ -395,7 +396,7 @@ def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
 # -- attention core ---------------------------------------------------------
 
 # Pairs per block of a forward on running statistics.  At hidden 64 a
-# (block, 2H) float64 array is 256 KiB, so the three buffers of the in-place
+# (block, 2H) float64 array is 256 KiB, so the three buffers of the unrecorded
 # kernels fit a 2 MiB L2 cache.  Forwards of the 48 predict_cells cells of
 # seeds 0 and 5 (blocks 0-2, one cell per call, 2-vCPU Xeon, 8 interleaved
 # passes, CPU time) took a median 1.28 s and 1.25 s at 128 pairs, 1.18 s

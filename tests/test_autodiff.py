@@ -301,11 +301,14 @@ class TestGatedMessage:
             in_place = self.call([parameter(a) for a in arrays], indices,
                                  stats)
         assert recorded[0]._parents and in_place[0]._parents == ()
-        for out, got_mean, got_var in (recorded, in_place):
-            np.testing.assert_allclose(out.data, want, rtol=1e-12,
-                                       atol=1e-15)
-            np.testing.assert_allclose(got_mean, mean, rtol=1e-13)
-            np.testing.assert_allclose(got_var, var, rtol=1e-13)
+        # One kernel: recording changes where the arrays come from only.
+        out, got_mean, got_var = recorded
+        assert in_place[0].data.tobytes() == out.data.tobytes()
+        assert in_place[1].tobytes() == got_mean.tobytes()
+        assert in_place[2].tobytes() == got_var.tobytes()
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_mean, mean, rtol=1e-13)
+        np.testing.assert_allclose(got_var, var, rtol=1e-13)
 
     @pytest.mark.parametrize("case, given", [
         (case, given) for case in INDICES for given in (False, True)
@@ -399,9 +402,9 @@ class TestMessageSum:
             in_place = self.call([parameter(a) for a in arrays], segment,
                                  n_rows)
         assert recorded._parents and in_place._parents == ()
-        for out in (recorded, in_place):
-            np.testing.assert_allclose(out.data, want, rtol=1e-12,
-                                       atol=1e-15)
+        assert in_place.data.tobytes() == recorded.data.tobytes()
+        np.testing.assert_allclose(recorded.data, want, rtol=1e-12,
+                                   atol=1e-15)
 
     @pytest.mark.parametrize("case", list(SEGMENTS))
     def test_gradient_every_operand(self, case):
@@ -457,15 +460,20 @@ class TestBlocks:
     TAU = np.array([2, 4, 0, 3, 3, 1, 0])
     COFACE = np.array([1, 0, 2, 2, 5, 4, 3])
 
+    @staticmethod
+    def operands(rng):
+        """q, then key and val with 5 face rows and 6 coface rows, the
+        batch norm's gamma and beta, W_m, b_m and the layer norm's."""
+        return [rng.standard_normal((5, 2)), rng.standard_normal((11, 4)),
+                rng.standard_normal((11, 4)), rng.uniform(0.5, 1.5, 4),
+                rng.uniform(-0.5, 0.5, 4), rng.standard_normal((4, 3)),
+                rng.standard_normal(3), rng.uniform(0.5, 1.5, 3),
+                rng.uniform(-0.5, 0.5, 3)]
+
     @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
     def test_gradient_through_three_blocks(self, given):
         rng = np.random.default_rng(48)
-        # q, then key and val with 5 face rows and 6 coface rows.
-        arrays = [rng.standard_normal((5, 2)), rng.standard_normal((11, 4)),
-                  rng.standard_normal((11, 4)), rng.uniform(0.5, 1.5, 4),
-                  rng.uniform(-0.5, 0.5, 4), rng.standard_normal((4, 3)),
-                  rng.standard_normal(3), rng.uniform(0.5, 1.5, 3),
-                  rng.uniform(-0.5, 0.5, 3)]
+        arrays = self.operands(rng)
         stats = TestGatedMessage.STATS if given else None
         coface = self.COFACE + 5
         # Pairs [0, 2) -> rows [0, 1), [2, 5) -> [1, 3), [5, 7) -> [3, 5).
@@ -486,7 +494,38 @@ class TestBlocks:
         recorded = chain(*map(parameter, arrays))
         with no_grad():
             in_place = chain(*map(parameter, arrays))
-        np.testing.assert_allclose(in_place.data, recorded.data, rtol=1e-12)
+        assert in_place.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("given", [False, True], ids=["batch", "given"])
+    def test_recorded_call_keeps_its_buffers(self, given):
+        # A recorded call takes no buffer from the workspace it is passed,
+        # so an unrecorded call on that workspace between the forward and
+        # backward() leaves every gradient as it was.
+        rng = np.random.default_rng(49)
+        arrays, others = self.operands(rng), self.operands(rng)
+        stats = TestGatedMessage.STATS if given else None
+        c = rng.standard_normal((5, 3))
+
+        def chain(tensors, work):
+            q, key, val, bn_g, bn_b, w, b, ln_g, ln_b = tensors
+            m = gated_message(q, key, val, self.SIGMA, self.TAU,
+                              self.COFACE + 5, bn_g, bn_b, 1e-5, stats,
+                              work)[0]
+            return message_sum(m, w, b, ln_g, ln_b, 1e-5, self.SIGMA, 5,
+                               work)
+
+        def gradients(intervene):
+            work = Workspace()
+            tensors = [parameter(a) for a in arrays]
+            loss = (chain(tensors, work) * c).sum()
+            assert not work._arrays
+            if intervene:
+                with no_grad():
+                    chain([parameter(a) for a in others], work)
+                assert sorted(work._arrays) == ["a", "b", "c"]
+            loss.backward()
+            return [t.grad.tobytes() for t in tensors]
+        assert gradients(True) == gradients(False)
 
 
 class TestScatterRows:

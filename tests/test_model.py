@@ -465,9 +465,10 @@ class TestTapeFreeEval:
     """predict, batch_loss and evaluate run without recording a tape."""
 
     def test_in_place_matches_recorded_on_bench_cells(self):
-        # The forward-only pass evaluates each fused node in place; the
-        # recorded pass keeps every intermediate.  Both on running
-        # statistics away from their defaults, blocks of 256 pairs.
+        # The forward-only pass runs each fused node in reused buffers, the
+        # recorded pass in arrays of its own; the kernels are the same, so
+        # the values are byte-equal.  Both on running statistics away from
+        # their defaults, blocks of 256 pairs.
         items = bench_style_cells(8, 3)
         batch = merge_batch(items)
         m = tiny_model(hidden=16, seed=12)
@@ -487,12 +488,10 @@ class TestTapeFreeEval:
             with ad.no_grad():
                 in_place = _attention_stage(h, h_cof, pairs, layer, False)
             assert recorded._parents and in_place._parents == ()
-            np.testing.assert_allclose(in_place.data, recorded.data,
-                                       rtol=1e-12, atol=1e-14)
+            assert in_place.data.tobytes() == recorded.data.tobytes()
         recorded = _predict_tensor(m, batch, False)
         assert recorded._parents
-        np.testing.assert_allclose(predict(m, items), recorded.data[:, 0],
-                                   rtol=1e-12, atol=0.0)
+        assert predict(m, items).tobytes() == recorded.data[:, 0].tobytes()
 
     def test_eval_leaves_no_gradients_or_parents(self, catio3):
         items = [featurized(catio3, k=4)]
