@@ -4,18 +4,17 @@ A Tensor wraps an ndarray and records the op that produced it; ``backward()``
 walks the tape in reverse topological order, accumulates gradients into
 every tensor with ``requires_grad`` and releases each node once its pullback
 has run.  The op set is what the simplex-attention model needs: elementwise
-arithmetic, matmul, ``affine``, concat, segment sum and mean (the graph
+arithmetic, matmul, ``affine``, concat, the segment mean (the graph
 pooling), full reductions for the loss, SiLU, ``normalize``, and the
 attention's three fused ops: ``project`` (a key or value map, once per
 source row: the face rows, then the coface rows), ``gated_message`` (per
 pair, the key, the batch-norm gate on the scaled query and the value) and
 ``message_sum`` (per pair, the message map, its layer norm and SiLU,
-summed per receiver).  Every scatter-add of a pullback is
-``scatter_rows``: one ``np.bincount`` that adds each row's contributions
-in index order; the fused ops sum pairs into their sorted receivers with
-``receiver_sum``, one ``np.add.reduceat``.  All accumulation happens in a
-fixed order determined by tape construction, so given identical inputs
-the gradients are bit-for-bit reproducible.
+summed per receiver).  Every sum of rows by index, forward or pullback,
+is ``scatter_rows``: one ``np.bincount`` that adds each row's
+contributions in index order, so no index needs to be sorted.  All
+accumulation happens in a fixed order determined by tape construction, so
+given identical inputs the gradients are bit-for-bit reproducible.
 
 Gradients are never broadcast.  A constant or scalar operand may broadcast
 against a tensor that requires a gradient, but a tensor that requires one
@@ -64,14 +63,6 @@ def no_grad():
         yield
     finally:
         _RECORDING.reset(token)
-
-
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function; the tanh form cannot overflow."""
-    out = np.tanh(0.5 * x)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 class Tensor:
@@ -194,11 +185,13 @@ class Tensor:
         return _record(np.abs(self.data), (self,), pullback)
 
     def silu(self):
-        sig = sigmoid_np(self.data)
+        """``z / (1 + exp(-z))``, the formula of the fused kernels."""
+        with np.errstate(over="ignore"):
+            den = _exp_neg_plus_one(self.data, np.empty_like(self.data))
 
         def pullback(g):
-            self._accumulate(_silu_grad(g, self.data, sig))
-        return _record(self.data * sig, (self,), pullback)
+            self._accumulate(_silu_grad(g, self.data, 1.0 / den))
+        return _record(self.data / den, (self,), pullback)
 
     # -- reductions ---------------------------------------------------------
 
@@ -424,9 +417,9 @@ def gated_message(q: Tensor, key: Tensor, val: Tensor, sigma: np.ndarray,
         out /= gate_den
 
     def scatter(dz, rows):
-        both = np.concatenate([tau, coface])
-        rows._accumulate(scatter_rows(np.concatenate([dz, dz]), both,
-                                      rows.shape[0]))
+        total = scatter_rows(dz, tau, rows.shape[0])
+        total += scatter_rows(dz, coface, rows.shape[0])
+        rows._accumulate(total)
 
     def pullback(g):
         gate = 1.0 / gate_den
@@ -449,21 +442,6 @@ def gated_message(q: Tensor, key: Tensor, val: Tensor, sigma: np.ndarray,
     return _record(out, parents, pullback), mean, var
 
 
-def receiver_sum(values: np.ndarray, segment: np.ndarray,
-                 n_rows: int) -> np.ndarray:
-    """``out[segment[i]] += values[i]`` for a sorted ``segment``: one
-    ``np.add.reduceat`` over its runs of equal rows.  An unsorted
-    ``segment`` raises ValueError: its runs would overwrite each other."""
-    out = np.zeros((n_rows,) + values.shape[1:])
-    if segment.size:
-        step = np.diff(segment)
-        if np.any(step < 0):
-            raise ValueError("segment must be sorted by receiver")
-        starts = np.concatenate(([0], np.flatnonzero(step) + 1))
-        out[segment[starts]] = np.add.reduceat(values, starts, axis=0)
-    return out
-
-
 def message_sum(m: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                 eps: float, segment: np.ndarray, n_rows: int,
                 work: Workspace | None = None) -> Tensor:
@@ -471,12 +449,12 @@ def message_sum(m: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     ``n_rows`` rows, as one tape node.
 
     LN is ``normalize`` over each row's features (axis 1) with ``gamma``
-    and ``beta``; ``segment`` gives each pair's receiver row, sorted, and
-    ``receiver_sum`` adds each receiver's pairs.  One kernel normalizes
-    the rows, recorded or not, in arrays asked for by name, ``a`` and
-    ``b`` (the message ``m`` may sit in ``gated_message``'s ``c``): the
-    row statistics are two mat-vecs, and the SiLU is ``y / (1 +
-    exp(-y))``.  As in ``gated_message``, the names are the buffers of
+    and ``beta``; ``segment`` gives each pair's receiver row, and
+    ``scatter_rows`` adds each receiver's pairs in pair order.  One kernel
+    normalizes the rows, recorded or not, in arrays asked for by name,
+    ``a`` and ``b`` (the message ``m`` may sit in ``gated_message``'s
+    ``c``): the row statistics are two mat-vecs, and the SiLU is ``y / (1
+    + exp(-y))``.  As in ``gated_message``, the names are the buffers of
     ``work`` when nothing records and new arrays when something does; the
     pullback keeps the standardized rows and the SiLU's denominator.
     """
@@ -506,7 +484,7 @@ def message_sum(m: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
             w._accumulate(m.data.T @ dz)
         if m.requires_grad:
             m._accumulate(dz @ w.data.T)
-    return _record(receiver_sum(msg, segment, n_rows), parents, pullback)
+    return _record(scatter_rows(msg, segment, n_rows), parents, pullback)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -570,19 +548,17 @@ def _standardize_pullback(g, xhat, inv_std, gamma: Tensor, beta: Tensor,
                       - xhat * (g * xhat).mean(axis=axis, keepdims=True))
 
 
-def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
-    """Sum rows into n_segments buckets; pullback is a row gather."""
-    segment = np.asarray(segment, dtype=np.int64)
-
-    def pullback(g):
-        t._accumulate(g[segment])
-    return _record(scatter_rows(t.data, segment, n_segments), (t,), pullback)
-
-
 def segment_mean(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
-    """Per-bucket mean of rows; every bucket must be nonempty."""
+    """Per-bucket mean of rows as one tape node; every bucket must be
+    nonempty.  The pullback hands each row its bucket's gradient over the
+    bucket's size."""
     segment = np.asarray(segment, dtype=np.int64)
-    counts = np.bincount(segment, minlength=n_segments).astype(np.float64)
+    counts = np.bincount(segment, minlength=n_segments)
     if np.any(counts == 0):
         raise ValueError("segment_mean: empty segment")
-    return segment_sum(t, segment, n_segments) * (1.0 / counts[:, None])
+    inv = 1.0 / counts[:, None]
+
+    def pullback(g):
+        t._accumulate((g * inv)[segment])
+    return _record(scatter_rows(t.data, segment, n_segments) * inv, (t,),
+                   pullback)

@@ -162,6 +162,8 @@ def _load_table(descriptor: str):
         try:
             seed = int(descriptor.split(":", 1)[1])
         except ValueError:
+            seed = -1
+        if seed < 0:
             raise CliError(EXIT_CONFIG,
                            f"bad atom table descriptor {descriptor!r}")
         return AtomFeatureTable.random(seed)
@@ -249,7 +251,6 @@ def _run_training(args, finetune_from: str | None) -> int:
                    if cp.has_option("train", "seed") else None)
     seed = _resolve_seed(args.seed, config_seed)
     out_dir = cp.get("output", "dir")
-    os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
     config = _train_config_from_ini(cp, seed)
     records = _load_records(cp.get("data", "train"))
@@ -271,8 +272,10 @@ def _run_training(args, finetune_from: str | None) -> int:
                           table)
 
     # train() scores the model before it returns, so a model it rejects
-    # (non-finite weights) leaves no checkpoint behind.
+    # (non-finite weights) leaves no checkpoint behind, and a failed run
+    # no new directory.
     from .model import save_checkpoint
+    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(result.model, checkpoint_path,
                     extra={"atom_table": table_desc,
                            "k_neighbors": config.k_neighbors,

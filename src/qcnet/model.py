@@ -66,8 +66,11 @@ block's rows, so it stays in cache, and the peak memory of ``predict``
 does not grow with the number of structures.  Each block sums into its
 own range of receiver rows and the ranges are concatenated, so each
 receiver's messages add in the same order as in one block and the pass
-stays differentiable.  The training step is one block: its batch
-statistics need every pair.  A forward cuts the blocks once per tier
+stays differentiable.  The training step is one block, cut by the same
+``_pair_blocks`` with all the tier's pairs as its limit: its batch
+statistics need every pair.  So the one block cutter refuses pairs out of
+receiver order on both paths; the sums themselves, ``scatter_rows``, need
+no order.  A forward cuts the blocks once per tier
 (``_layer_blocks``) and every layer on that tier reuses them.  When
 nothing records, each block's two nodes run their kernels on three
 pair-sized buffers that one ``autodiff.Workspace`` per layer hands from
@@ -435,10 +438,11 @@ def _layer_blocks(pairs: MessagingPairs, n_rows: int, train: bool
     block's pairs sum into receiver rows ``[first, first + n_block_rows)``
     and ``segment`` is ``sigma - first``.  The cofaces are shifted by
     ``n_rows``, the receiver tier's rows, to index the coface rows of a
-    ``project``.  The training step is one block; a forward on running
-    statistics cuts ``_pair_blocks`` at ``_EVAL_BLOCK_PAIRS``."""
-    spans = ([(0, pairs.n_pairs, 0, n_rows)] if train else
-             _pair_blocks(pairs.sigma, n_rows, _EVAL_BLOCK_PAIRS))
+    ``project``.  Both paths cut with ``_pair_blocks``, which refuses pairs
+    out of receiver order: the training step at ``n_pairs``, one block, a
+    forward on running statistics at ``_EVAL_BLOCK_PAIRS``."""
+    spans = _pair_blocks(pairs.sigma, n_rows,
+                         pairs.n_pairs if train else _EVAL_BLOCK_PAIRS)
     coface = pairs.coface + n_rows
     return [(pairs.sigma[lo:hi], pairs.tau[lo:hi], coface[lo:hi],
              pairs.sigma[lo:hi] - first, stop - first)

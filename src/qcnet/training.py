@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("loss must be 'mae' or 'mse'")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def one_cycle_lr(step: int, total_steps: int, peak_lr: float) -> float:

@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qcnet.autodiff import Tensor, _record, scatter_rows, sigmoid_np
+from qcnet.autodiff import Tensor, _record, scatter_rows
 from qcnet.homology import SimplicialComplex
 from qcnet.structures import CrystalStructure
 
@@ -110,6 +110,14 @@ def random_partition(vertices: list[int],
 # The model runs only the fused ops; these plain ones spell out, node by
 # node, what ``gated_message`` and ``message_sum`` compute.
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function; the tanh form cannot overflow."""
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def silu_np(x: np.ndarray) -> np.ndarray:
     return x * sigmoid_np(x)
 
@@ -130,6 +138,15 @@ def gather_rows(t: Tensor, index: np.ndarray) -> Tensor:
     def pullback(g):
         t._accumulate(scatter_rows(g, index, t.data.shape[0]))
     return _record(t.data[index], (t,), pullback)
+
+
+def segment_sum(t: Tensor, segment: np.ndarray, n_segments: int) -> Tensor:
+    """Sum rows into n_segments buckets; the pullback is a row gather."""
+    segment = np.asarray(segment, dtype=np.int64)
+
+    def pullback(g):
+        t._accumulate(g[segment])
+    return _record(scatter_rows(t.data, segment, n_segments), (t,), pullback)
 
 
 @pytest.fixture

@@ -5,10 +5,9 @@ import pytest
 
 from qcnet.autodiff import (Workspace, affine, concat, constant,
                             gated_message, message_sum, no_grad, normalize,
-                            parameter, project, receiver_sum, scatter_rows,
-                            segment_mean, segment_sum, sigmoid_np)
+                            parameter, project, scatter_rows, segment_mean)
 
-from conftest import gather_rows, sigmoid, silu_np
+from conftest import gather_rows, segment_sum, sigmoid, sigmoid_np, silu_np
 
 ATOL = 1e-8
 RTOL = 1e-4
@@ -97,6 +96,17 @@ class TestElementwiseOps:
     def test_sigmoid_silu(self):
         a = self.rng.standard_normal((3, 4)) * 2.0
         fd_check(lambda x: (sigmoid(x) + x.silu()).sum(), [a])
+
+    def test_silu_saturates(self):
+        # exp(-z) overflows below z = -709: the SiLU and its gradient are
+        # the limits, zeros, with no warning; above, they match x * sigma.
+        x = parameter(np.array([[-800.0, -30.0, 0.0, 30.0, 800.0]]))
+        out = x.silu()
+        out.sum().backward()
+        assert out.data[0, 0] == 0.0 and x.grad[0, 0] == 0.0
+        np.testing.assert_allclose(out.data, silu_np(x.data), rtol=1e-15,
+                                   atol=1e-15)
+        assert out.data[0, -1] == 800.0 and x.grad[0, -1] == 1.0
 
     def test_neg(self):
         a = self.rng.standard_normal((2, 2))
@@ -373,10 +383,11 @@ def message_reference(m, w, b, gamma, beta, segment, n_rows):
 
 
 class TestMessageSum:
-    """Receiver rows 1 and 4 hear nothing."""
+    """Receiver rows 1 and 4 hear nothing; the unsorted case's pairs are
+    out of receiver order, which the sum does not need."""
 
     SEGMENTS = {"gaps": ([0, 0, 2, 2, 3], 5), "one-pair": ([3], 4),
-                "no-pairs": ([], 2)}
+                "no-pairs": ([], 2), "unsorted": ([3, 0, 2, 0, 2], 5)}
 
     def setup_method(self):
         self.rng = np.random.default_rng(46)
@@ -433,22 +444,6 @@ class TestMessageSum:
         for t, ref in zip(fused, plain):
             np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-11,
                                        atol=1e-14)
-
-    def test_receiver_sum(self):
-        # Rows 1, 4, 5 and 7 receive nothing and stay exactly zero.
-        rng = np.random.default_rng(47)
-        values = rng.standard_normal((30, 2))
-        segment = np.sort(rng.choice([0, 2, 3, 6], size=30))
-        want = np.zeros((8, 2))
-        np.add.at(want, segment, values)
-        got = receiver_sum(values, segment, 8)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
-        assert not got[[1, 4, 5, 7]].any()
-
-    def test_receiver_sum_rejects_unsorted_segment(self):
-        # Its runs would overwrite each other's sums.
-        with pytest.raises(ValueError, match="sorted by receiver"):
-            receiver_sum(np.ones((3, 2)), np.array([0, 2, 0]), 3)
 
 
 class TestBlocks:
@@ -654,6 +649,7 @@ class TestStructuredOps:
                                       [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
     def test_segment_sum(self):
+        # The test-local reference behind ``TestMessageSum``'s unfused chain.
         a = self.rng.standard_normal((6, 3))
         seg = np.array([0, 1, 1, 0, 2, 2])
         fd_check(lambda x: segment_sum(x, seg, 3).square().sum(), [a])
@@ -668,6 +664,13 @@ class TestStructuredOps:
         a = self.rng.standard_normal((5, 2))
         seg = np.array([0, 0, 1, 1, 1])
         fd_check(lambda x: segment_mean(x, seg, 2).square().sum(), [a])
+
+    def test_segment_mean_is_one_node(self):
+        # The sum and the division by the bucket sizes are one tape node.
+        a = parameter(np.ones((3, 2)))
+        out = segment_mean(a, np.array([1, 0, 1]), 2)
+        assert out._parents == (a,)
+        np.testing.assert_array_equal(out.data, 1.0)
 
     def test_segment_mean_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -273,9 +273,12 @@ class TestFeaturize:
         data = np.fromfile(tmp_path / "f.h0_raw.bin", dtype="<f8")
         assert data.shape == (5 * 92,)
 
-    def test_bad_atom_table_descriptor(self, tmp_path):
-        assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
-                     "--atom-table", "random:zzz"]) == EXIT_CONFIG
+    def test_bad_atom_table_descriptor(self, tmp_path, capsys):
+        for descriptor in ("random:zzz", "random:-2"):
+            assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
+                         "--atom-table", descriptor]) == EXIT_CONFIG
+            assert capsys.readouterr().err == \
+                f"error: bad atom table descriptor {descriptor!r}\n"
 
     def test_missing_atom_table_file(self, tmp_path):
         assert main(["featurize", POSCAR, "-o", str(tmp_path / "f"),
@@ -414,10 +417,12 @@ class TestTrain:
         assert "lr" in capsys.readouterr().err
 
     def test_missing_dataset(self, tmp_path, capsys):
+        # A failed run leaves no new output directory behind.
         cfg = tmp_path / "c.ini"
         cfg.write_text("[data]\ntrain = missing.jsonl\n"
-                       "[output]\ndir = out\n")
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
         assert main(["train", str(cfg)]) == EXIT_DATA
+        assert not (tmp_path / "out").exists()
 
     def test_unrepresentable_target_skipped(self, tmp_path, capsys):
         # A target of 10**400 parses as JSON but has no float value.
@@ -470,7 +475,7 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: bad training config: weight_decay must be >= 0 and "
             "finite\n")
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_builds_each_record_once(self, run_config, dataset,
                                      monkeypatch):
@@ -505,7 +510,7 @@ class TestTrain:
         cfg, out_dir = run_config()
         assert main(["train", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", "error: MemoryError\n")
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_weights_overflowing_on_last_step_write_nothing(self, run_config,
                                                             capsys):
@@ -516,7 +521,7 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: layer ") and "non-finite" in err[0]
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
 
 class TestSeedPrecedence:
@@ -546,6 +551,24 @@ class TestSeedPrecedence:
         cfg, _ = run_config()
         assert main(["train", str(cfg)]) == EXIT_CONFIG
         assert "QCNET_SEED" in capsys.readouterr().err
+
+    # Per source: flags, QCNET_SEED (None: unset), config seed, the seed.
+    NEGATIVE = {"flag": (["--seed", "-1"], None, 5, -1),
+                "env": ([], "-5", 5, -5),
+                "config": ([], None, -3, -3)}
+
+    @pytest.mark.parametrize("source", list(NEGATIVE))
+    def test_negative_seed_exits_config(self, source, run_config,
+                                        monkeypatch, capsys):
+        flags, env, config_seed, seed = self.NEGATIVE[source]
+        monkeypatch.delenv("QCNET_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("QCNET_SEED", env)
+        cfg, out_dir = run_config(train={"seed": config_seed})
+        assert main(["train", str(cfg)] + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: bad training config: seed must be >= 0, got {seed}\n")
+        assert not out_dir.exists()
 
 
 class TestEvalPredict:
